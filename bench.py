@@ -417,23 +417,46 @@ def _stage_replicated_events(sf_dir: str, input_dir: str, n_cycles: int,
     return n_cycles * per_cycle * n_events
 
 
-def run_session_changelog() -> dict:
-    """UPDATE-mode session loop throughput: SessionChangelogJob
-    (retract/insert emission on extension) over the same multi-cycle
-    replicated stream as --stream-join — each cycle exceeds the
-    dataset-path threshold, so this measures the user-bucket grouped
-    kernel with in-task per-bucket changelog writes, state carry and
-    per-cycle commit."""
+#: the streaming-loop legs: CLI flag -> (module, job class, default
+#: GRAFT_BENCH_OUT leaf, metric, run_all totals reported, finalize?).
+#: Each replicates the sf events into GRAFT_STREAM_CYCLES cycle files
+#: above the dataset-path threshold, so every leg measures the
+#: user-bucket grouped kernel with in-task per-bucket emission writes,
+#: state carry and per-cycle commit (broadcast rules: the probe-only
+#: exchange against the ray.put rule table).
+_STREAM_LEGS = {
+    "--session-changelog": ("changelog", "SessionChangelogJob", "schlog",
+                            "session_update_changelog_end_to_end",
+                            ("late",), False),
+    "--stream-join": ("stream_join", "StreamingJoinJob", "sjoin",
+                      "stream_stream_join_end_to_end",
+                      ("matched", "late"), False),
+    "--stream-dedup": ("stream_dedup", "StreamingDedupJob", "sdedup",
+                       "streaming_dedup_end_to_end",
+                       ("emitted", "dups", "late"), False),
+    "--stream-cep": ("stream_cep", "StreamingCepJob", "scep",
+                     "streaming_cep_end_to_end", ("matches", "late"), True),
+    "--stream-rules": ("broadcast_rules", "BroadcastRulesJob", "srules",
+                       "broadcast_rules_end_to_end", ("emitted", "late"),
+                       True),
+}
+
+
+def run_stream_leg(flag: str) -> dict:
+    """One streaming-loop leg (see ``_STREAM_LEGS``): end-to-end wall of
+    ``run_all()`` (+ ``finalize()``) over the replicated stream."""
+    import importlib
     import shutil
 
     import ray
     from ray.data import DataContext
 
+    module, cls, leaf, metric, keys, finalize = _STREAM_LEGS[flag]
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
     num_cpus = int(os.environ.get("GRAFT_STREAM_CPUS", "16"))
     n_cycles = int(os.environ.get("GRAFT_STREAM_CYCLES", "10"))
     per_cycle = int(os.environ.get("GRAFT_STREAM_REPLICAS_PER_CYCLE", "10"))
-    root = os.environ.get("GRAFT_BENCH_OUT", "/dev/shm/imagor_ray_schlog")
+    root = os.environ.get("GRAFT_BENCH_OUT", f"/dev/shm/imagor_ray_{leaf}")
     ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
              ignore_reinit_error=True, logging_level="ERROR",
              object_store_memory=int(os.environ.get(
@@ -446,244 +469,26 @@ def run_session_changelog() -> dict:
     n_rows = _stage_replicated_events(sf_dir, input_dir, n_cycles,
                                       per_cycle)
 
-    from imagor_ray.pipelines.changelog import SessionChangelogJob
-
-    job = SessionChangelogJob(input_dir, os.path.join(root, "state"),
-                              num_buckets=64)
+    job_cls = getattr(importlib.import_module(
+        f"imagor_ray.pipelines.{module}"), cls)
+    job = job_cls(input_dir, os.path.join(root, "state"), num_buckets=64)
     t0 = time.perf_counter()
     totals = job.run_all()
+    if finalize:
+        job.finalize()
     wall = time.perf_counter() - t0
-    ch_rows = sum(
-        1 for f in os.listdir(job.changelog_dir)
-        if f.endswith(".parquet"))
+    out = {"metric": metric, "value": round(wall, 3), "unit": "sec",
+           "n_rows": int(n_rows), "cycles": totals["cycles"],
+           **{k: totals[k] for k in keys}}
+    if flag == "--session-changelog":
+        out["changelog_files"] = sum(
+            1 for f in os.listdir(job.changelog_dir)
+            if f.endswith(".parquet"))
     shutil.rmtree(root, ignore_errors=True)
     ray.shutdown()
-    return {
-        "metric": "session_update_changelog_end_to_end",
-        "value": round(wall, 3),
-        "unit": "sec",
-        "n_rows": int(n_rows),
-        "cycles": totals["cycles"],
-        "late": totals["late"],
-        "changelog_files": int(ch_rows),
-        "num_cpus": num_cpus,
-        "rows_per_sec": round(n_rows / wall, 1),
-        "sf": sf_dir,
-    }
-
-
-def run_stream_join() -> dict:
-    """Stream-stream join loop throughput: the watermark-bounded
-    click→purchase join (pipelines/stream_join.py) over a multi-cycle
-    replicated event stream — each cycle exceeds the dataset-path
-    threshold, so this measures the user-bucket groupby with in-task
-    per-bucket matched writes, state carry and per-cycle commit."""
-    import shutil
-
-    import ray
-    from ray.data import DataContext
-
-    sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-    num_cpus = int(os.environ.get("GRAFT_STREAM_CPUS", "16"))
-    n_cycles = int(os.environ.get("GRAFT_STREAM_CYCLES", "10"))
-    per_cycle = int(os.environ.get("GRAFT_STREAM_REPLICAS_PER_CYCLE", "10"))
-    root = os.environ.get("GRAFT_BENCH_OUT", "/dev/shm/imagor_ray_sjoin")
-    ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
-             ignore_reinit_error=True, logging_level="ERROR",
-             object_store_memory=int(os.environ.get(
-                 "GRAFT_BENCH_OBJ_STORE", str(80_000_000_000))))
-    ctx = DataContext.get_current()
-    ctx.enable_progress_bars = False
-
-    shutil.rmtree(root, ignore_errors=True)
-    input_dir = os.path.join(root, "in")
-    os.makedirs(input_dir)
-
-    n_rows = _stage_replicated_events(sf_dir, input_dir, n_cycles,
-                                      per_cycle)
-
-    from imagor_ray.pipelines.stream_join import StreamingJoinJob
-
-    job = StreamingJoinJob(input_dir, os.path.join(root, "state"),
-                           num_buckets=64)
-    t0 = time.perf_counter()
-    totals = job.run_all()
-    wall = time.perf_counter() - t0
-    shutil.rmtree(root, ignore_errors=True)
-    ray.shutdown()
-    return {
-        "metric": "stream_stream_join_end_to_end",
-        "value": round(wall, 3),
-        "unit": "sec",
-        "n_rows": int(n_rows),
-        "cycles": totals["cycles"],
-        "matched": totals["matched"],
-        "late": totals["late"],
-        "num_cpus": num_cpus,
-        "rows_per_sec": round(n_rows / wall, 1),
-        "sf": sf_dir,
-    }
-
-
-def run_stream_dedup() -> dict:
-    """Streaming-dedup loop throughput: first-occurrence-per-
-    (user, type, day) emission (pipelines/stream_dedup.py) over the
-    same multi-cycle replicated stream as --stream-join — each cycle
-    exceeds the dataset-path threshold, so this measures the
-    user-bucket grouped dedup kernel with in-task per-bucket emission
-    writes, key-state carry and per-cycle commit."""
-    import shutil
-
-    import ray
-    from ray.data import DataContext
-
-    sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-    num_cpus = int(os.environ.get("GRAFT_STREAM_CPUS", "16"))
-    n_cycles = int(os.environ.get("GRAFT_STREAM_CYCLES", "10"))
-    per_cycle = int(os.environ.get("GRAFT_STREAM_REPLICAS_PER_CYCLE", "10"))
-    root = os.environ.get("GRAFT_BENCH_OUT", "/dev/shm/imagor_ray_sdedup")
-    ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
-             ignore_reinit_error=True, logging_level="ERROR",
-             object_store_memory=int(os.environ.get(
-                 "GRAFT_BENCH_OBJ_STORE", str(80_000_000_000))))
-    DataContext.get_current().enable_progress_bars = False
-
-    shutil.rmtree(root, ignore_errors=True)
-    input_dir = os.path.join(root, "in")
-    os.makedirs(input_dir)
-    n_rows = _stage_replicated_events(sf_dir, input_dir, n_cycles,
-                                      per_cycle)
-
-    from imagor_ray.pipelines.stream_dedup import StreamingDedupJob
-
-    job = StreamingDedupJob(input_dir, os.path.join(root, "state"),
-                            num_buckets=64)
-    t0 = time.perf_counter()
-    totals = job.run_all()
-    wall = time.perf_counter() - t0
-    shutil.rmtree(root, ignore_errors=True)
-    ray.shutdown()
-    return {
-        "metric": "streaming_dedup_end_to_end",
-        "value": round(wall, 3),
-        "unit": "sec",
-        "n_rows": int(n_rows),
-        "cycles": totals["cycles"],
-        "emitted": totals["emitted"],
-        "dups": totals["dups"],
-        "late": totals["late"],
-        "num_cpus": num_cpus,
-        "rows_per_sec": round(n_rows / wall, 1),
-        "sf": sf_dir,
-    }
-
-
-def run_stream_cep() -> dict:
-    """Streaming-CEP loop throughput: the incremental Kleene funnel
-    (pipelines/stream_cep.py) over the same multi-cycle replicated
-    stream as --stream-join — each cycle exceeds the dataset-path
-    threshold, so this measures the user-bucket grouped NFA kernel
-    (closed-form per-user registers + watermark-gated buffer) with
-    in-task per-bucket emission writes and per-cycle commit."""
-    import shutil
-
-    import ray
-    from ray.data import DataContext
-
-    sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-    num_cpus = int(os.environ.get("GRAFT_STREAM_CPUS", "16"))
-    n_cycles = int(os.environ.get("GRAFT_STREAM_CYCLES", "10"))
-    per_cycle = int(os.environ.get("GRAFT_STREAM_REPLICAS_PER_CYCLE", "10"))
-    root = os.environ.get("GRAFT_BENCH_OUT", "/dev/shm/imagor_ray_scep")
-    ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
-             ignore_reinit_error=True, logging_level="ERROR",
-             object_store_memory=int(os.environ.get(
-                 "GRAFT_BENCH_OBJ_STORE", str(80_000_000_000))))
-    DataContext.get_current().enable_progress_bars = False
-
-    shutil.rmtree(root, ignore_errors=True)
-    input_dir = os.path.join(root, "in")
-    os.makedirs(input_dir)
-    n_rows = _stage_replicated_events(sf_dir, input_dir, n_cycles,
-                                      per_cycle)
-
-    from imagor_ray.pipelines.stream_cep import StreamingCepJob
-
-    job = StreamingCepJob(input_dir, os.path.join(root, "state"),
-                          num_buckets=64)
-    t0 = time.perf_counter()
-    totals = job.run_all()
-    job.finalize()
-    wall = time.perf_counter() - t0
-    shutil.rmtree(root, ignore_errors=True)
-    ray.shutdown()
-    return {
-        "metric": "streaming_cep_end_to_end",
-        "value": round(wall, 3),
-        "unit": "sec",
-        "n_rows": int(n_rows),
-        "cycles": totals["cycles"],
-        "matches": totals["matches"],
-        "late": totals["late"],
-        "num_cpus": num_cpus,
-        "rows_per_sec": round(n_rows / wall, 1),
-        "sf": sf_dir,
-    }
-
-
-def run_stream_rules() -> dict:
-    """Broadcast-rules loop throughput: the control-stream join
-    (pipelines/broadcast_rules.py) over the same multi-cycle
-    replicated stream as --stream-cep. Each cycle exceeds the
-    dataset-path threshold, so this measures the SHUFFLE-FREE join
-    shape: a column-pruned distributed rule pass, the probe exchange
-    carrying probe rows only (bucketing exists purely for
-    deterministic emission files), the global rule table riding the
-    task closures."""
-    import shutil
-
-    import ray
-    from ray.data import DataContext
-
-    sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-    num_cpus = int(os.environ.get("GRAFT_STREAM_CPUS", "16"))
-    n_cycles = int(os.environ.get("GRAFT_STREAM_CYCLES", "10"))
-    per_cycle = int(os.environ.get("GRAFT_STREAM_REPLICAS_PER_CYCLE", "10"))
-    root = os.environ.get("GRAFT_BENCH_OUT", "/dev/shm/imagor_ray_srules")
-    ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
-             ignore_reinit_error=True, logging_level="ERROR",
-             object_store_memory=int(os.environ.get(
-                 "GRAFT_BENCH_OBJ_STORE", str(80_000_000_000))))
-    DataContext.get_current().enable_progress_bars = False
-
-    shutil.rmtree(root, ignore_errors=True)
-    input_dir = os.path.join(root, "in")
-    os.makedirs(input_dir)
-    n_rows = _stage_replicated_events(sf_dir, input_dir, n_cycles,
-                                      per_cycle)
-
-    from imagor_ray.pipelines.broadcast_rules import BroadcastRulesJob
-
-    job = BroadcastRulesJob(input_dir, os.path.join(root, "state"),
-                            num_buckets=64)
-    t0 = time.perf_counter()
-    totals = job.run_all()
-    job.finalize()
-    wall = time.perf_counter() - t0
-    shutil.rmtree(root, ignore_errors=True)
-    ray.shutdown()
-    return {
-        "metric": "broadcast_rules_end_to_end",
-        "value": round(wall, 3),
-        "unit": "sec",
-        "n_rows": int(n_rows),
-        "cycles": totals["cycles"],
-        "emitted": totals["emitted"],
-        "late": totals["late"],
-        "num_cpus": num_cpus,
-        "rows_per_sec": round(n_rows / wall, 1),
-        "sf": sf_dir,
-    }
+    out.update(num_cpus=num_cpus, rows_per_sec=round(n_rows / wall, 1),
+               sf=sf_dir)
+    return out
 
 
 if __name__ == "__main__":
@@ -693,16 +498,9 @@ if __name__ == "__main__":
         print(json.dumps(run_scaling()))
     elif "--sortwall" in sys.argv:
         print(json.dumps(run_sortwall()))
-    elif "--stream-join" in sys.argv:
-        print(json.dumps(run_stream_join()))
-    elif "--session-changelog" in sys.argv:
-        print(json.dumps(run_session_changelog()))
-    elif "--stream-dedup" in sys.argv:
-        print(json.dumps(run_stream_dedup()))
-    elif "--stream-cep" in sys.argv:
-        print(json.dumps(run_stream_cep()))
-    elif "--stream-rules" in sys.argv:
-        print(json.dumps(run_stream_rules()))
+    elif any(f in sys.argv for f in _STREAM_LEGS):
+        print(json.dumps(run_stream_leg(
+            next(f for f in _STREAM_LEGS if f in sys.argv))))
     elif "--stream" in sys.argv:
         print(json.dumps(run_stream()))
     else:

@@ -38,6 +38,7 @@ entry (oracle-verified against DuckDB string/interval arithmetic).
 
 from __future__ import annotations
 
+import re
 from datetime import datetime, timedelta, timezone
 
 __all__ = [
@@ -51,6 +52,19 @@ __all__ = [
 # asserted by TestWithCacheHeaderTTL's "default" arm).
 DEFAULT_TTL_S = 7 * 24 * 3600       # 604800
 DEFAULT_SWR_S = 24 * 3600           # 86400
+
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_int64(args) -> int | None:
+    """``strconv.ParseInt(args, 10, 64)``: optional sign + ASCII digits,
+    int64 range — no underscores, whitespace or overflow (which
+    Python's ``int()`` would accept). None when unparseable."""
+    if not isinstance(args, str) or not _INT_RE.fullmatch(args):
+        return None
+    v = int(args)
+    return v if -(1 << 63) <= v < (1 << 63) else None
+
 
 _DAYS = ["Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun"]
 _MONTHS = ["Jan", "Feb", "Mar", "Apr", "May", "Jun",
@@ -99,19 +113,21 @@ def get_cache_control(is_private: bool, ttl_s: int, swr_s: int) -> str:
 
 def get_ttl(filters, default_ttl_s: int, now_ms: int) -> int:
     """Port of ``getTtl`` (imagor.go:989-1003): the first parseable
-    ``expire(ms)`` filter yields ``ceil((expire-now)/1s)``; adopted
+    ``expire(ms)`` filter yields ``(expire-now)`` rounded up to a whole
+    second for future instants and toward zero for past ones; adopted
     only when ≤ the default (the reference compares the computed ttl,
     which may be ≤ 0, against defaultTtl). ``filters`` is any iterable
     with ``.name`` / ``.args`` (imagorpath.Filter)."""
     for f in filters:
         if f.name == "expire":
-            try:
-                exp_ms = int(f.args)
-            except (TypeError, ValueError):
+            exp_ms = _parse_int64(f.args)
+            if exp_ms is None:
                 continue
-            # (sub + time.Second - 1).Truncate(time.Second): ceil to a
-            # whole second. now_ms is integral ms, so ns-exact.
-            ttl = -((now_ms - exp_ms) // 1000)
+            # (sub + time.Second - 1).Truncate(time.Second) in ns:
+            # Truncate rounds TOWARD ZERO, so it is a ceiling only for
+            # sub >= 0 (exp 1 s in the past gives 0, not -1)
+            x = (exp_ms - now_ms) * 1_000_000 + 999_999_999
+            ttl = x // 1_000_000_000 if x >= 0 else -(-x // 1_000_000_000)
             if ttl <= default_ttl_s:
                 return ttl
     return default_ttl_s
@@ -126,9 +142,8 @@ def prescan_expire(request_headers: dict, filters, now_ms: int) -> bool:
     the request."""
     for f in filters:
         if f.name == "expire":
-            try:
-                exp_ms = int(f.args)
-            except (TypeError, ValueError):
+            exp_ms = _parse_int64(f.args)
+            if exp_ms is None:
                 continue
             if now_ms > exp_ms:          # time.Now().After(exp)
                 return True

@@ -459,7 +459,11 @@ def generate_path(p: Params) -> str:
             or "," in image
             or image.startswith(_GEN_ESCAPE_PREFIXES)
         ):
-            image = urllib.parse.quote(image, safe=_PATH_SEGMENT_SAFE)
+            # quote the raw bytes: %XX escapes of non-UTF-8 bytes parse
+            # to surrogate-escaped code points (the b64 branch's rule)
+            image = urllib.parse.quote(
+                image.encode("utf-8", errors="surrogateescape"),
+                safe=_PATH_SEGMENT_SAFE)
         parts.append(image)
     return "/".join(parts)
 

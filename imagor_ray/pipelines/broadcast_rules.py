@@ -26,16 +26,16 @@ key cardinality.
 
 Scale shape — what distinguishes this job from the temporal join: the
 rule side NEVER enters the shuffle. Each cycle extracts the file's
-rule rows through a column-pruned distributed filter pass (bounded by
-the control stream's volume — the pattern's defining assumption), and
-the merged global rule table ships to the scoring tasks IN THE TASK
-CLOSURE (a broadcast, Ray serializes it once per task spec — the
-``ray.put``-style small side). The probe exchange carries only probe
+rule rows through a driver-side predicate+column-pushdown read
+(bounded by the control stream's volume — the pattern's defining
+assumption), and the merged global rule table ships to the scoring
+tasks once per cycle through ``ray.put`` as presorted numpy columns
+(the broadcast small side). The probe exchange carries only probe
 rows bucketed by ``event_id % num_buckets``, and that bucketing exists
 purely so each grouped task writes a DETERMINISTIC per-bucket emission
 file; no state co-location is required at all. Below
-``RAY_CYCLE_THRESHOLD`` footer rows the cycle runs driver-pandas with
-the same kernel; both paths are byte-equal by test.
+``RAY_CYCLE_THRESHOLD`` footer rows the keyed-stream runtime runs the
+same scoring kernel once in-process.
 
 Exactly-once rides the house discipline: per-cycle emission files are
 sorted by probe event_id and written BEFORE the single checkpoint
@@ -48,12 +48,13 @@ hazard, surfaced rather than silently applied.
 
 from __future__ import annotations
 
-import os
+import functools
 
 import numpy as np
 import pandas as pd
 
-from ..state.checkpoint import Checkpoint
+from ..stages.windows import ts_us
+from .keyed_stream import KeyedStreamJob, side_counts, write_parquet_atomic
 
 __all__ = ["BroadcastRulesJob"]
 
@@ -129,40 +130,43 @@ def _evict_rules(rules: pd.DataFrame, wm: int) -> pd.DataFrame:
     return r[keep].reset_index(drop=True)
 
 
-class BroadcastRulesJob:
+def _score_kernel(st: pd.DataFrame, new: pd.DataFrame, wm: int,
+                  new_wm: int, cycle: int, rules) -> tuple:
+    """Per-bucket kernel: score every pending/new probe the watermark
+    made final against the broadcast rule table (a dict of presorted
+    arrays, or its object-store ref on the bucketed executor); the
+    rest keep waiting."""
+    if not isinstance(rules, dict):
+        import ray
+        rules = ray.get(rules)
+    pr = pd.concat([st, new[["event_id", "ts_us"]]], ignore_index=True)
+    ready = pr["ts_us"].to_numpy(dtype="int64") < new_wm
+    emitted = _score_arrays(pr[ready], rules["ts_us"], rules["value"])
+    return ({"emitted": emitted}, pr[~ready].reset_index(drop=True),
+            {"emitted": len(emitted)})
+
+
+class BroadcastRulesJob(KeyedStreamJob):
     """Micro-batch broadcast-rules enrichment with watermark-gated
     probe emission (module docstring has the full semantics)."""
 
-    RAY_CYCLE_THRESHOLD = 150_000
+    READ_COLS = ["event_id", "ts", "event_type", "value"]
+    # probes bucket on event_id purely for deterministic per-bucket
+    # files — the rule side is global, no co-location is needed
+    KEY = "event_id"
+    FINALIZED_MSG = "broadcast-rules job already finalized"
 
     def __init__(self, input_dir: str, state_dir: str,
                  rule_type: str = "purchase", probe_type: str = "click",
                  allowed_lateness_s: int = 0, num_buckets: int = 32,
                  ray_cycle_threshold: int | None = None):
-        self.input_dir = input_dir
-        self.cp = Checkpoint(state_dir)
+        super().__init__(input_dir, state_dir, allowed_lateness_s,
+                         num_buckets, ray_cycle_threshold)
         self.rule_type = rule_type
         self.probe_type = probe_type
-        self.lateness_us = allowed_lateness_s * 1_000_000
-        self.num_buckets = num_buckets
-        if ray_cycle_threshold is not None:
-            self.RAY_CYCLE_THRESHOLD = ray_cycle_threshold
-        self.emitted_dir = os.path.join(state_dir, "emitted")
-        self.late_dir = os.path.join(state_dir, "late")
-        os.makedirs(self.emitted_dir, exist_ok=True)
-        os.makedirs(self.late_dir, exist_ok=True)
 
-    def pending_files(self) -> list[str]:
-        state = self.cp.load()
-        done = set(state.get("processed", []))
-        return [f for f in sorted(os.listdir(self.input_dir))
-                if f.endswith(".parquet") and f not in done]
-
-    def _load_state(self, state: dict
-                    ) -> tuple[pd.DataFrame, pd.DataFrame]:
-        st = self.cp.load_open_sessions(state)
-        if st is None or not len(st):
-            return _empty_rules(), _empty_probes()
+    @staticmethod
+    def _unpack(st: pd.DataFrame) -> tuple[pd.DataFrame, pd.DataFrame]:
         rules = (st[st["side"] == 0]
                  [["ts_us", "event_id", "value"]].reset_index(drop=True))
         prb = (st[st["side"] == 1]
@@ -180,80 +184,38 @@ class BroadcastRulesJob:
                              kind="mergesort")
                 .reset_index(drop=True))
 
-    @staticmethod
-    def _file_max_ts(path: str) -> int:
-        from .stream_join import StreamingJoinJob
-        return StreamingJoinJob._file_max_ts(path)
+    def _empty_state(self) -> pd.DataFrame:
+        return self._pack_state(_empty_rules(), _empty_probes())
 
-    # ------------------------------------------------------------------
-    # cycle engines
+    def _state_metrics(self, snap: pd.DataFrame) -> dict:
+        return side_counts(snap, pending_probes=1, rule_rows=0)
 
-    def _cycle_pandas(self, path: str, wm: int, cycle: int,
-                      rules: pd.DataFrame, prb: pd.DataFrame,
-                      new_wm: int):
-        df = pd.read_parquet(
-            path, columns=["event_id", "ts", "event_type", "value"])
-        us = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        late = us < wm
-        lrows = pd.DataFrame({
-            "event_id": df["event_id"].to_numpy(dtype="int64")[late],
-            "ts": pd.Series(us[late]).astype("datetime64[us]"),
-        }).sort_values("event_id", kind="mergesort").reset_index(drop=True)
-        ltmp = os.path.join(self.late_dir, f"late-{cycle:05d}.parquet")
-        lrows.to_parquet(ltmp + ".tmp", index=False)
-        os.replace(ltmp + ".tmp", ltmp)
-        on = df[~late]
-        on_us = us[~late]
-        tr = on["event_type"].to_numpy() == self.rule_type
-        tp = on["event_type"].to_numpy() == self.probe_type
-        all_rules = pd.concat([rules, pd.DataFrame({
-            "ts_us": on_us[tr],
-            "event_id": on["event_id"].to_numpy(dtype="int64")[tr],
-            "value": on["value"].to_numpy(dtype="float64")[tr],
-        })], ignore_index=True)
-        all_prb = pd.concat([prb, pd.DataFrame({
-            "event_id": on["event_id"].to_numpy(dtype="int64")[tp],
-            "ts_us": on_us[tp],
-        })], ignore_index=True)
-        ready = all_prb["ts_us"].to_numpy(dtype="int64") < new_wm
-        emitted = _score(all_prb[ready], all_rules)
-        tmp = os.path.join(self.emitted_dir, f"emitted-{cycle:05d}.parquet")
-        emitted.to_parquet(tmp + ".tmp", index=False)
-        os.replace(tmp + ".tmp", tmp)
-        return (len(emitted), int(len(lrows)),
-                _evict_rules(all_rules, new_wm),
-                all_prb[~ready].sort_values(
-                    "event_id", kind="mergesort").reset_index(drop=True))
+    def _tag(self, b: pd.DataFrame, wm: int) -> pd.DataFrame:
+        """Late rows of any type plus on-time probes; on-time rules
+        never ride the exchange."""
+        us = ts_us(b["ts"])
+        keep = (us < wm) | (b["event_type"].to_numpy() == self.probe_type)
+        return pd.DataFrame({
+            "event_id": b["event_id"].to_numpy(dtype="int64")[keep],
+            "ts_us": us[keep],
+        })
 
-    def _cycle_dataset(self, path: str, wm: int, cycle: int,
-                       rules: pd.DataFrame, prb: pd.DataFrame,
-                       new_wm: int):
-        """Two passes, neither shuffling state: (A) a column-pruned
-        distributed filter collects the cycle's on-time rule rows —
-        bounded by the control stream's volume; (B) probe rows bucket
-        on ``event_id % num_buckets`` purely for deterministic
-        per-bucket emission files, each grouped task scoring against
-        the BROADCAST merged rule table captured in its closure. Rule
-        rows never ride an exchange."""
-        import ray
-        import ray.data as rd
+    def _execute(self, inputs: list, wm: int, new_wm: int, cycle: int,
+                 st: pd.DataFrame, kernel=None):
+        """The broadcast cycle body: rule rows come from a driver-side
+        predicate+column-pushdown read, NOT a Ray Data execution — the
+        control stream is small by the pattern's own assumption (if
+        the "rules" were stream-sized, broadcast state is the wrong
+        operator), and row-group/type pushdown keeps it bounded even
+        when the cycle file is huge. The merged rule table ships once
+        per cycle (``ray.put`` on the bucketed executor) and only the
+        probes run through the runtime's executor."""
         import pyarrow.parquet as pq
 
-        nb = self.num_buckets
-        edir, ldir = self.emitted_dir, self.late_dir
-        rtype, ptype = self.rule_type, self.probe_type
-
-        cols = ["event_id", "ts", "event_type", "value"]
-
-        # Rule collection is a driver-side predicate+column-pushdown
-        # read, NOT a Ray Data execution: the control stream is small
-        # by the pattern's own assumption (if the "rules" were
-        # stream-sized, broadcast state is the wrong operator), so a
-        # bounded threaded read beats paying a whole dataset execution
-        # per cycle. Row-group/type pushdown keeps it bounded even
-        # when the cycle file is huge.
+        (path, _, _), = inputs
+        rules, prb = self._unpack(st)
         rtbl = pq.read_table(path, columns=["event_id", "ts", "value"],
-                             filters=[("event_type", "==", rtype)])
+                             filters=[("event_type", "==", self.rule_type)])
         r_us = (rtbl["ts"].to_pandas().astype("datetime64[us]")
                 .astype("int64").to_numpy())
         on = r_us >= wm
@@ -265,156 +227,35 @@ class BroadcastRulesJob:
         all_rules = (pd.concat([rules, new_rules], ignore_index=True)
                      .sort_values(["ts_us", "event_id"], kind="mergesort")
                      .reset_index(drop=True))
-        # THE broadcast: the global rule table ships to the object
-        # store once per cycle (zero-copy numpy columns); every scoring
-        # task resolves the ref — fetched once per worker, never
-        # re-pickled per task closure
-        rules_ref = ray.put({
+        # (ts_us, event_id)-sorted: the tie-break is baked in
+        table = {
             "ts_us": np.ascontiguousarray(
                 all_rules["ts_us"].to_numpy(dtype="int64")),
             "value": np.ascontiguousarray(
                 all_rules["value"].to_numpy(dtype="float64")),
-        })  # (ts_us, event_id)-sorted: the tie-break is baked in
-
-        def tag(b: pd.DataFrame) -> pd.DataFrame:
-            us = b["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-            eid = b["event_id"].to_numpy(dtype="int64")
-            late = us < wm
-            probe = (b["event_type"].to_numpy() == ptype) & ~late
-            keep = late | probe
-            # side: 1 = probe-state convention unused here; 2 = new
-            # on-time probe; 3 = late row (any type)
-            return pd.DataFrame({
-                "event_id": eid[keep],
-                "ts_us": us[keep],
-                "side": np.where(late[keep], 3, 2).astype(np.int8),
-                "_ub": (eid[keep] % nb).astype(np.int32),
-            })
-
-        st = prb.assign(side=np.int8(2))  # pending probes rejoin new ones
-        st["_ub"] = (st["event_id"].to_numpy(dtype="int64")
-                     % nb).astype(np.int32)
-        st = st[["event_id", "ts_us", "side", "_ub"]]
-
-        def bucket(g: pd.DataFrame) -> pd.DataFrame:
-            ub = int(g["_ub"].iloc[0])
-            side = g["side"].to_numpy()
-            lt = g[side == 3]
-            lrows = pd.DataFrame({
-                "event_id": lt["event_id"].to_numpy(dtype="int64"),
-                "ts": pd.Series(lt["ts_us"].to_numpy(dtype="int64"))
-                .astype("datetime64[us]"),
-            }).sort_values("event_id", kind="mergesort")
-            ltmp = os.path.join(ldir, f"late-{cycle:05d}-{ub:02d}.parquet")
-            lrows.reset_index(drop=True).to_parquet(ltmp + ".tmp",
-                                                    index=False)
-            os.replace(ltmp + ".tmp", ltmp)
-            pr = g[side == 2][["event_id", "ts_us"]].reset_index(drop=True)
-            ready = pr["ts_us"].to_numpy(dtype="int64") < new_wm
-            rl = ray.get(rules_ref)
-            emitted = _score_arrays(pr[ready], rl["ts_us"], rl["value"])
-            etmp = os.path.join(edir, f"emitted-{cycle:05d}-{ub:02d}.parquet")
-            emitted.to_parquet(etmp + ".tmp", index=False)
-            os.replace(etmp + ".tmp", etmp)
-            nxt = pr[~ready].reset_index(drop=True).assign(
-                kind=np.int8(0), n_emit=np.int64(0), n_late=np.int64(0))
-            summ = pd.DataFrame({
-                "event_id": [np.int64(-1)], "ts_us": [np.int64(-1)],
-                "kind": [np.int8(1)],
-                "n_emit": [np.int64(len(emitted))],
-                "n_late": [np.int64(len(lrows))],
-            })
-            out_cols = ["event_id", "ts_us", "kind", "n_emit", "n_late"]
-            return pd.concat([nxt[out_cols], summ[out_cols]],
-                             ignore_index=True)
-
-        tagged = (rd.read_parquet(path, columns=cols)
-                  .map_batches(tag, batch_format="pandas"))
-        if len(st):
-            tagged = tagged.union(rd.from_pandas(st))
-        out = (tagged.groupby("_ub")
-               .map_groups(bucket, batch_format="pandas")
-               .to_pandas())
-        if not len(out):
-            return 0, 0, _evict_rules(all_rules, new_wm), _empty_probes()
-        summ = out[out["kind"] == 1]
-        body = out[out["kind"] == 0]
-        nxt_prb = (body[["event_id", "ts_us"]]
-                   .sort_values("event_id", kind="mergesort")
-                   .reset_index(drop=True)
-                   .astype({"event_id": "int64", "ts_us": "int64"}))
-        return (int(summ["n_emit"].sum()), int(summ["n_late"].sum()),
-                _evict_rules(all_rules, new_wm), nxt_prb)
-
-    # ------------------------------------------------------------------
-    # driver loop
-
-    def run_cycle(self) -> dict | None:
-        pending = self.pending_files()
-        if not pending:
-            return None
-        state = self.cp.load()
-        if state.get("finalized"):
-            raise RuntimeError("broadcast-rules job already finalized")
-        fname = pending[0]
-        wm = int(state.get("watermark_us", 0))
-        cycle = int(state.get("cycles", 0))
-        rules, prb = self._load_state(state)
-        path = os.path.join(self.input_dir, fname)
-        max_ts = self._file_max_ts(path)
-        new_wm = max(wm, max_ts - self.lateness_us) if max_ts >= 0 else wm
-
-        import pyarrow.dataset as pads
-        nrows = pads.dataset(path).count_rows()
-        runner = (self._cycle_dataset if nrows > self.RAY_CYCLE_THRESHOLD
-                  else self._cycle_pandas)
-        n_emit, n_late, new_rules, new_prb = runner(
-            path, wm, cycle, rules, prb, new_wm)
-
-        open_fname = self.cp.stage_open_sessions(
-            self._pack_state(new_rules, new_prb), cycle)
-        state["open_sessions_file"] = open_fname
-        state["watermark_us"] = int(new_wm)
-        state["processed"] = list(state.get("processed", [])) + [fname]
-        state["cycles"] = cycle + 1
-        result = {"file": fname, "watermark_us": int(new_wm),
-                  "emitted": int(n_emit), "late": int(n_late),
-                  "pending_probes": int(len(new_prb)),
-                  "rule_rows": int(len(new_rules))}
-        state["cycle_metrics"] = (list(state.get("cycle_metrics", []))
-                                  + [result])
-        self.cp.save(state)
-        self.cp.gc_open_sessions(keep=open_fname)
-        return result
-
-    def run_all(self) -> dict:
-        totals = {"cycles": 0, "emitted": 0, "late": 0}
-        while (r := self.run_cycle()) is not None:
-            totals["cycles"] += 1
-            totals["emitted"] += r["emitted"]
-            totals["late"] += r["late"]
-        return totals
+        }
+        if self._is_big(inputs):
+            # THE broadcast: one object-store copy per cycle (zero-copy
+            # numpy columns), fetched once per worker, never re-pickled
+            # per task closure
+            import ray
+            table = ray.put(table)
+        nxt_prb, counts = super()._execute(
+            inputs, wm, new_wm, cycle, prb,
+            functools.partial(_score_kernel, rules=table))
+        return (self._pack_state(_evict_rules(all_rules, new_wm), nxt_prb),
+                counts)
 
     def finalize(self) -> int:
         """End-of-stream: score every still-buffered probe against the
         full committed rule state (no future rule can arrive).
         Idempotent byte-stable overwrite; terminal."""
-        state = self.cp.load()
-        rules, prb = self._load_state(state)
-        emitted = _score(prb, rules)
-        tmp = os.path.join(self.emitted_dir, "emitted-final.parquet")
-        emitted.to_parquet(tmp + ".tmp", index=False)
-        os.replace(tmp + ".tmp", tmp)
-        state["finalized"] = True
-        self.cp.save(state)
-        return len(emitted)
+        def flush(st: pd.DataFrame) -> int:
+            emitted = _score(*self._unpack(st)[::-1])
+            write_parquet_atomic(emitted, self._final_path("emitted"))
+            return len(emitted)
+        return self._finalize(flush)
 
     def emitted(self) -> pd.DataFrame:
-        parts = [pd.read_parquet(os.path.join(self.emitted_dir, f))
-                 for f in sorted(os.listdir(self.emitted_dir))
-                 if f.endswith(".parquet")]
-        if not parts:
-            return _score(_empty_probes(), _empty_rules())
-        return (pd.concat(parts, ignore_index=True)
-                .sort_values("event_id", kind="mergesort")
-                .reset_index(drop=True))
+        return self._read_back("emitted", ["event_id"],
+                               _score(_empty_probes(), _empty_rules()))

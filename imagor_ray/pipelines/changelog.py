@@ -42,6 +42,8 @@ import numpy as np
 import pandas as pd
 
 from ..state.checkpoint import Checkpoint
+from ..stages.windows import ts_us
+from .keyed_stream import KeyedStreamJob
 
 __all__ = ["StreamingChangelogJob", "SessionChangelogJob",
            "TopKChangelogJob"]
@@ -721,7 +723,7 @@ def _session_cycle_kernel(st: pd.DataFrame, uid: np.ndarray,
     return chlog, nxt
 
 
-class SessionChangelogJob:
+class SessionChangelogJob(KeyedStreamJob):
     """UPDATE-mode SESSION windows — the composition the north rule's
     two headline features meet in: gap sessions (per user, event-time
     gap) emitted as a retract/insert changelog the moment a cycle's
@@ -746,13 +748,19 @@ class SessionChangelogJob:
     changelog files commit before the checkpoint; crash replay
     overwrites identical bytes.
 
-    Scale shape: above RAY_CYCLE_THRESHOLD footer rows the cycle runs
-    as one user-bucket groupby whose grouped tasks run the SAME kernel
-    and write their bucket's changelog file in-task (state + summary
-    rows return); below it, driver pandas with the same kernel.
+    Scale shape: the keyed-stream runtime runs the ONE kernel
+    in-process below RAY_CYCLE_THRESHOLD footer rows and per user
+    bucket above it (grouped tasks write their bucket's changelog file
+    in-task; state + summary rows return).
     """
 
-    RAY_CYCLE_THRESHOLD = 150_000
+    OUTPUTS = ("changelog",)
+    COUNTERS = ("changelog_rows", "late")
+    READ_COLS = ["event_id", "ts", "user_id"]
+    STATE_ORDER = ["user_id", "start_us"]
+    FILL = {"event_id": -1, "ts_us": -1, "start_us": -1, "end_us": -1,
+            "n": -1}
+    TRACK_LATE_ROWS = True
 
     def __init__(self, input_dir: str, state_dir: str,
                  gap_s: int = 1800, allowed_lateness_s: int = 0,
@@ -767,205 +775,47 @@ class SessionChangelogJob:
         # ordered kernel, which would double-count such an event.
         self._kernel = (_session_cycle_kernel if allowed_lateness_s == 0
                         else _session_cycle_kernel_merge)
-        self.input_dir = input_dir
-        self.cp = Checkpoint(state_dir)
+        super().__init__(input_dir, state_dir, allowed_lateness_s,
+                         num_buckets, ray_cycle_threshold)
         self.gap_us = gap_s * 1_000_000
-        self.lateness_us = allowed_lateness_s * 1_000_000
-        self.num_buckets = num_buckets
-        if ray_cycle_threshold is not None:
-            self.RAY_CYCLE_THRESHOLD = ray_cycle_threshold
-        self.changelog_dir = os.path.join(state_dir, "changelog")
-        self.late_dir = os.path.join(state_dir, "late")
-        os.makedirs(self.changelog_dir, exist_ok=True)
-        os.makedirs(self.late_dir, exist_ok=True)
 
-    def pending_files(self) -> list[str]:
-        state = self.cp.load()
-        done = set(state.get("processed", []))
-        return [f for f in sorted(os.listdir(self.input_dir))
-                if f.endswith(".parquet") and f not in done]
+    def _empty_state(self) -> pd.DataFrame:
+        return _empty_sess_state()
 
-    def _load_state(self, state: dict) -> pd.DataFrame:
-        st = self.cp.load_open_sessions(state)
-        return _empty_sess_state() if st is None else st
+    def _tag(self, b: pd.DataFrame, wm: int) -> pd.DataFrame:
+        return pd.DataFrame({
+            "user_id": b["user_id"].to_numpy(dtype="int64"),
+            "event_id": b["event_id"].to_numpy(dtype="int64"),
+            "ts_us": ts_us(b["ts"]),
+        })
 
-    def _write_chlog(self, ch: pd.DataFrame, fname: str) -> None:
-        tmp = os.path.join(self.changelog_dir, fname + ".tmp")
-        ch.to_parquet(tmp, index=False)
-        os.replace(tmp, os.path.join(self.changelog_dir, fname))
-
-    def _cycle_pandas(self, path: str, wm: int, cycle: int,
-                      st: pd.DataFrame):
-        df = pd.read_parquet(path, columns=["event_id", "ts", "user_id"])
-        us = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        order = np.lexsort((df["event_id"].to_numpy(dtype="int64"),
-                            us, df["user_id"].to_numpy(dtype="int64")))
-        uid = df["user_id"].to_numpy(dtype="int64")[order]
-        uss = us[order]
-        late = uss < wm
-        lrows = pd.DataFrame({
-            "event_id": df["event_id"].to_numpy(dtype="int64")[order][late],
-            "ts": pd.Series(uss[late]).astype("datetime64[us]"),
-        }).sort_values("event_id", kind="mergesort").reset_index(drop=True)
-        tmp = os.path.join(self.late_dir, f"late-{cycle:05d}.parquet")
-        lrows.to_parquet(tmp + ".tmp", index=False)
-        os.replace(tmp + ".tmp", tmp)
-        ch, nxt = self._kernel(st, uid[~late], uss[~late], self.gap_us)
+    def _cycle_kernel(self, st: pd.DataFrame, new: pd.DataFrame, wm: int,
+                      new_wm: int, cycle: int):
+        uid = new["user_id"].to_numpy(dtype="int64")
+        us = new["ts_us"].to_numpy(dtype="int64")
+        order = np.lexsort((new["event_id"].to_numpy(dtype="int64"),
+                            us, uid))
+        ch, nxt = self._kernel(st.reset_index(drop=True), uid[order],
+                               us[order], self.gap_us)
         ch.insert(0, "cycle", np.int64(cycle))
-        self._write_chlog(ch, f"changelog-{cycle:05d}.parquet")
-        max_ts = int(us.max()) if len(us) else -1
-        return int(len(ch)), nxt, int(late.sum()), max_ts
+        return {"changelog": ch}, nxt, {"changelog_rows": len(ch)}
 
-    def _cycle_dataset(self, path: str, wm: int, cycle: int,
-                       st: pd.DataFrame):
-        """User-bucket grouped cycle: each task runs the shared kernel
-        over its bucket's (state ∪ new) rows and writes its bucket's
-        changelog file; state + count rows return to the driver."""
-        import ray.data as rd
-
-        nb = self.num_buckets
-        gap_us = self.gap_us
-        chdir = self.changelog_dir
-        ldir = self.late_dir
-        kernel = self._kernel
-
-        def tag(b: pd.DataFrame) -> pd.DataFrame:
-            us = b["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-            uid = b["user_id"].to_numpy(dtype="int64")
-            return pd.DataFrame({
-                "user_id": uid,
-                "start_us": b["event_id"].to_numpy(dtype="int64"),  # carry id
-                "end_us": us,
-                "n": np.zeros(len(b), dtype="int64"),   # 0 = new event row
-                "_ub": (uid % nb).astype(np.int32),
-            })
-
-        st_t = st.copy()
-        st_t["n"] = st_t["n"].astype("int64")
-        st_t["_ub"] = (st_t["user_id"].to_numpy(dtype="int64")
-                       % nb).astype(np.int32)
-
-        def bucket(g: pd.DataFrame) -> pd.DataFrame:
-            ub = int(g["_ub"].iloc[0])
-            g = g.drop(columns=["_ub"])
-            stp = g[g["n"] > 0][["user_id", "start_us", "end_us", "n"]]
-            new = g[g["n"] == 0]
-            us = new["end_us"].to_numpy(dtype="int64")
-            eid = new["start_us"].to_numpy(dtype="int64")
-            uid = new["user_id"].to_numpy(dtype="int64")
-            order = np.lexsort((eid, us, uid))
-            late = us[order] < wm
-            lrows = pd.DataFrame({
-                "event_id": eid[order][late],
-                "ts": pd.Series(us[order][late]).astype("datetime64[us]"),
-            }).sort_values("event_id", kind="mergesort")
-            ltmp = os.path.join(ldir, f"late-{cycle:05d}-{ub:02d}.parquet")
-            lrows.reset_index(drop=True).to_parquet(ltmp + ".tmp",
-                                                    index=False)
-            os.replace(ltmp + ".tmp", ltmp)
-            ch, nxt = kernel(
-                stp.reset_index(drop=True),
-                uid[order][~late], us[order][~late], gap_us)
-            ch.insert(0, "cycle", np.int64(cycle))
-            ctmp = os.path.join(chdir,
-                                f"changelog-{cycle:05d}-{ub:02d}.parquet")
-            ch.to_parquet(ctmp + ".tmp", index=False)
-            os.replace(ctmp + ".tmp", ctmp)
-            nxt = nxt.copy()
-            nxt["kind"] = np.int8(0)
-            nxt["n_ch"] = np.int64(0)
-            nxt["n_late"] = np.int64(0)
-            summ = pd.DataFrame({
-                "user_id": [np.int64(-1)], "start_us": [np.int64(-1)],
-                "end_us": [np.int64(-1)], "n": [np.int64(-1)],
-                "kind": [np.int8(1)], "n_ch": [np.int64(len(ch))],
-                "n_late": [np.int64(int(late.sum()))],
-            })
-            return pd.concat([nxt, summ], ignore_index=True)
-
-        ds = rd.read_parquet(path, columns=["event_id", "ts", "user_id"])
-        tagged = ds.map_batches(tag, batch_format="pandas")
-        if len(st_t):
-            tagged = tagged.union(rd.from_pandas(st_t))
-        out = (tagged.groupby("_ub")
-               .map_groups(bucket, batch_format="pandas")
-               .to_pandas())
-        max_ts = self._file_max_ts(path)
-        if not len(out):
-            return 0, _empty_sess_state(), 0, max_ts
-        summ = out[out["kind"] == 1]
-        nxt = (out[out["kind"] == 0]
-               [["user_id", "start_us", "end_us", "n"]]
-               .reset_index(drop=True))
-        return int(summ["n_ch"].sum()), nxt, int(summ["n_late"].sum()), max_ts
-
-    @staticmethod
-    def _file_max_ts(path: str) -> int:
-        from .stream_join import StreamingJoinJob
-        return StreamingJoinJob._file_max_ts(path)
-
-    def run_cycle(self) -> dict | None:
-        pending = self.pending_files()
-        if not pending:
-            return None
-        fname = pending[0]
-        state = self.cp.load()
-        wm = int(state.get("watermark_us", 0))
-        cycle = int(state.get("cycles", 0))
-        st = self._load_state(state)
-        path = os.path.join(self.input_dir, fname)
-
-        import pyarrow.dataset as pads
-        nrows = pads.dataset(path).count_rows()
-        runner = (self._cycle_dataset if nrows > self.RAY_CYCLE_THRESHOLD
-                  else self._cycle_pandas)
-        n_ch, nxt, n_late, max_ts = runner(path, wm, cycle, st)
-
-        new_wm = max(wm, max_ts - self.lateness_us) if max_ts >= 0 else wm
+    def _post_gather(self, state: dict, nxt: pd.DataFrame, new_wm: int,
+                     cycle: int) -> tuple[pd.DataFrame, dict]:
         # closed sessions (end + gap < wm) can never extend: their last
         # emitted version is final — evict silently
         keep = nxt["end_us"].to_numpy(dtype="int64") + self.gap_us >= new_wm
-        new_st = (nxt[keep]
-                  .sort_values(["user_id", "start_us"], kind="mergesort")
-                  .reset_index(drop=True))
-
-        open_fname = self.cp.stage_open_sessions(new_st, cycle)
-        state["open_sessions_file"] = open_fname
-        state["watermark_us"] = int(new_wm)
-        state["processed"] = list(state.get("processed", [])) + [fname]
-        state["late_rows"] = int(state.get("late_rows", 0)) + int(n_late)
-        state["cycles"] = cycle + 1
-        result = {"file": fname, "watermark_us": int(new_wm),
-                  "changelog_rows": int(n_ch),
-                  "late": int(n_late), "state_rows": int(len(new_st))}
-        state["cycle_metrics"] = (list(state.get("cycle_metrics", []))
-                                  + [result])
-        self.cp.save(state)
-        self.cp.gc_open_sessions(keep=open_fname)
-        return result
-
-    def run_all(self) -> dict:
-        totals = {"cycles": 0, "changelog_rows": 0, "late": 0}
-        while (r := self.run_cycle()) is not None:
-            totals["cycles"] += 1
-            totals["changelog_rows"] += r["changelog_rows"]
-            totals["late"] += r["late"]
-        return totals
+        return self._canon(nxt[keep]), {}
 
     def changelog(self) -> pd.DataFrame:
-        parts = [pd.read_parquet(os.path.join(self.changelog_dir, f))
-                 for f in sorted(os.listdir(self.changelog_dir))
-                 if f.endswith(".parquet")]
-        if not parts:
-            return pd.DataFrame({
-                "cycle": pd.Series([], dtype="int64"),
-                "user_id": pd.Series([], dtype="int64"),
-                "start_us": pd.Series([], dtype="int64"),
-                "op": pd.Series([], dtype="int8"),
-                "end_us": pd.Series([], dtype="int64"),
-                "n": pd.Series([], dtype="int64"),
-            })
-        return pd.concat(parts, ignore_index=True)
+        return self._read_back("changelog", None, pd.DataFrame({
+            "cycle": pd.Series([], dtype="int64"),
+            "user_id": pd.Series([], dtype="int64"),
+            "start_us": pd.Series([], dtype="int64"),
+            "op": pd.Series([], dtype="int8"),
+            "end_us": pd.Series([], dtype="int64"),
+            "n": pd.Series([], dtype="int64"),
+        }))
 
     def folded(self) -> pd.DataFrame:
         """Retraction-aware fold: per (user, start), the LAST op in

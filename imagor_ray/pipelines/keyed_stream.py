@@ -1,0 +1,360 @@
+"""Keyed-watermark cycle runtime — the ONE driver loop behind the
+micro-batch stream operators (stream-stream and temporal joins,
+broadcast rules, dedup, CEP, SCD2 and the update-mode session
+changelog). A job declares only what is specific to it:
+
+- its state: a packed, bucket-agnostic snapshot frame
+  (``_empty_state``/``_load_state``, and pack/unpack helpers where the
+  frame holds several row kinds);
+- a map-side ``_tag(batch, wm)`` turning input rows into keyed rows
+  that carry ``ts_us`` (plus ``FILL`` sentinels for columns only the
+  state or only the tagged rows have);
+- ONE pure per-bucket kernel
+  ``_cycle_kernel(state, on_time_new, wm, new_wm, cycle) →
+  (emissions, next_state, counters)``;
+- an optional driver-side ``_post_gather`` (eviction, timeouts) and a
+  finalize kernel.
+
+The runtime owns everything else: pending-file discovery, the
+watermark ``max(wm, file_max_ts − lateness)`` from the ONE zone-map
+source (:func:`file_max_ts` — never from rows a tag pruned), the
+``finalized`` guard, the late split (rows with ``ts_us < wm`` route to
+``late-{cycle}[-{bucket}]`` sorted by ``event_id``), the atomic parquet
+writer every emission/late/timeout file goes through, the single
+commit (``stage_open_sessions`` → ``save`` → ``gc_open_sessions``),
+the ``cycle_metrics`` entry, ``run_all`` totals and output read-back.
+
+One kernel, two executors. Below ``RAY_CYCLE_THRESHOLD`` footer rows
+the kernel runs ONCE in-process over ``state ∪ tag(file)`` and its
+files carry no bucket suffix; above it the SAME kernel runs per bucket
+inside ``read_parquet → map_batches(tag) ∪ from_pandas(state) →
+groupby('_ub').map_groups``, writing its bucket's files in-task and
+returning only next-state rows plus ONE summary row of counters (what
+crosses the driver is the watermark-bounded state, never the stream).
+Crash replay reruns the cycle against the committed pre-cycle state
+and overwrites identical bytes: kernels sort every emission and
+snapshots are canonically ordered.
+"""
+
+from __future__ import annotations
+
+import os
+
+import numpy as np
+import pandas as pd
+
+from ..state.checkpoint import Checkpoint
+
+__all__ = ["KeyedStreamJob", "file_max_ts", "side_counts",
+           "write_parquet_atomic"]
+
+
+def write_parquet_atomic(df: pd.DataFrame, path: str) -> None:
+    """THE emission writer: tmp file + atomic rename, so a reader (or a
+    replay) never observes a torn file and a rewrite is an overwrite."""
+    tmp = path + ".tmp"
+    df.to_parquet(tmp, index=False)
+    os.replace(tmp, path)
+
+
+def file_max_ts(path: str) -> int:
+    """Max event time of the whole file: parquet row-group zone maps
+    (the session job's exact-footer pattern) with a ts-only column
+    scan as the stats-less fallback; -1 for an empty file."""
+    from .streaming import StreamingSessionJob
+
+    _, total, max_us = StreamingSessionJob._footer_late_stats(path, 0)
+    if max_us is not None:
+        return int(max_us)
+    import pyarrow.dataset as pads
+    t = pads.dataset(path).to_table(columns=["ts"])
+    if t.num_rows == 0:
+        return -1
+    import pyarrow.compute as pc
+    v = pc.max(t.column("ts")).as_py()
+    return int(pd.Timestamp(v).value // 1000)
+
+
+def _sentinel(dt) -> object:
+    if dt.kind in "iu":
+        return np.array([-1], dtype=dt)
+    if dt.kind == "f":
+        return np.array([np.nan], dtype=dt)
+    return np.array([""], dtype=object)
+
+
+def _with_summary(nxt: pd.DataFrame, counts: dict,
+                  dtypes: pd.Series) -> pd.DataFrame:
+    """Bucket output protocol: next-state rows (``_kind`` 0) plus ONE
+    summary row (``_kind`` 1, sentinel state columns) of counters."""
+    zero = {f"_n_{k}": np.int64(0) for k in counts}
+    body = nxt.assign(_kind=np.int8(0), **zero)
+    summ = pd.DataFrame({c: _sentinel(dt) for c, dt in dtypes.items()})
+    summ["_kind"] = np.int8(1)
+    for k, v in counts.items():
+        summ[f"_n_{k}"] = np.int64(v)
+    return pd.concat([body, summ], ignore_index=True)
+
+
+class KeyedStreamJob:
+    """Base of the keyed-watermark stream operators (module docstring
+    has the contract). Subclasses set the class attributes below and
+    implement ``_empty_state``, ``_tag`` and ``_cycle_kernel``."""
+
+    #: above this many footer rows a cycle runs as one bucket groupby
+    RAY_CYCLE_THRESHOLD = 150_000
+    #: input columns each cycle reads
+    READ_COLS = ["event_id", "ts", "user_id", "event_type"]
+    #: late-file columns (``ts`` is rebuilt from the tagged ``ts_us``)
+    LATE_COLS = ["event_id", "ts"]
+    #: emission outputs; each gets ``{name}_dir`` and ``{name}-*`` files
+    OUTPUTS: tuple = ("emitted",)
+    #: cycle counters, in result order (also the run_all totals)
+    COUNTERS: tuple = ("emitted", "late")
+    #: exchange bucket key (``key % num_buckets``)
+    KEY = "user_id"
+    #: sentinel for a column only one of (state, tagged rows) carries
+    FILL: dict = {}
+    #: canonical snapshot row order (byte-stable across executors)
+    STATE_ORDER: list = []
+    #: also accumulate the checkpoint's ``late_rows`` total
+    TRACK_LATE_ROWS = False
+    FINALIZED_MSG = "stream already finalized"
+
+    def __init__(self, input_dir: str, state_dir: str,
+                 allowed_lateness_s: int = 0, num_buckets: int = 32,
+                 ray_cycle_threshold: int | None = None):
+        self.input_dir = input_dir
+        self.cp = Checkpoint(state_dir)
+        self.lateness_us = allowed_lateness_s * 1_000_000
+        self.num_buckets = num_buckets
+        if ray_cycle_threshold is not None:
+            self.RAY_CYCLE_THRESHOLD = ray_cycle_threshold
+        for name in (*self.OUTPUTS, "late"):
+            d = os.path.join(state_dir, name)
+            os.makedirs(d, exist_ok=True)
+            setattr(self, f"{name}_dir", d)
+
+    # -- declared by the job -------------------------------------------
+
+    def _empty_state(self) -> pd.DataFrame:
+        raise NotImplementedError
+
+    def _tag(self, batch: pd.DataFrame, wm: int) -> pd.DataFrame:
+        raise NotImplementedError
+
+    def _cycle_kernel(self, st: pd.DataFrame, new: pd.DataFrame, wm: int,
+                      new_wm: int, cycle: int):
+        raise NotImplementedError
+
+    def _post_gather(self, state: dict, st: pd.DataFrame, new_wm: int,
+                     cycle: int) -> tuple[pd.DataFrame, dict]:
+        """Driver-side step after the kernel: returns the canonical
+        snapshot and any extra counters."""
+        return self._canon(st), {}
+
+    def _canon(self, st: pd.DataFrame) -> pd.DataFrame:
+        return (st.sort_values(self.STATE_ORDER, kind="mergesort")
+                .reset_index(drop=True))
+
+    def _state_metrics(self, snap: pd.DataFrame) -> dict:
+        return {"state_rows": int(len(snap))}
+
+    def _load_state(self, state: dict) -> pd.DataFrame:
+        st = self.cp.load_open_sessions(state)
+        return self._empty_state() if st is None or not len(st) else st
+
+    def _write_emission(self, name: str, df: pd.DataFrame,
+                        path: str) -> None:
+        write_parquet_atomic(df, path)
+
+    # -- plumbing ------------------------------------------------------
+
+    @staticmethod
+    def _pending(d: str, done) -> list[str]:
+        return [f for f in sorted(os.listdir(d))
+                if f.endswith(".parquet") and f not in done]
+
+    def pending_files(self) -> list[str]:
+        return self._pending(self.input_dir,
+                             set(self.cp.load().get("processed", [])))
+
+    _file_max_ts = staticmethod(file_max_ts)
+
+    def _check_open(self, state: dict) -> None:
+        if state.get("finalized"):
+            raise RuntimeError(self.FINALIZED_MSG)
+
+    def _read_back(self, name: str, sort: list | None,
+                   empty: pd.DataFrame) -> pd.DataFrame:
+        d = getattr(self, f"{name}_dir")
+        parts = [pd.read_parquet(os.path.join(d, f))
+                 for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
+        if not parts:
+            return empty
+        out = pd.concat(parts, ignore_index=True)
+        if sort:
+            out = out.sort_values(sort, kind="mergesort")
+        return out.reset_index(drop=True)
+
+    # -- the cycle -----------------------------------------------------
+
+    def run_cycle(self) -> dict | None:
+        pending = self.pending_files()
+        if not pending:
+            return None
+        state = self.cp.load()
+        self._check_open(state)
+        fname = pending[0]
+        wm = int(state.get("watermark_us", 0))
+        path = os.path.join(self.input_dir, fname)
+        max_ts = self._file_max_ts(path)
+        new_wm = max(wm, max_ts - self.lateness_us) if max_ts >= 0 else wm
+        state["processed"] = list(state.get("processed", [])) + [fname]
+        return self._cycle(state, [(path, self.READ_COLS, self._tag)],
+                           wm, new_wm, fname)
+
+    def _cycle(self, state: dict, inputs: list, wm: int, new_wm: int,
+               label: str) -> dict:
+        """Execute + post-gather + the single commit. ``inputs`` is a
+        list of ``(path, columns, tag)``."""
+        cycle = int(state.get("cycles", 0))
+        nxt, counts = self._execute(inputs, wm, new_wm, cycle,
+                                    self._load_state(state))
+        snap, more = self._post_gather(state, nxt, new_wm, cycle)
+        counts.update(more)
+
+        open_fname = self.cp.stage_open_sessions(snap, cycle)
+        state["open_sessions_file"] = open_fname
+        state["watermark_us"] = int(new_wm)
+        if self.TRACK_LATE_ROWS:
+            state["late_rows"] = (int(state.get("late_rows", 0))
+                                  + int(counts.get("late", 0)))
+        state["cycles"] = cycle + 1
+        result = {"file": label, "watermark_us": int(new_wm),
+                  **{c: int(counts.get(c, 0)) for c in self.COUNTERS},
+                  **self._state_metrics(snap)}
+        state["cycle_metrics"] = (list(state.get("cycle_metrics", []))
+                                  + [result])
+        self.cp.save(state)
+        self.cp.gc_open_sessions(keep=open_fname)
+        return result
+
+    def run_all(self) -> dict:
+        totals = dict.fromkeys(("cycles", *self.COUNTERS), 0)
+        while (r := self.run_cycle()) is not None:
+            totals["cycles"] += 1
+            for c in self.COUNTERS:
+                totals[c] += r[c]
+        return totals
+
+    def _finalize(self, flush) -> int:
+        """End-of-stream: ``flush(committed state)`` writes the
+        ``*-final`` files and returns the count; the checkpoint then
+        records the stream as finalized (terminal)."""
+        state = self.cp.load()
+        n = flush(self._load_state(state))
+        state["finalized"] = True
+        self.cp.save(state)
+        return n
+
+    def _final_path(self, name: str) -> str:
+        return os.path.join(getattr(self, f"{name}_dir"),
+                            f"{name}-final.parquet")
+
+    # -- one kernel, two executors -------------------------------------
+
+    def _step(self, st: pd.DataFrame, new: pd.DataFrame, wm: int,
+              new_wm: int, cycle: int, ub: int | None, kernel):
+        """Late split + kernel + file writes for one execution unit
+        (the whole cycle, or one bucket ``ub``)."""
+        sfx = "" if ub is None else f"-{ub:02d}"
+        us = new["ts_us"].to_numpy(dtype="int64")
+        late = us < wm
+        lrows = pd.DataFrame({
+            c: (pd.Series(us[late]).astype("datetime64[us]") if c == "ts"
+                else new[c].to_numpy(dtype="int64")[late])
+            for c in self.LATE_COLS
+        }).sort_values("event_id", kind="mergesort").reset_index(drop=True)
+        write_parquet_atomic(lrows, os.path.join(
+            self.late_dir, f"late-{cycle:05d}{sfx}.parquet"))
+        emits, nxt, counts = kernel(st, new[~late], wm, new_wm, cycle)
+        for name, df in emits.items():
+            self._write_emission(name, df, os.path.join(
+                getattr(self, f"{name}_dir"),
+                f"{name}-{cycle:05d}{sfx}.parquet"))
+        return nxt, {**counts, "late": int(late.sum())}
+
+    def _is_big(self, inputs: list) -> bool:
+        """Executor choice from the parquet footers only (never reads
+        data to decide)."""
+        import pyarrow.dataset as pads
+
+        return (sum(pads.dataset(p).count_rows() for p, _, _ in inputs)
+                > self.RAY_CYCLE_THRESHOLD)
+
+    def _execute(self, inputs: list, wm: int, new_wm: int, cycle: int,
+                 st: pd.DataFrame, kernel=None):
+        """Run ``kernel`` (default :meth:`_cycle_kernel`) over
+        ``state ∪ tagged inputs``; returns ``(next state, counters)``."""
+        kernel = kernel or self._cycle_kernel
+        if self._is_big(inputs):
+            return self._execute_bucketed(inputs, wm, new_wm, cycle, st,
+                                          kernel)
+        new = pd.concat([tag(pd.read_parquet(p, columns=cols), wm)
+                         for p, cols, tag in inputs], ignore_index=True)
+        return self._step(st, new, wm, new_wm, cycle, None, kernel)
+
+    def _execute_bucketed(self, inputs: list, wm: int, new_wm: int,
+                          cycle: int, st: pd.DataFrame, kernel):
+        import ray.data as rd
+
+        nb, key, fill = self.num_buckets, self.KEY, self.FILL
+        state_cols, dtypes = list(st.columns), st.dtypes
+        cols = state_cols + [c for c in fill if c not in state_cols]
+
+        def mark(df: pd.DataFrame, new: int) -> pd.DataFrame:
+            for c, v in fill.items():
+                if c not in df.columns:
+                    df[c] = v
+            if list(df.columns) != cols:
+                df = df.reindex(columns=cols)
+            df["_new"] = np.int8(new)
+            df["_ub"] = (df[key].to_numpy(dtype="int64") % nb).astype(np.int32)
+            return df
+
+        def tagged(tag):
+            return lambda b: mark(tag(b, wm), 1)
+
+        def bucket(g: pd.DataFrame) -> pd.DataFrame:
+            ub = int(g["_ub"].iloc[0])
+            is_new = g["_new"].to_numpy() == 1
+            nxt, counts = self._step(
+                g[~is_new][state_cols].reset_index(drop=True), g[is_new],
+                wm, new_wm, cycle, ub, kernel)
+            return _with_summary(nxt[state_cols], counts, dtypes)
+
+        ds = None
+        for p, rcols, tag in inputs:
+            part = rd.read_parquet(p, columns=rcols).map_batches(
+                tagged(tag), batch_format="pandas")
+            ds = part if ds is None else ds.union(part)
+        if len(st):
+            ds = ds.union(rd.from_pandas(mark(st.copy(), 0)))
+        out = (ds.groupby("_ub").map_groups(bucket, batch_format="pandas")
+               .to_pandas())
+        if not len(out):
+            return st.iloc[:0].reset_index(drop=True), {}
+        kind = out["_kind"].to_numpy()
+        summ = out[kind == 1]
+        counts = {c[3:]: int(summ[c].sum()) for c in out.columns
+                  if c.startswith("_n_")}
+        return out[kind == 0][state_cols].reset_index(drop=True), counts
+
+
+def side_counts(snap: pd.DataFrame, **names: int) -> dict:
+    """``{metric: rows with side == value}`` for packed multi-kind
+    snapshots."""
+    side = snap["side"].to_numpy()
+    return {k: int((side == v).sum()) for k, v in names.items()}
+

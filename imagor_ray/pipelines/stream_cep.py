@@ -48,23 +48,22 @@ State is watermark-bounded: O(users) closed-form registers (the
 ``temporal_join`` family's accepted domain-sized state) plus an event
 buffer of one cycle + lateness horizon — never the stream.
 
-Scale shape: above ``RAY_CYCLE_THRESHOLD`` footer rows the cycle runs
-as one user-bucket ``groupby().map_groups`` over tagged new ∪ state
-rows (buckets are user-complete, so NFA state and buffer co-locate
-with their events); each grouped task runs the same kernel and writes
-its bucket's emission file in-task. Below it, driver pandas. Both
-paths byte-equal by test. The shuffle carries 4 fixed-width columns
-(user_id, event_id, ts, type-code) — no text.
+Scale shape: ONE kernel run by the keyed-stream runtime — in-process
+below ``RAY_CYCLE_THRESHOLD`` footer rows, above it per user bucket
+over tagged new ∪ state rows (buckets are user-complete, so NFA state
+and buffer co-locate with their events); each grouped task writes its
+bucket's emission file in-task. The shuffle carries fixed-width
+columns only (user_id, event_id, ts, type-code, registers) — no
+text.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 
-from ..state.checkpoint import Checkpoint
+from ..stages.windows import ts_us
+from .keyed_stream import KeyedStreamJob, side_counts, write_parquet_atomic
 
 __all__ = ["StreamingCepJob"]
 
@@ -221,40 +220,25 @@ def _cep_cycle_kernel(kst: pd.DataFrame, ready: pd.DataFrame,
     return emitted, new_kst
 
 
-class StreamingCepJob:
+class StreamingCepJob(KeyedStreamJob):
     """Micro-batch streaming Kleene-funnel CEP with watermark-gated
     processing (module docstring has the full semantics)."""
 
-    RAY_CYCLE_THRESHOLD = 150_000
+    COUNTERS = ("matches", "late")
+    STATE_ORDER = ["side", "user_id", "event_id", "ts_us"]
+    FINALIZED_MSG = "streaming CEP job already finalized"
 
     def __init__(self, input_dir: str, state_dir: str,
                  window_s: int = 21600, allowed_lateness_s: int = 0,
                  num_buckets: int = 32,
                  ray_cycle_threshold: int | None = None):
-        self.input_dir = input_dir
-        self.cp = Checkpoint(state_dir)
+        super().__init__(input_dir, state_dir, allowed_lateness_s,
+                         num_buckets, ray_cycle_threshold)
         self.window_us = window_s * 1_000_000
-        self.lateness_us = allowed_lateness_s * 1_000_000
-        self.num_buckets = num_buckets
-        if ray_cycle_threshold is not None:
-            self.RAY_CYCLE_THRESHOLD = ray_cycle_threshold
-        self.emitted_dir = os.path.join(state_dir, "emitted")
-        self.late_dir = os.path.join(state_dir, "late")
-        os.makedirs(self.emitted_dir, exist_ok=True)
-        os.makedirs(self.late_dir, exist_ok=True)
-
-    def pending_files(self) -> list[str]:
-        state = self.cp.load()
-        done = set(state.get("processed", []))
-        return [f for f in sorted(os.listdir(self.input_dir))
-                if f.endswith(".parquet") and f not in done]
 
     # -- state packing ------------------------------------------------
-    def _load_state(self, state: dict
-                    ) -> tuple[pd.DataFrame, pd.DataFrame]:
-        st = self.cp.load_open_sessions(state)
-        if st is None or not len(st):
-            return _empty_kst(), _empty_buf()
+    @staticmethod
+    def _unpack(st: pd.DataFrame) -> tuple[pd.DataFrame, pd.DataFrame]:
         kst = (st[st["side"] == 0]
                [["user_id", "prev_code", "prev_ts_us", "island_n",
                  "island_ts_us"]].reset_index(drop=True))
@@ -276,7 +260,13 @@ class StreamingCepJob:
                              kind="mergesort")
                 .reset_index(drop=True))
 
-    # -- per-cycle machinery -------------------------------------------
+    def _empty_state(self) -> pd.DataFrame:
+        return self._pack_state(_empty_kst(), _empty_buf())
+
+    def _state_metrics(self, snap: pd.DataFrame) -> dict:
+        return side_counts(snap, buffer_rows=1, state_users=0)
+
+    # -- the kernel ----------------------------------------------------
     @staticmethod
     def _code(etype: np.ndarray) -> np.ndarray:
         code = np.full(len(etype), 3, dtype="int64")
@@ -285,218 +275,46 @@ class StreamingCepJob:
         code[etype == "purchase"] = 2
         return code
 
-    def _write_emit(self, emitted: pd.DataFrame, name: str) -> None:
-        tmp = os.path.join(self.emitted_dir, name)
-        emitted.to_parquet(tmp + ".tmp", index=False)
-        os.replace(tmp + ".tmp", tmp)
-
-    def _write_late(self, lrows: pd.DataFrame, name: str) -> None:
-        tmp = os.path.join(self.late_dir, name)
-        lrows.to_parquet(tmp + ".tmp", index=False)
-        os.replace(tmp + ".tmp", tmp)
-
-    def _cycle_pandas(self, path: str, wm: int, cycle: int,
-                      kst: pd.DataFrame, buf: pd.DataFrame, new_wm: int):
-        df = pd.read_parquet(
-            path, columns=["event_id", "ts", "user_id", "event_type"])
-        us = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        late = us < wm
-        self._write_late(pd.DataFrame({
-            "event_id": df["event_id"].to_numpy(dtype="int64")[late],
-            "ts": pd.Series(us[late]).astype("datetime64[us]"),
-        }).sort_values("event_id", kind="mergesort")
-            .reset_index(drop=True), f"late-{cycle:05d}.parquet")
-        new = pd.DataFrame({
-            "user_id": df["user_id"].to_numpy(dtype="int64")[~late],
-            "event_id": df["event_id"].to_numpy(dtype="int64")[~late],
-            "ts_us": us[~late],
-            "code": self._code(df["event_type"].to_numpy()[~late]),
+    def _tag(self, b: pd.DataFrame, wm: int) -> pd.DataFrame:
+        """New events as buffer rows (side 1) of 4 fixed-width columns
+        — no text crosses the exchange."""
+        n = len(b)
+        return pd.DataFrame({
+            "side": np.full(n, 1, dtype=np.int8),
+            "user_id": b["user_id"].to_numpy(dtype="int64"),
+            "event_id": b["event_id"].to_numpy(dtype="int64"),
+            "ts_us": ts_us(b["ts"]),
+            "code": self._code(b["event_type"].to_numpy()),
+            "prev_code": np.full(n, -1, dtype="int64"),
+            "prev_ts_us": np.full(n, -1, dtype="int64"),
+            "island_n": np.full(n, -1, dtype="int64"),
+            "island_ts_us": np.full(n, -1, dtype="int64"),
         })
-        pool = pd.concat([buf, new], ignore_index=True)
-        ready_m = pool["ts_us"].to_numpy(dtype="int64") < new_wm
-        emitted, new_kst = _cep_cycle_kernel(
-            kst, pool[ready_m], self.window_us)
-        self._write_emit(emitted, f"emitted-{cycle:05d}.parquet")
-        hold = (pool[~ready_m]
-                .sort_values(["user_id", "event_id"], kind="mergesort")
-                .reset_index(drop=True))
-        return len(emitted), int(late.sum()), new_kst, hold
 
-    def _cycle_dataset(self, path: str, wm: int, cycle: int,
-                       kst: pd.DataFrame, buf: pd.DataFrame, new_wm: int):
-        """User-bucket grouped cycle: each task runs the incremental
-        kernel over its bucket's (registers ∪ buffer ∪ new) rows and
-        writes its bucket's emission + late files; next-state +
-        summary rows return."""
-        import ray.data as rd
-
-        nb = self.num_buckets
-        wus = self.window_us
-        edir, ldir = self.emitted_dir, self.late_dir
-
-        def tag(b: pd.DataFrame) -> pd.DataFrame:
-            us = b["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-            uid = b["user_id"].to_numpy(dtype="int64")
-            out = pd.DataFrame({
-                "side": np.full(len(b), 2, dtype=np.int8),
-                "user_id": uid,
-                "event_id": b["event_id"].to_numpy(dtype="int64"),
-                "ts_us": us,
-                "code": self._code(b["event_type"].to_numpy()),
-                "prev_code": np.full(len(b), -1, dtype="int64"),
-                "prev_ts_us": np.full(len(b), -1, dtype="int64"),
-                "island_n": np.full(len(b), -1, dtype="int64"),
-                "island_ts_us": np.full(len(b), -1, dtype="int64"),
-            })
-            out["_ub"] = (uid % nb).astype(np.int32)
-            return out
-
-        st = self._pack_state(kst, buf)
-        st["_ub"] = (st["user_id"].to_numpy(dtype="int64")
-                     % nb).astype(np.int32)
-        st = st[_STATE_COLS + ["_ub"]]
-
-        def bucket(g: pd.DataFrame) -> pd.DataFrame:
-            ub = int(g["_ub"].iloc[0])
-            side = g["side"].to_numpy()
-            bkst = (g[side == 0]
-                    [["user_id", "prev_code", "prev_ts_us", "island_n",
-                      "island_ts_us"]].reset_index(drop=True))
-            bbuf = (g[side == 1]
-                    [["user_id", "event_id", "ts_us", "code"]]
-                    .reset_index(drop=True))
-            new = g[side == 2]
-            us = new["ts_us"].to_numpy(dtype="int64")
-            late = us < wm
-            lrows = pd.DataFrame({
-                "event_id": new["event_id"].to_numpy(dtype="int64")[late],
-                "ts": pd.Series(us[late]).astype("datetime64[us]"),
-            }).sort_values("event_id", kind="mergesort")
-            ltmp = os.path.join(ldir, f"late-{cycle:05d}-{ub:02d}.parquet")
-            lrows.reset_index(drop=True).to_parquet(ltmp + ".tmp",
-                                                    index=False)
-            os.replace(ltmp + ".tmp", ltmp)
-            pool = pd.concat([bbuf, pd.DataFrame({
-                "user_id": new["user_id"].to_numpy(dtype="int64")[~late],
-                "event_id": new["event_id"].to_numpy(dtype="int64")[~late],
-                "ts_us": us[~late],
-                "code": new["code"].to_numpy(dtype="int64")[~late],
-            })], ignore_index=True)
-            ready_m = pool["ts_us"].to_numpy(dtype="int64") < new_wm
-            emitted, nkst = _cep_cycle_kernel(bkst, pool[ready_m], wus)
-            etmp = os.path.join(edir,
-                                f"emitted-{cycle:05d}-{ub:02d}.parquet")
-            emitted.to_parquet(etmp + ".tmp", index=False)
-            os.replace(etmp + ".tmp", etmp)
-            nxt = StreamingCepJob._pack_state(
-                nkst, pool[~ready_m].reset_index(drop=True))
-            nxt = nxt.assign(kind=np.int8(0), n_emit=np.int64(0),
-                             n_late=np.int64(0))
-            summ = pd.DataFrame({
-                **{c: [np.int64(-1)] for c in _STATE_COLS if c != "side"},
-                "side": [np.int8(-1)], "kind": [np.int8(1)],
-                "n_emit": [np.int64(len(emitted))],
-                "n_late": [np.int64(int(late.sum()))],
-            })
-            cols = _STATE_COLS + ["kind", "n_emit", "n_late"]
-            return pd.concat([nxt[cols], summ[cols]], ignore_index=True)
-
-        ds = rd.read_parquet(
-            path, columns=["event_id", "ts", "user_id", "event_type"])
-        tagged = ds.map_batches(tag, batch_format="pandas")
-        if len(st):
-            tagged = tagged.union(rd.from_pandas(st))
-        out = (tagged.groupby("_ub")
-               .map_groups(bucket, batch_format="pandas")
-               .to_pandas())
-        if not len(out):
-            return 0, 0, _empty_kst(), _empty_buf()
-        summ = out[out["kind"] == 1]
-        body = out[out["kind"] == 0]
-        nkst = (body[body["side"] == 0]
-                [["user_id", "prev_code", "prev_ts_us", "island_n",
-                  "island_ts_us"]]
-                .sort_values("user_id", kind="mergesort")
-                .reset_index(drop=True))
-        nbuf = (body[body["side"] == 1]
-                [["user_id", "event_id", "ts_us", "code"]]
-                .sort_values(["user_id", "event_id"], kind="mergesort")
-                .reset_index(drop=True))
-        return (int(summ["n_emit"].sum()), int(summ["n_late"].sum()),
-                nkst, nbuf)
-
-    @staticmethod
-    def _file_max_ts(path: str) -> int:
-        from .stream_join import StreamingJoinJob
-        return StreamingJoinJob._file_max_ts(path)
-
-    # -- driver loop ---------------------------------------------------
-    def run_cycle(self) -> dict | None:
-        pending = self.pending_files()
-        if not pending:
-            return None
-        state = self.cp.load()
-        if state.get("finalized"):
-            raise RuntimeError("streaming CEP job already finalized")
-        fname = pending[0]
-        wm = int(state.get("watermark_us", 0))
-        cycle = int(state.get("cycles", 0))
-        kst, buf = self._load_state(state)
-        path = os.path.join(self.input_dir, fname)
-        max_ts = self._file_max_ts(path)
-        new_wm = max(wm, max_ts - self.lateness_us) if max_ts >= 0 else wm
-
-        import pyarrow.dataset as pads
-        nrows = pads.dataset(path).count_rows()
-        runner = (self._cycle_dataset if nrows > self.RAY_CYCLE_THRESHOLD
-                  else self._cycle_pandas)
-        n_emit, n_late, new_kst, new_buf = runner(
-            path, wm, cycle, kst, buf, new_wm)
-
-        open_fname = self.cp.stage_open_sessions(
-            self._pack_state(new_kst, new_buf), cycle)
-        state["open_sessions_file"] = open_fname
-        state["watermark_us"] = int(new_wm)
-        state["processed"] = list(state.get("processed", [])) + [fname]
-        state["cycles"] = cycle + 1
-        result = {"file": fname, "watermark_us": int(new_wm),
-                  "matches": int(n_emit), "late": int(n_late),
-                  "buffer_rows": int(len(new_buf)),
-                  "state_users": int(len(new_kst))}
-        state["cycle_metrics"] = (list(state.get("cycle_metrics", []))
-                                  + [result])
-        self.cp.save(state)
-        self.cp.gc_open_sessions(keep=open_fname)
-        return result
-
-    def run_all(self) -> dict:
-        totals = {"cycles": 0, "matches": 0, "late": 0}
-        while (r := self.run_cycle()) is not None:
-            totals["cycles"] += 1
-            totals["matches"] += r["matches"]
-            totals["late"] += r["late"]
-        return totals
+    def _cycle_kernel(self, st: pd.DataFrame, new: pd.DataFrame, wm: int,
+                      new_wm: int, cycle: int):
+        """Sweep every buffered/new event the watermark made final
+        through the NFA registers; the rest stays buffered."""
+        kst, buf = self._unpack(st)
+        pool = pd.concat([buf, new[["user_id", "event_id", "ts_us", "code"]]],
+                         ignore_index=True)
+        ready = pool["ts_us"].to_numpy(dtype="int64") < new_wm
+        emitted, nkst = _cep_cycle_kernel(kst, pool[ready], self.window_us)
+        nxt = self._pack_state(nkst, pool[~ready].reset_index(drop=True))
+        return {"emitted": emitted}, nxt, {"matches": len(emitted)}
 
     def finalize(self) -> int:
         """End-of-stream: sweep the watermark to +inf — every buffered
         event processes, closing islands decide, and trailing open
         islands die exactly as the batch kernel's unflanked islands.
         Idempotent byte-stable overwrite; terminal."""
-        state = self.cp.load()
-        kst, buf = self._load_state(state)
-        emitted, _ = _cep_cycle_kernel(kst, buf, self.window_us)
-        self._write_emit(emitted, "emitted-final.parquet")
-        state["finalized"] = True
-        self.cp.save(state)
-        return len(emitted)
+        def flush(st: pd.DataFrame) -> int:
+            kst, buf = self._unpack(st)
+            emitted, _ = _cep_cycle_kernel(kst, buf, self.window_us)
+            write_parquet_atomic(emitted, self._final_path("emitted"))
+            return len(emitted)
+        return self._finalize(flush)
 
     def matches(self) -> pd.DataFrame:
-        parts = [pd.read_parquet(os.path.join(self.emitted_dir, f))
-                 for f in sorted(os.listdir(self.emitted_dir))
-                 if f.endswith(".parquet")]
-        if not parts:
-            return _empty_emit()
-        return (pd.concat(parts, ignore_index=True)
-                .sort_values(["user_id", "start_ts", "end_ts"],
-                             kind="mergesort")
-                .reset_index(drop=True))
+        return self._read_back(
+            "emitted", ["user_id", "start_ts", "end_ts"], _empty_emit())

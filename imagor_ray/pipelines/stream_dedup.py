@@ -27,22 +27,21 @@ carry matters when lateness lets arrival days lag event days), and the
 emitted set equals the batch ``row_number() OVER (PARTITION BY key
 ORDER BY ts, event_id) = 1`` — the DuckDB oracle.
 
-Scale shape: above ``RAY_CYCLE_THRESHOLD`` footer rows the cycle runs
-as one user-bucket ``groupby().map_groups`` over the union of tagged
-new rows and state rows — each grouped task dedupes its bucket (keys
-contain user_id, so buckets are key-complete), writes its bucket's
-emission file in-task, and returns only state + summary rows; below it,
-driver pandas with the same kernel. Both paths byte-equal by test.
+Scale shape: ONE kernel run by the keyed-stream runtime — in-process
+below ``RAY_CYCLE_THRESHOLD`` footer rows, above it per user bucket
+over tagged new rows ∪ state rows: each grouped task dedupes its
+bucket (keys contain user_id, so buckets are key-complete), writes its
+bucket's emission file in-task, and returns only state + summary
+rows; eviction runs driver-side on the gathered state.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 
-from ..state.checkpoint import Checkpoint
+from ..stages.windows import ts_us
+from .keyed_stream import KeyedStreamJob
 
 __all__ = ["StreamingDedupJob"]
 
@@ -93,220 +92,44 @@ def _dedup_cycle_kernel(st: pd.DataFrame, new: pd.DataFrame
     return emitted, nxt
 
 
-class StreamingDedupJob:
+class StreamingDedupJob(KeyedStreamJob):
     """Micro-batch streaming dedup with watermark-bounded key state
     (module docstring has the full semantics)."""
 
-    RAY_CYCLE_THRESHOLD = 150_000
+    COUNTERS = ("emitted", "dups", "late")
+    STATE_ORDER = ["user_id", "event_type", "day_us"]
+    FILL = {"event_id": -1, "ts_us": -1, "day_us": -1}
 
-    def __init__(self, input_dir: str, state_dir: str,
-                 allowed_lateness_s: int = 0, num_buckets: int = 32,
-                 ray_cycle_threshold: int | None = None):
-        self.input_dir = input_dir
-        self.cp = Checkpoint(state_dir)
-        self.lateness_us = allowed_lateness_s * 1_000_000
-        self.num_buckets = num_buckets
-        if ray_cycle_threshold is not None:
-            self.RAY_CYCLE_THRESHOLD = ray_cycle_threshold
-        self.emitted_dir = os.path.join(state_dir, "emitted")
-        self.late_dir = os.path.join(state_dir, "late")
-        os.makedirs(self.emitted_dir, exist_ok=True)
-        os.makedirs(self.late_dir, exist_ok=True)
+    def _empty_state(self) -> pd.DataFrame:
+        return _empty_state()
 
-    def pending_files(self) -> list[str]:
-        state = self.cp.load()
-        done = set(state.get("processed", []))
-        return [f for f in sorted(os.listdir(self.input_dir))
-                if f.endswith(".parquet") and f not in done]
-
-    def _load_state(self, state: dict) -> pd.DataFrame:
-        st = self.cp.load_open_sessions(state)
-        return _empty_state() if st is None else st
-
-    def _cycle_pandas(self, path: str, wm: int, cycle: int,
-                      st: pd.DataFrame):
-        df = pd.read_parquet(
-            path, columns=["event_id", "ts", "user_id", "event_type"])
-        us = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        late = us < wm
-        lrows = pd.DataFrame({
-            "event_id": df["event_id"].to_numpy(dtype="int64")[late],
-            "ts": pd.Series(us[late]).astype("datetime64[us]"),
-        }).sort_values("event_id", kind="mergesort").reset_index(drop=True)
-        ltmp = os.path.join(self.late_dir, f"late-{cycle:05d}.parquet")
-        lrows.to_parquet(ltmp + ".tmp", index=False)
-        os.replace(ltmp + ".tmp", ltmp)
-        new = pd.DataFrame({
-            "event_id": df["event_id"].to_numpy(dtype="int64")[~late],
-            "user_id": df["user_id"].to_numpy(dtype="int64")[~late],
-            "event_type": df["event_type"].to_numpy()[~late],
-            "ts_us": us[~late],
+    def _tag(self, b: pd.DataFrame, wm: int) -> pd.DataFrame:
+        return pd.DataFrame({
+            "event_id": b["event_id"].to_numpy(dtype="int64"),
+            "user_id": b["user_id"].to_numpy(dtype="int64"),
+            "event_type": b["event_type"].to_numpy(),
+            "ts_us": ts_us(b["ts"]),
         })
-        emitted, nxt = _dedup_cycle_kernel(st, new)
-        tmp = os.path.join(self.emitted_dir,
-                           f"emitted-{cycle:05d}.parquet")
-        emitted.to_parquet(tmp + ".tmp", index=False)
-        os.replace(tmp + ".tmp", tmp)
-        max_ts = int(us.max()) if len(us) else -1
-        return len(emitted), int(len(new) - len(emitted)), \
-            int(late.sum()), max_ts, nxt
 
-    def _cycle_dataset(self, path: str, wm: int, cycle: int,
-                       st: pd.DataFrame):
-        """User-bucket grouped cycle: each task dedupes its bucket
-        (keys contain user_id, so buckets are key-complete) and writes
-        its bucket's emission file; state + summary rows return."""
-        import ray.data as rd
+    def _cycle_kernel(self, st: pd.DataFrame, new: pd.DataFrame, wm: int,
+                      new_wm: int, cycle: int):
+        emitted, nxt = _dedup_cycle_kernel(
+            st, new[["event_id", "user_id", "event_type", "ts_us"]])
+        return ({"emitted": emitted}, nxt,
+                {"emitted": len(emitted), "dups": len(new) - len(emitted)})
 
-        nb = self.num_buckets
-        edir = self.emitted_dir
-        ldir = self.late_dir
-
-        def tag(b: pd.DataFrame) -> pd.DataFrame:
-            us = b["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-            uid = b["user_id"].to_numpy(dtype="int64")
-            return pd.DataFrame({
-                "event_id": b["event_id"].to_numpy(dtype="int64"),
-                "user_id": uid,
-                "event_type": b["event_type"].to_numpy(),
-                "day_us": us,            # carries ts_us for new rows
-                "_new": np.int8(1),
-                "_ub": (uid % nb).astype(np.int32),
-            })
-
-        st_t = st.copy()
-        st_t["event_id"] = np.int64(-1)
-        st_t["_new"] = np.int8(0)
-        st_t["_ub"] = (st_t["user_id"].to_numpy(dtype="int64")
-                       % nb).astype(np.int32)
-        st_t = st_t[["event_id", "user_id", "event_type", "day_us",
-                     "_new", "_ub"]]
-
-        def bucket(g: pd.DataFrame) -> pd.DataFrame:
-            ub = int(g["_ub"].iloc[0])
-            is_new = g["_new"].to_numpy() == 1
-            stp = (g[~is_new][["user_id", "event_type", "day_us"]]
-                   .reset_index(drop=True))
-            gn = g[is_new]
-            us = gn["day_us"].to_numpy(dtype="int64")
-            late = us < wm
-            lrows = pd.DataFrame({
-                "event_id": gn["event_id"].to_numpy(dtype="int64")[late],
-                "ts": pd.Series(us[late]).astype("datetime64[us]"),
-            }).sort_values("event_id", kind="mergesort")
-            ltmp = os.path.join(ldir, f"late-{cycle:05d}-{ub:02d}.parquet")
-            lrows.reset_index(drop=True).to_parquet(ltmp + ".tmp",
-                                                    index=False)
-            os.replace(ltmp + ".tmp", ltmp)
-            new = pd.DataFrame({
-                "event_id": gn["event_id"].to_numpy(dtype="int64")[~late],
-                "user_id": gn["user_id"].to_numpy(dtype="int64")[~late],
-                "event_type": gn["event_type"].to_numpy()[~late],
-                "ts_us": us[~late],
-            })
-            emitted, nxt = _dedup_cycle_kernel(stp, new)
-            etmp = os.path.join(edir,
-                                f"emitted-{cycle:05d}-{ub:02d}.parquet")
-            emitted.to_parquet(etmp + ".tmp", index=False)
-            os.replace(etmp + ".tmp", etmp)
-            nxt = nxt.copy()
-            nxt["kind"] = np.int8(0)
-            nxt["n_emit"] = np.int64(0)
-            nxt["n_dup"] = np.int64(0)
-            nxt["n_late"] = np.int64(0)
-            summ = pd.DataFrame({
-                "user_id": [np.int64(-1)], "event_type": [""],
-                "day_us": [np.int64(-1)], "kind": [np.int8(1)],
-                "n_emit": [np.int64(len(emitted))],
-                "n_dup": [np.int64(len(new) - len(emitted))],
-                "n_late": [np.int64(int(late.sum()))],
-            })
-            return pd.concat([nxt, summ], ignore_index=True)
-
-        ds = rd.read_parquet(
-            path, columns=["event_id", "ts", "user_id", "event_type"])
-        tagged = ds.map_batches(tag, batch_format="pandas")
-        if len(st_t):
-            tagged = tagged.union(rd.from_pandas(st_t))
-        out = (tagged.groupby("_ub")
-               .map_groups(bucket, batch_format="pandas")
-               .to_pandas())
-        max_ts = self._file_max_ts(path)
-        if not len(out):
-            return 0, 0, 0, max_ts, _empty_state()
-        summ = out[out["kind"] == 1]
-        nxt = (out[out["kind"] == 0]
-               [["user_id", "event_type", "day_us"]]
-               .reset_index(drop=True))
-        return (int(summ["n_emit"].sum()), int(summ["n_dup"].sum()),
-                int(summ["n_late"].sum()), max_ts, nxt)
-
-    @staticmethod
-    def _file_max_ts(path: str) -> int:
-        from .stream_join import StreamingJoinJob
-        return StreamingJoinJob._file_max_ts(path)
-
-    def run_cycle(self) -> dict | None:
-        pending = self.pending_files()
-        if not pending:
-            return None
-        fname = pending[0]
-        state = self.cp.load()
-        wm = int(state.get("watermark_us", 0))
-        cycle = int(state.get("cycles", 0))
-        st = self._load_state(state)
-        path = os.path.join(self.input_dir, fname)
-
-        import pyarrow.dataset as pads
-        nrows = pads.dataset(path).count_rows()
-        runner = (self._cycle_dataset if nrows > self.RAY_CYCLE_THRESHOLD
-                  else self._cycle_pandas)
-        n_emit, n_dup, n_late, max_ts, nxt = runner(path, wm, cycle, st)
-
-        new_wm = max(wm, max_ts - self.lateness_us) if max_ts >= 0 else wm
+    def _post_gather(self, state: dict, nxt: pd.DataFrame, new_wm: int,
+                     cycle: int) -> tuple[pd.DataFrame, dict]:
         # a key whose day has passed the watermark can never recur
         # on-time (its occurrences all live inside [day, day+1d), and
         # every future on-time event has ts >= wm) — evict
         keep = nxt["day_us"].to_numpy(dtype="int64") + _DAY_US > new_wm
-        new_st = (nxt[keep]
-                  .sort_values(["user_id", "event_type", "day_us"],
-                               kind="mergesort")
-                  .reset_index(drop=True))
-
-        open_fname = self.cp.stage_open_sessions(new_st, cycle)
-        state["open_sessions_file"] = open_fname
-        state["watermark_us"] = int(new_wm)
-        state["processed"] = list(state.get("processed", [])) + [fname]
-        state["cycles"] = cycle + 1
-        result = {"file": fname, "watermark_us": int(new_wm),
-                  "emitted": int(n_emit), "dups": int(n_dup),
-                  "late": int(n_late), "state_rows": int(len(new_st))}
-        state["cycle_metrics"] = (list(state.get("cycle_metrics", []))
-                                  + [result])
-        self.cp.save(state)
-        self.cp.gc_open_sessions(keep=open_fname)
-        return result
-
-    def run_all(self) -> dict:
-        totals = {"cycles": 0, "emitted": 0, "dups": 0, "late": 0}
-        while (r := self.run_cycle()) is not None:
-            totals["cycles"] += 1
-            totals["emitted"] += r["emitted"]
-            totals["dups"] += r["dups"]
-            totals["late"] += r["late"]
-        return totals
+        return self._canon(nxt[keep]), {}
 
     def emitted(self) -> pd.DataFrame:
-        parts = [pd.read_parquet(os.path.join(self.emitted_dir, f))
-                 for f in sorted(os.listdir(self.emitted_dir))
-                 if f.endswith(".parquet")]
-        if not parts:
-            return pd.DataFrame({
-                "event_id": pd.Series([], dtype="int64"),
-                "user_id": pd.Series([], dtype="int64"),
-                "event_type": pd.Series([], dtype=object),
-                "ts": pd.Series([], dtype="datetime64[us]"),
-            })
-        return (pd.concat(parts, ignore_index=True)
-                .sort_values("event_id", kind="mergesort")
-                .reset_index(drop=True))
+        return self._read_back("emitted", ["event_id"], pd.DataFrame({
+            "event_id": pd.Series([], dtype="int64"),
+            "user_id": pd.Series([], dtype="int64"),
+            "event_type": pd.Series([], dtype=object),
+            "ts": pd.Series([], dtype="datetime64[us]"),
+        }))

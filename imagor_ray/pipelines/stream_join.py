@@ -30,7 +30,7 @@ watermark proves no future match, byte-stably, before the commit;
 ``finalize()`` flushes both tails for bounded runs.
 
 Exactly-once: matched pairs land in per-cycle (per-bucket, on the
-dataset path) parquet files written BEFORE the checkpoint commits;
+bucketed executor) parquet files written BEFORE the checkpoint commits;
 a crash between the write and the commit replays the cycle against the
 committed pre-cycle state and overwrites the same files with identical
 bytes (rows are sorted (req_id, resp_id) before write, and the cycle's
@@ -38,25 +38,28 @@ inputs + state are identical on replay). The cycle-versioned state
 snapshot rides the same single-commit-point discipline as the session
 job (``Checkpoint.stage_open_sessions`` + ``save``).
 
-Scale shape: the per-cycle match is the (user, new×state) band join;
-above ``RAY_CYCLE_THRESHOLD`` rows it runs as ONE user-bucket
-``groupby().map_groups`` over the union of the cycle's tagged rows and
-the (small, watermark-bounded) state rows — matched pairs are written
-per bucket inside the grouped task and only per-bucket summaries plus
-next-cycle state rows return to the driver. Below it, driver pandas
-with the same vectorized kernel is faster (Ray per-stage overhead
-dominates tiny cycles); both paths are byte-equal by test.
+Scale shape: the per-cycle match is the (user, new×state) band join,
+ONE kernel run by the keyed-stream runtime (:mod:`.keyed_stream`):
+in-process below ``RAY_CYCLE_THRESHOLD`` rows (Ray per-stage overhead
+dominates tiny cycles), above it per user bucket inside one
+``groupby().map_groups`` over the cycle's tagged rows ∪ the (small,
+watermark-bounded) state rows — matched pairs are written per bucket
+inside the grouped task and only per-bucket summaries plus next-cycle
+state rows return to the driver. Eviction and the timeout writes stay
+driver-side.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
 import pandas as pd
 
 from ..functions.bandjoin import band_probe
-from ..state.checkpoint import Checkpoint
+from ..stages.windows import ts_us
+from .keyed_stream import KeyedStreamJob, write_parquet_atomic
 
 __all__ = ["StreamingJoinJob", "TwoSourceJoinJob"]
 
@@ -146,53 +149,42 @@ def _cycle_match(new_l: pd.DataFrame, new_r: pd.DataFrame,
     return pd.concat(out, ignore_index=True)
 
 
-class StreamingJoinJob:
+class StreamingJoinJob(KeyedStreamJob):
     """Micro-batch stream-stream inner join with watermark-bounded
     state (module docstring has the full semantics)."""
 
-    #: above this many footer rows the cycle runs as one user-bucket
-    #: groupby with in-task per-bucket output writes
-    RAY_CYCLE_THRESHOLD = 150_000
+    OUTPUTS = ("matched", "timeout", "rtimeout")
+    COUNTERS = ("matched", "late", "timeout", "rtimeout")
+    LATE_COLS = ["event_id", "user_id", "ts"]
+    # canonical snapshot order: byte-stable across replays and executors
+    STATE_ORDER = ["side", "event_id"]
+    TRACK_LATE_ROWS = True
+    FINALIZED_MSG = (
+        "stream finalized: the end-of-stream timeout flush was "
+        "emitted — resuming would let an already-timed-out left "
+        "row match (matched/timeout disjointness); start a new "
+        "state dir to continue")
 
     def __init__(self, input_dir: str, state_dir: str,
                  left_type: str = "click", right_type: str = "purchase",
                  window_s: int = 21600, allowed_lateness_s: int = 0,
                  num_buckets: int = 32,
                  ray_cycle_threshold: int | None = None):
-        self.input_dir = input_dir
-        self.cp = Checkpoint(state_dir)
+        super().__init__(input_dir, state_dir, allowed_lateness_s,
+                         num_buckets, ray_cycle_threshold)
         self.left_type = left_type
         self.right_type = right_type
         self.window_us = window_s * 1_000_000
-        self.lateness_us = allowed_lateness_s * 1_000_000
-        self.num_buckets = num_buckets
-        if ray_cycle_threshold is not None:
-            self.RAY_CYCLE_THRESHOLD = ray_cycle_threshold
-        self.matched_dir = os.path.join(state_dir, "matched")
-        self.timeout_dir = os.path.join(state_dir, "timeout")
-        self.rtimeout_dir = os.path.join(state_dir, "rtimeout")
-        self.late_dir = os.path.join(state_dir, "late")
-        os.makedirs(self.matched_dir, exist_ok=True)
-        os.makedirs(self.timeout_dir, exist_ok=True)
-        os.makedirs(self.rtimeout_dir, exist_ok=True)
-        os.makedirs(self.late_dir, exist_ok=True)
 
-    # -- plumbing shared with the session job ------------------------------
-
-    def pending_files(self) -> list[str]:
-        state = self.cp.load()
-        done = set(state.get("processed", []))
-        return [f for f in sorted(os.listdir(self.input_dir))
-                if f.endswith(".parquet") and f not in done]
+    def _empty_state(self) -> pd.DataFrame:
+        return _empty_state()
 
     def _load_state(self, state: dict) -> pd.DataFrame:
-        st = self.cp.load_open_sessions(state)
-        if st is None:
-            return _empty_state()
+        st = super()._load_state(state)
         if "matched" not in st.columns:   # pre-outer-join snapshots
             st = st.copy()
             st["matched"] = np.int8(0)
-        if not state.get("rights_matched_tracked"):
+        if len(st) and not state.get("rights_matched_tracked"):
             # LEFT-outer-era snapshot: right rows carry matched=0 even
             # when they already produced pairs. Their true matched bit
             # is unrecoverable, so mark them matched — suppressing a
@@ -204,76 +196,60 @@ class StreamingJoinJob:
         return st
 
     @staticmethod
-    def _file_max_ts(path: str) -> int:
-        """Max event time of the whole file: parquet row-group zone maps
-        (the session job's exact-footer pattern) with a ts-only column
-        scan as the stats-less fallback; -1 for an empty file."""
-        from .streaming import StreamingSessionJob
-
-        _, total, max_us = StreamingSessionJob._footer_late_stats(path, 0)
-        if max_us is not None:
-            return int(max_us)
-        import pyarrow.dataset as pads
-        t = pads.dataset(path).to_table(columns=["ts"])
-        if t.num_rows == 0:
-            return -1
-        import pyarrow.compute as pc
-        v = pc.max(t.column("ts")).as_py()
-        return int(pd.Timestamp(v).value // 1000)
-
-    @staticmethod
     def _write_sorted(df: pd.DataFrame, path: str) -> None:
         """Byte-stable parquet: deterministic row order + atomic rename
         (replay overwrites with identical bytes)."""
-        df = (df.sort_values(["req_id", "resp_id"], kind="mergesort")
-              .reset_index(drop=True))
-        tmp = path + ".tmp"
-        df.to_parquet(tmp, index=False)
-        os.replace(tmp, path)
+        write_parquet_atomic(
+            df.sort_values(["req_id", "resp_id"], kind="mergesort")
+            .reset_index(drop=True), path)
 
-    # -- one cycle ----------------------------------------------------------
+    def _write_emission(self, name: str, df: pd.DataFrame,
+                        path: str) -> None:
+        self._write_sorted(df, path)      # the kernel emits pairs only
 
     def run_cycle(self) -> dict | None:
-        pending = self.pending_files()
-        if not pending:
-            return None
-        fname = pending[0]
-        state = self.cp.load()
-        if state.get("finalized"):
-            raise RuntimeError(
-                "stream finalized: the end-of-stream timeout flush was "
-                "emitted — resuming would let an already-timed-out left "
-                "row match (matched/timeout disjointness); start a new "
-                "state dir to continue")
-        wm = int(state.get("watermark_us", 0))
-        cycle = int(state.get("cycles", 0))
-        path = os.path.join(self.input_dir, fname)
-        st = self._load_state(state)
+        """Process the next pending file: match, emit, evict, commit
+        (the shared keyed-stream loop)."""
+        # defined here, not only inherited: perfbench's span wrappers
+        # patch this class's own ``run_cycle`` entry
+        return super().run_cycle()
 
-        import pyarrow.dataset as pads
-        nrows = pads.dataset(path).count_rows()
-        runner = (self._cycle_dataset if nrows > self.RAY_CYCLE_THRESHOLD
-                  else self._cycle_pandas)
-        n_matched, n_late, new_st = runner(path, fname, wm, cycle, st)
+    # -- the kernel ------------------------------------------------------
 
-        # watermark advances on the FULL file's max ts (zone maps when
-        # present, one driver-side ts-column scan otherwise) so both
-        # execution paths share one watermark source — the dataset path
-        # prunes non-join event types before the shuffle and must not
-        # let that pruning move event time
-        max_ts = self._file_max_ts(path)
-        new_wm = max(wm, max_ts - self.lateness_us) if max_ts >= 0 else wm
-        state["processed"] = list(state.get("processed", [])) + [fname]
-        return self._evict_commit(state, new_st, new_wm, cycle,
-                                  n_matched, n_late, fname)
+    def _tag(self, b: pd.DataFrame, wm: int) -> pd.DataFrame:
+        """Join-side rows (side 0 = left, 1 = right) plus late rows of
+        any type; other on-time event types never enter the cycle."""
+        us = ts_us(b["ts"])
+        t = b["event_type"].to_numpy()
+        keep = (t == self.left_type) | (t == self.right_type) | (us < wm)
+        return pd.DataFrame({
+            "event_id": b["event_id"].to_numpy(dtype="int64")[keep],
+            "user_id": b["user_id"].to_numpy(dtype="int64")[keep],
+            "ts_us": us[keep],
+            "side": np.where(t[keep] == self.left_type, 0, 1).astype(np.int8),
+            "matched": np.zeros(int(keep.sum()), dtype=np.int8),
+        })
 
-    def _evict_commit(self, state: dict, new_st: pd.DataFrame,
-                      new_wm: int, cycle: int, n_matched: int,
-                      n_late: int, file_label: str) -> dict:
-        """Shared eviction + emission + single-commit tail (the
-        two-source subclass reuses it verbatim — the only divergence
-        between the jobs is how the watermark is computed)."""
-        # watermark-driven eviction: provably-unmatchable rows leave state
+    def _cycle_kernel(self, st: pd.DataFrame, new: pd.DataFrame, wm: int,
+                      new_wm: int, cycle: int):
+        side = new["side"].to_numpy()
+        new_l, new_r = new[side == 0], new[side == 1]
+        pairs = _cycle_match(new_l, new_r, st, self.window_us)
+        cols = list(st.columns)
+        nxt = pd.concat([st[cols], new_l[cols], new_r[cols]],
+                        ignore_index=True)
+        if len(pairs):
+            side = nxt["side"].to_numpy()
+            eid = nxt["event_id"].to_numpy()
+            hit = ((side == 0) & np.isin(eid, pairs["req_id"].unique())
+                   | (side == 1) & np.isin(eid, pairs["resp_id"].unique()))
+            nxt.loc[hit, "matched"] = np.int8(1)
+        return {"matched": pairs}, nxt, {"matched": len(pairs)}
+
+    def _post_gather(self, state: dict, new_st: pd.DataFrame, new_wm: int,
+                     cycle: int) -> tuple[pd.DataFrame, dict]:
+        """Watermark-driven eviction of provably-unmatchable rows, with
+        the OUTER-join timeout emissions written driver-side."""
         keep_l = ((new_st["side"] == 0)
                   & (new_st["ts_us"] + self.window_us >= new_wm))
         keep_r = (new_st["side"] == 1) & (new_st["ts_us"] > new_wm)
@@ -283,7 +259,6 @@ class StreamingJoinJob:
         timed_out = new_st[(new_st["side"] == 0) & ~keep_l
                            & (new_st["matched"] == 0)]
         self._write_timeouts(timed_out, f"timeout-{cycle:05d}.parquet")
-        n_timeout = len(timed_out)
         # FULL-OUTER's other half: a right row evicted unmatched can
         # never match either (a future on-time left has ts >= wm >= its
         # ts, and pairs need left.ts < right.ts) — emit the null-left
@@ -292,42 +267,12 @@ class StreamingJoinJob:
                              & (new_st["matched"] == 0)]
         self._write_right_timeouts(r_timed_out,
                                    f"rtimeout-{cycle:05d}.parquet")
-        n_rtimeout = len(r_timed_out)
-        # canonical snapshot order: byte-stable across replays AND
-        # across the pandas/dataset execution paths
-        new_st = (new_st[keep_l | keep_r]
-                  .sort_values(["side", "event_id"], kind="mergesort")
-                  .reset_index(drop=True))
-
-        open_fname = self.cp.stage_open_sessions(new_st, cycle)
-        state["open_sessions_file"] = open_fname
-        state["watermark_us"] = int(new_wm)
-        state["late_rows"] = int(state.get("late_rows", 0)) + int(n_late)
-        state["cycles"] = cycle + 1
         # snapshots from here on carry the rights' matched bits for real
         # (legacy LEFT-era snapshots are conservatively backfilled in
         # _load_state)
         state["rights_matched_tracked"] = True
-        result = {"file": file_label, "watermark_us": int(new_wm),
-                  "matched": int(n_matched), "late": int(n_late),
-                  "timeout": int(n_timeout), "rtimeout": int(n_rtimeout),
-                  "state_rows": int(len(new_st))}
-        state["cycle_metrics"] = (list(state.get("cycle_metrics", []))
-                                  + [result])
-        self.cp.save(state)
-        self.cp.gc_open_sessions(keep=open_fname)
-        return result
-
-    def run_all(self) -> dict:
-        totals = {"cycles": 0, "matched": 0, "late": 0, "timeout": 0,
-                  "rtimeout": 0}
-        while (r := self.run_cycle()) is not None:
-            totals["cycles"] += 1
-            totals["matched"] += r["matched"]
-            totals["late"] += r["late"]
-            totals["timeout"] += r["timeout"]
-            totals["rtimeout"] += r["rtimeout"]
-        return totals
+        return (self._canon(new_st[keep_l | keep_r]),
+                {"timeout": len(timed_out), "rtimeout": len(r_timed_out)})
 
     def finalize(self) -> int:
         """End-of-stream flush for the OUTER join: every left row still
@@ -339,26 +284,15 @@ class StreamingJoinJob:
         calls are refused (a left row already emitted as timed-out
         matching later would break the matched/timeout disjointness
         the LEFT-OUTER contract promises)."""
-        state = self.cp.load()
-        st = self._load_state(state)
-        rest = st[(st["side"] == 0) & (st["matched"] == 0)]
-        self._write_timeouts(rest, "timeout-final.parquet")
-        # symmetric FULL-OUTER tail: rights still unmatched at stream
-        # end can never pair (no further lefts arrive)
-        rest_r = st[(st["side"] == 1) & (st["matched"] == 0)]
-        self._write_right_timeouts(rest_r, "rtimeout-final.parquet")
-        state["finalized"] = True
-        self.cp.save(state)
-        return len(rest)
-
-    def _write_late(self, rows: pd.DataFrame, fname: str) -> None:
-        """Late rows are ROUTED, not dropped (the session-job contract):
-        byte-stable per-cycle files an auditor/reprocessor reads back."""
-        rows = (rows.sort_values("event_id", kind="mergesort")
-                .reset_index(drop=True))
-        tmp = os.path.join(self.late_dir, fname + ".tmp")
-        rows.to_parquet(tmp, index=False)
-        os.replace(tmp, os.path.join(self.late_dir, fname))
+        def flush(st: pd.DataFrame) -> int:
+            rest = st[(st["side"] == 0) & (st["matched"] == 0)]
+            self._write_timeouts(rest, "timeout-final.parquet")
+            # symmetric FULL-OUTER tail: rights still unmatched at
+            # stream end can never pair (no further lefts arrive)
+            rest_r = st[(st["side"] == 1) & (st["matched"] == 0)]
+            self._write_right_timeouts(rest_r, "rtimeout-final.parquet")
+            return len(rest)
+        return self._finalize(flush)
 
     def _write_timeouts(self, rows: pd.DataFrame, fname: str) -> None:
         out = pd.DataFrame({
@@ -368,9 +302,7 @@ class StreamingJoinJob:
             "req_ts": pd.Series(rows["ts_us"].to_numpy(dtype="int64"))
             .astype("datetime64[us]"),
         }).sort_values("req_id", kind="mergesort").reset_index(drop=True)
-        tmp = os.path.join(self.timeout_dir, fname + ".tmp")
-        out.to_parquet(tmp, index=False)
-        os.replace(tmp, os.path.join(self.timeout_dir, fname))
+        write_parquet_atomic(out, os.path.join(self.timeout_dir, fname))
 
     def _write_right_timeouts(self, rows: pd.DataFrame, fname: str) -> None:
         out = pd.DataFrame({
@@ -380,165 +312,7 @@ class StreamingJoinJob:
             "resp_ts": pd.Series(rows["ts_us"].to_numpy(dtype="int64"))
             .astype("datetime64[us]"),
         }).sort_values("resp_id", kind="mergesort").reset_index(drop=True)
-        tmp = os.path.join(self.rtimeout_dir, fname + ".tmp")
-        out.to_parquet(tmp, index=False)
-        os.replace(tmp, os.path.join(self.rtimeout_dir, fname))
-
-    # -- execution paths ----------------------------------------------------
-
-    def _split_sides(self, df: pd.DataFrame, wm: int):
-        us = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        late = us < wm
-        on = df[~late]
-        on_us = us[~late]
-        max_ts = int(us.max()) if len(us) else -1
-        late_rows = pd.DataFrame({
-            "event_id": df["event_id"].to_numpy(dtype="int64")[late],
-            "user_id": df["user_id"].to_numpy(dtype="int64")[late],
-            "ts": pd.Series(us[late]).astype("datetime64[us]"),
-        })
-        tl = on["event_type"].to_numpy() == self.left_type
-        tr = on["event_type"].to_numpy() == self.right_type
-        mk = lambda sel, side: pd.DataFrame({   # noqa: E731
-            "event_id": on["event_id"].to_numpy(dtype="int64")[sel],
-            "user_id": on["user_id"].to_numpy(dtype="int64")[sel],
-            "ts_us": on_us[sel],
-            "side": np.full(int(sel.sum()), side, dtype=np.int8),
-            "matched": np.zeros(int(sel.sum()), dtype=np.int8),
-        })
-        return mk(tl, 0), mk(tr, 1), late_rows, max_ts
-
-    def _cycle_pandas(self, path: str, fname: str, wm: int, cycle: int,
-                      st: pd.DataFrame):
-        df = pd.read_parquet(
-            path, columns=["event_id", "ts", "user_id", "event_type"])
-        new_l, new_r, late_rows, _ = self._split_sides(df, wm)
-        n_late = len(late_rows)
-        self._write_late(late_rows, f"late-{cycle:05d}.parquet")
-        pairs = _cycle_match(new_l, new_r, st, self.window_us)
-        self._write_sorted(
-            pairs, os.path.join(self.matched_dir,
-                                f"matched-{cycle:05d}.parquet"))
-        new_st = pd.concat([st, new_l, new_r], ignore_index=True)
-        if len(pairs):
-            side = new_st["side"].to_numpy()
-            eid = new_st["event_id"].to_numpy()
-            hit = ((side == 0) & np.isin(eid, pairs["req_id"].unique())
-                   | (side == 1) & np.isin(eid, pairs["resp_id"].unique()))
-            new_st.loc[hit, "matched"] = np.int8(1)
-        return len(pairs), n_late, new_st
-
-    def _cycle_dataset(self, path: str, fname: str, wm: int, cycle: int,
-                       st: pd.DataFrame):
-        """One user-bucket groupby over (cycle rows ∪ state rows); the
-        grouped task matches and WRITES its bucket's pairs, returning
-        only a summary row + the bucket's next-cycle state rows (state
-        is watermark-bounded, so what crosses the driver is O(window
-        horizon), never the stream)."""
-        import ray.data as rd
-
-        nb = self.num_buckets
-        lt, rt = self.left_type, self.right_type
-
-        def tag(b: pd.DataFrame) -> pd.DataFrame:
-            us = b["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-            t = b["event_type"].to_numpy()
-            keep = (t == lt) | (t == rt) | (us < wm)
-            out = pd.DataFrame({
-                "event_id": b["event_id"].to_numpy(dtype="int64")[keep],
-                "user_id": b["user_id"].to_numpy(dtype="int64")[keep],
-                "ts_us": us[keep],
-                "side": np.where(t[keep] == lt, 0, 1).astype(np.int8),
-                "matched": np.zeros(int(keep.sum()), dtype=np.int8),
-                "is_state": np.zeros(int(keep.sum()), dtype=np.int8),
-            })
-            out["_ub"] = (out["user_id"].to_numpy() % nb).astype(np.int32)
-            return out
-
-        ds = rd.read_parquet(
-            path, columns=["event_id", "ts", "user_id", "event_type"])
-        return self._bucketed_cycle(
-            ds.map_batches(tag, batch_format="pandas"), wm, cycle, st)
-
-    def _bucketed_cycle(self, tagged, wm: int, cycle: int,
-                        st: pd.DataFrame):
-        """Shared engine of the dataset path: one user-bucket groupby
-        over (pre-tagged cycle rows ∪ state rows); grouped tasks match
-        and write their bucket's pairs/late files, returning state +
-        summary rows only. ``tagged`` rows carry (event_id, user_id,
-        ts_us, side, matched, is_state=0, _ub)."""
-        import ray.data as rd
-
-        nb = self.num_buckets
-        wus = self.window_us
-        mdir = self.matched_dir
-        ldir = self.late_dir
-        write_sorted = self._write_sorted
-
-        st_t = st.copy()
-        st_t["is_state"] = np.int8(1)
-        st_t["_ub"] = (st_t["user_id"].to_numpy(dtype="int64")
-                       % nb).astype(np.int32)
-
-        def bucket(g: pd.DataFrame) -> pd.DataFrame:
-            """Returns state rows (kind=0) plus exactly ONE summary row
-            (kind=1, sentinel ids) carrying the bucket's counts."""
-            ub = int(g["_ub"].iloc[0])
-            g = g.drop(columns=["_ub"])
-            stp = g[g["is_state"] == 1]
-            new = g[g["is_state"] == 0]
-            us = new["ts_us"].to_numpy(dtype="int64")
-            late = us < wm
-            lrows = pd.DataFrame({
-                "event_id": new["event_id"].to_numpy(dtype="int64")[late],
-                "user_id": new["user_id"].to_numpy(dtype="int64")[late],
-                "ts": pd.Series(us[late]).astype("datetime64[us]"),
-            }).sort_values("event_id", kind="mergesort")
-            ltmp = os.path.join(ldir, f"late-{cycle:05d}-{ub:02d}.parquet")
-            lrows.reset_index(drop=True).to_parquet(ltmp + ".tmp",
-                                                    index=False)
-            os.replace(ltmp + ".tmp", ltmp)
-            on = new[~late]
-            new_l = on[on["side"] == 0]
-            new_r = on[on["side"] == 1]
-            pairs = _cycle_match(new_l, new_r, stp, wus)
-            write_sorted(pairs, os.path.join(
-                mdir, f"matched-{cycle:05d}-{ub:02d}.parquet"))
-            cols = ["event_id", "user_id", "ts_us", "side", "matched"]
-            nxt = pd.concat([stp[cols], new_l[cols], new_r[cols]],
-                            ignore_index=True)
-            if len(pairs):
-                side = nxt["side"].to_numpy()
-                eid = nxt["event_id"].to_numpy()
-                hit = ((side == 0) & np.isin(eid, pairs["req_id"].unique())
-                       | (side == 1)
-                       & np.isin(eid, pairs["resp_id"].unique()))
-                nxt.loc[hit, "matched"] = np.int8(1)
-            nxt["kind"] = np.int8(0)
-            nxt["n_matched"] = np.int64(0)
-            nxt["n_late"] = np.int64(0)
-            summ = pd.DataFrame({
-                "event_id": [np.int64(-1)], "user_id": [np.int64(-1)],
-                "ts_us": [np.int64(-1)], "side": [np.int8(-1)],
-                "matched": [np.int8(0)], "kind": [np.int8(1)],
-                "n_matched": [np.int64(len(pairs))],
-                "n_late": [np.int64(late.sum())],
-            })
-            return pd.concat([nxt, summ], ignore_index=True)
-
-        if len(st_t):
-            tagged = tagged.union(rd.from_pandas(st_t))
-        out = (tagged.groupby("_ub")
-               .map_groups(bucket, batch_format="pandas")
-               .to_pandas())
-        if not len(out):
-            return 0, 0, _empty_state()
-        summ = out[out["kind"] == 1]
-        new_st = (out[out["kind"] == 0]
-                  [["event_id", "user_id", "ts_us", "side", "matched"]]
-                  .reset_index(drop=True))
-        return (int(summ["n_matched"].sum()), int(summ["n_late"].sum()),
-                new_st)
+        write_parquet_atomic(out, os.path.join(self.rtimeout_dir, fname))
 
 
 class TwoSourceJoinJob(StreamingJoinJob):
@@ -579,6 +353,12 @@ class TwoSourceJoinJob(StreamingJoinJob):
     counters are checkpointed, so resume preserves the declaration.
     """
 
+    SIDE_COLS = ["event_id", "ts", "user_id"]
+    FINALIZED_MSG = (
+        "stream finalized: the end-of-stream timeout flush was "
+        "emitted — resuming would break matched/timeout "
+        "disjointness; start a new state dir to continue")
+
     def __init__(self, left_dir: str, right_dir: str, state_dir: str,
                  window_s: int = 21600, allowed_lateness_s: int = 0,
                  num_buckets: int = 32,
@@ -591,46 +371,34 @@ class TwoSourceJoinJob(StreamingJoinJob):
         self.right_dir = right_dir
         self.idle_cycles = idle_cycles
 
-    def _pending_side(self, d: str, done: set) -> "str | None":
-        for f in sorted(os.listdir(d)):
-            if f.endswith(".parquet") and f not in done:
-                return f
-        return None
+    def _tag_side(self, b: pd.DataFrame, wm: int, side: int) -> pd.DataFrame:
+        """Every row of a source file is a row of that source's side."""
+        n = len(b)
+        return pd.DataFrame({
+            "event_id": b["event_id"].to_numpy(dtype="int64"),
+            "user_id": b["user_id"].to_numpy(dtype="int64"),
+            "ts_us": ts_us(b["ts"]),
+            "side": np.full(n, side, dtype=np.int8),
+            "matched": np.zeros(n, dtype=np.int8),
+        })
 
     def run_cycle(self) -> dict | None:
         state = self.cp.load()
-        done_l = set(state.get("processed", []))
-        done_r = set(state.get("processed_right", []))
-        fl = self._pending_side(self.input_dir, done_l)
-        fr = self._pending_side(self.right_dir, done_r)
+        fl = next(iter(self._pending(
+            self.input_dir, set(state.get("processed", [])))), None)
+        fr = next(iter(self._pending(
+            self.right_dir, set(state.get("processed_right", [])))), None)
         if fl is None and fr is None:
             return None
-        if state.get("finalized"):
-            raise RuntimeError(
-                "stream finalized: the end-of-stream timeout flush was "
-                "emitted — resuming would break matched/timeout "
-                "disjointness; start a new state dir to continue")
+        self._check_open(state)
         wm = int(state.get("watermark_us", 0))
-        cycle = int(state.get("cycles", 0))
-        st = self._load_state(state)
 
         # per-source event-time maxima come from parquet zone maps
-        # (engine-independent, the single watermark source both
-        # execution paths share)
+        # (executor-independent, the single watermark source)
         max_l = (self._file_max_ts(os.path.join(self.input_dir, fl))
                  if fl else -1)
         max_r = (self._file_max_ts(os.path.join(self.right_dir, fr))
                  if fr else -1)
-
-        import pyarrow.dataset as pads
-        nrows = sum(
-            pads.dataset(os.path.join(d, f)).count_rows()
-            for d, f in ((self.input_dir, fl), (self.right_dir, fr)) if f)
-        runner = (self._two_cycle_dataset
-                  if nrows > self.RAY_CYCLE_THRESHOLD
-                  else self._two_cycle_pandas)
-        n_matched, n_late, new_st = runner(fl, fr, wm, cycle, st)
-
         # per-source maxima persist; the GLOBAL watermark is their min
         src_max_l = max(int(state.get("src_max_left", -1)), max_l)
         src_max_r = max(int(state.get("src_max_right", -1)), max_r)
@@ -656,99 +424,11 @@ class TwoSourceJoinJob(StreamingJoinJob):
         if fr is not None:
             state["processed_right"] = (
                 list(state.get("processed_right", [])) + [fr])
-        return self._evict_commit(state, new_st, new_wm, cycle,
-                                  n_matched, n_late, f"{fl}|{fr}")
-
-    def _read_side_pandas(self, d: str, fname: "str | None", side: int,
-                          wm: int):
-        if fname is None:
-            return (pd.DataFrame({
-                "event_id": pd.Series([], dtype="int64"),
-                "user_id": pd.Series([], dtype="int64"),
-                "ts_us": pd.Series([], dtype="int64"),
-                "side": pd.Series([], dtype="int8"),
-                "matched": pd.Series([], dtype="int8"),
-            }), pd.DataFrame({
-                "event_id": pd.Series([], dtype="int64"),
-                "user_id": pd.Series([], dtype="int64"),
-                "ts": pd.Series([], dtype="datetime64[us]"),
-            }))
-        df = pd.read_parquet(os.path.join(d, fname),
-                             columns=["event_id", "ts", "user_id"])
-        us = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        late = us < wm
-        rows = pd.DataFrame({
-            "event_id": df["event_id"].to_numpy(dtype="int64")[~late],
-            "user_id": df["user_id"].to_numpy(dtype="int64")[~late],
-            "ts_us": us[~late],
-            "side": np.full(int((~late).sum()), side, dtype=np.int8),
-            "matched": np.zeros(int((~late).sum()), dtype=np.int8),
-        })
-        lrows = pd.DataFrame({
-            "event_id": df["event_id"].to_numpy(dtype="int64")[late],
-            "user_id": df["user_id"].to_numpy(dtype="int64")[late],
-            "ts": pd.Series(us[late]).astype("datetime64[us]"),
-        })
-        return rows, lrows
-
-    def _two_cycle_pandas(self, fl: "str | None", fr: "str | None",
-                          wm: int, cycle: int, st: pd.DataFrame):
-        new_l, late_l = self._read_side_pandas(self.input_dir, fl, 0, wm)
-        new_r, late_r = self._read_side_pandas(self.right_dir, fr, 1, wm)
-        late_rows = (pd.concat([late_l, late_r], ignore_index=True)
-                     .sort_values("event_id", kind="mergesort")
-                     .reset_index(drop=True))
-        self._write_late(late_rows, f"late-{cycle:05d}.parquet")
-        pairs = _cycle_match(new_l, new_r, st, self.window_us)
-        self._write_sorted(pairs, os.path.join(
-            self.matched_dir, f"matched-{cycle:05d}.parquet"))
-        new_st = pd.concat([st, new_l, new_r], ignore_index=True)
-        if len(pairs):
-            side = new_st["side"].to_numpy()
-            eid = new_st["event_id"].to_numpy()
-            hit = ((side == 0) & np.isin(eid, pairs["req_id"].unique())
-                   | (side == 1) & np.isin(eid, pairs["resp_id"].unique()))
-            new_st.loc[hit, "matched"] = np.int8(1)
-        return len(pairs), len(late_rows), new_st
-
-    def _two_cycle_dataset(self, fl: "str | None", fr: "str | None",
-                           wm: int, cycle: int, st: pd.DataFrame):
-        """Big cycles run through the SAME user-bucket grouped engine
-        as the single-source job (``_bucketed_cycle``): each side's
-        file is tagged with its fixed side map-side, the union shuffles
-        once on the user bucket, and grouped tasks write their pairs/
-        late files — nothing stream-sized crosses the driver."""
-        import ray.data as rd
-
-        nb = self.num_buckets
-
-        def mk_tag(side: int):
-            def tag(b: pd.DataFrame) -> pd.DataFrame:
-                us = (b["ts"].astype("datetime64[us]")
-                      .astype("int64").to_numpy())
-                out = pd.DataFrame({
-                    "event_id": b["event_id"].to_numpy(dtype="int64"),
-                    "user_id": b["user_id"].to_numpy(dtype="int64"),
-                    "ts_us": us,
-                    "side": np.full(len(b), side, dtype=np.int8),
-                    "matched": np.zeros(len(b), dtype=np.int8),
-                    "is_state": np.zeros(len(b), dtype=np.int8),
-                })
-                out["_ub"] = (out["user_id"].to_numpy()
-                              % nb).astype(np.int32)
-                return out
-            return tag
-
-        parts = []
-        for d, f, side in ((self.input_dir, fl, 0),
-                           (self.right_dir, fr, 1)):
-            if f is None:
-                continue
-            parts.append(
-                rd.read_parquet(os.path.join(d, f),
-                                columns=["event_id", "ts", "user_id"])
-                .map_batches(mk_tag(side), batch_format="pandas"))
-        tagged = parts[0]
-        for p in parts[1:]:
-            tagged = tagged.union(p)
-        return self._bucketed_cycle(tagged, wm, cycle, st)
+        # both sources feed ONE executor: each file is tagged with its
+        # fixed side, then state, matching, eviction and the commit are
+        # the single-source job's
+        inputs = [(os.path.join(d, f), self.SIDE_COLS,
+                   functools.partial(self._tag_side, side=side))
+                  for d, f, side in ((self.input_dir, fl, 0),
+                                     (self.right_dir, fr, 1)) if f]
+        return self._cycle(state, inputs, wm, new_wm, f"{fl}|{fr}")

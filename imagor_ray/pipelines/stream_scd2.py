@@ -30,12 +30,12 @@ touch state. Per-cycle op files commit BEFORE the single checkpoint
 save (crash replay overwrites identical bytes); snapshots are
 bucket-agnostic (the rescaling guarantee).
 
-Scale shape: above ``RAY_CYCLE_THRESHOLD`` footer rows the cycle runs
-as one user-bucket ``groupby().map_groups`` over (registers ∪ buffer ∪
-new) — registers and buffers are user-keyed, so buckets are
-version-complete; each grouped task writes its bucket's op + late
-files in-task and returns state + summary rows only. Below it, driver
-pandas with the SAME kernel; both paths byte-equal by test.
+Scale shape: ONE kernel run by the keyed-stream runtime — in-process
+below ``RAY_CYCLE_THRESHOLD`` footer rows, above it per user bucket
+over (registers ∪ buffer ∪ new): registers and buffers are user-keyed,
+so buckets are version-complete; each grouped task writes its
+bucket's op + late files in-task and returns state + summary rows
+only.
 
 Reference semantics: the result-storage freshness/overwrite contract
 (``imagor.go:605-652``) generalized to versioned dimension rows;
@@ -44,12 +44,11 @@ SURVEY §2.6 window/changelog family.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 
-from ..state.checkpoint import Checkpoint
+from ..stages.windows import ts_us
+from .keyed_stream import KeyedStreamJob, side_counts, write_parquet_atomic
 
 __all__ = ["StreamingScd2Job"]
 
@@ -196,38 +195,18 @@ def _scd2_cycle_kernel(reg: pd.DataFrame, ready: pd.DataFrame
     return ops, new_reg
 
 
-class StreamingScd2Job:
+class StreamingScd2Job(KeyedStreamJob):
     """Micro-batch streaming SCD2 changelog with watermark-gated
     processing (module docstring has the full semantics)."""
 
-    RAY_CYCLE_THRESHOLD = 150_000
-
-    def __init__(self, input_dir: str, state_dir: str,
-                 allowed_lateness_s: int = 0, num_buckets: int = 32,
-                 ray_cycle_threshold: int | None = None):
-        self.input_dir = input_dir
-        self.cp = Checkpoint(state_dir)
-        self.lateness_us = allowed_lateness_s * 1_000_000
-        self.num_buckets = num_buckets
-        if ray_cycle_threshold is not None:
-            self.RAY_CYCLE_THRESHOLD = ray_cycle_threshold
-        self.ops_dir = os.path.join(state_dir, "ops")
-        self.late_dir = os.path.join(state_dir, "late")
-        os.makedirs(self.ops_dir, exist_ok=True)
-        os.makedirs(self.late_dir, exist_ok=True)
-
-    def pending_files(self) -> list[str]:
-        state = self.cp.load()
-        done = set(state.get("processed", []))
-        return [f for f in sorted(os.listdir(self.input_dir))
-                if f.endswith(".parquet") and f not in done]
+    OUTPUTS = ("ops",)
+    COUNTERS = ("ops", "late")
+    STATE_ORDER = ["side", "user_id", "event_id", "ts_us"]
+    FINALIZED_MSG = "streaming SCD2 job already finalized"
 
     # -- state packing ------------------------------------------------
-    def _load_state(self, state: dict
-                    ) -> tuple[pd.DataFrame, pd.DataFrame]:
-        st = self.cp.load_open_sessions(state)
-        if st is None or not len(st):
-            return _empty_reg(), _empty_buf()
+    @staticmethod
+    def _unpack(st: pd.DataFrame) -> tuple[pd.DataFrame, pd.DataFrame]:
         reg = (st[st["side"] == 0]
                [["user_id", "version", "attr", "valid_from_us"]]
                .reset_index(drop=True))
@@ -248,215 +227,53 @@ class StreamingScd2Job:
                              kind="mergesort")
                 .reset_index(drop=True))
 
-    def _write(self, df: pd.DataFrame, dirpath: str, name: str) -> None:
-        tmp = os.path.join(dirpath, name)
-        df.to_parquet(tmp + ".tmp", index=False)
-        os.replace(tmp + ".tmp", tmp)
+    def _empty_state(self) -> pd.DataFrame:
+        return self._pack_state(_empty_reg(), _empty_buf())
 
-    # -- per-cycle machinery -------------------------------------------
-    def _cycle_pandas(self, path: str, wm: int, cycle: int,
-                      reg: pd.DataFrame, buf: pd.DataFrame, new_wm: int):
-        df = pd.read_parquet(
-            path, columns=["event_id", "ts", "user_id", "event_type"])
-        us = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        late = us < wm
-        self._write(pd.DataFrame({
-            "event_id": df["event_id"].to_numpy(dtype="int64")[late],
-            "ts": pd.Series(us[late]).astype("datetime64[us]"),
-        }).sort_values("event_id", kind="mergesort")
-            .reset_index(drop=True), self.late_dir,
-            f"late-{cycle:05d}.parquet")
-        new = pd.DataFrame({
-            "user_id": df["user_id"].to_numpy(dtype="int64")[~late],
-            "event_id": df["event_id"].to_numpy(dtype="int64")[~late],
-            "ts_us": us[~late],
-            "attr": df["event_type"].to_numpy()[~late],
+    def _state_metrics(self, snap: pd.DataFrame) -> dict:
+        return side_counts(snap, buffer_rows=1, state_users=0)
+
+    # -- the kernel ----------------------------------------------------
+    def _tag(self, b: pd.DataFrame, wm: int) -> pd.DataFrame:
+        """New events as buffer rows (side 1); attr = event_type."""
+        n = len(b)
+        return pd.DataFrame({
+            "side": np.full(n, 1, dtype=np.int8),
+            "user_id": b["user_id"].to_numpy(dtype="int64"),
+            "version": np.full(n, -1, dtype="int64"),
+            "attr": b["event_type"].to_numpy(),
+            "valid_from_us": np.full(n, -1, dtype="int64"),
+            "event_id": b["event_id"].to_numpy(dtype="int64"),
+            "ts_us": ts_us(b["ts"]),
         })
-        pool = pd.concat([buf, new], ignore_index=True)
-        ready_m = pool["ts_us"].to_numpy(dtype="int64") < new_wm
-        ops, new_reg = _scd2_cycle_kernel(reg, pool[ready_m])
-        self._write(ops, self.ops_dir, f"ops-{cycle:05d}.parquet")
-        hold = (pool[~ready_m]
-                .sort_values(["user_id", "event_id"], kind="mergesort")
-                .reset_index(drop=True))
-        return len(ops), int(late.sum()), new_reg, hold
 
-    def _cycle_dataset(self, path: str, wm: int, cycle: int,
-                       reg: pd.DataFrame, buf: pd.DataFrame, new_wm: int):
-        """User-bucket grouped cycle: each task folds its bucket's
-        (registers ∪ buffer ∪ new) rows through the kernel and writes
-        its bucket's op + late files; state + summary rows return."""
-        import ray.data as rd
-
-        nb = self.num_buckets
-        odir, ldir = self.ops_dir, self.late_dir
-
-        def tag(b: pd.DataFrame) -> pd.DataFrame:
-            us = b["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-            uid = b["user_id"].to_numpy(dtype="int64")
-            out = pd.DataFrame({
-                "side": np.full(len(b), 2, dtype=np.int8),
-                "user_id": uid,
-                "version": np.full(len(b), -1, dtype="int64"),
-                "attr": b["event_type"].to_numpy(),
-                "valid_from_us": np.full(len(b), -1, dtype="int64"),
-                "event_id": b["event_id"].to_numpy(dtype="int64"),
-                "ts_us": us,
-            })
-            out["_ub"] = (uid % nb).astype(np.int32)
-            return out
-
-        st = self._pack_state(reg, buf)
-        st["_ub"] = (st["user_id"].to_numpy(dtype="int64")
-                     % nb).astype(np.int32)
-        st = st[_STATE_COLS + ["_ub"]]
-
-        def bucket(g: pd.DataFrame) -> pd.DataFrame:
-            ub = int(g["_ub"].iloc[0])
-            side = g["side"].to_numpy()
-            breg = (g[side == 0]
-                    [["user_id", "version", "attr", "valid_from_us"]]
-                    .reset_index(drop=True))
-            bbuf = (g[side == 1]
-                    [["user_id", "event_id", "ts_us", "attr"]]
-                    .reset_index(drop=True))
-            new = g[side == 2]
-            us = new["ts_us"].to_numpy(dtype="int64")
-            late = us < wm
-            lrows = pd.DataFrame({
-                "event_id": new["event_id"].to_numpy(dtype="int64")[late],
-                "ts": pd.Series(us[late]).astype("datetime64[us]"),
-            }).sort_values("event_id", kind="mergesort")
-            ltmp = os.path.join(ldir, f"late-{cycle:05d}-{ub:02d}.parquet")
-            lrows.reset_index(drop=True).to_parquet(ltmp + ".tmp",
-                                                    index=False)
-            os.replace(ltmp + ".tmp", ltmp)
-            pool = pd.concat([bbuf, pd.DataFrame({
-                "user_id": new["user_id"].to_numpy(dtype="int64")[~late],
-                "event_id": new["event_id"].to_numpy(dtype="int64")[~late],
-                "ts_us": us[~late],
-                "attr": new["attr"].to_numpy()[~late],
-            })], ignore_index=True)
-            ready_m = pool["ts_us"].to_numpy(dtype="int64") < new_wm
-            ops, nreg = _scd2_cycle_kernel(breg, pool[ready_m])
-            otmp = os.path.join(odir, f"ops-{cycle:05d}-{ub:02d}.parquet")
-            ops.to_parquet(otmp + ".tmp", index=False)
-            os.replace(otmp + ".tmp", otmp)
-            nxt = StreamingScd2Job._pack_state(
-                nreg, pool[~ready_m].reset_index(drop=True))
-            nxt = nxt.assign(kind=np.int8(0), n_ops=np.int64(0),
-                             n_late=np.int64(0))
-            summ = pd.DataFrame({
-                "side": [np.int8(-1)], "user_id": [np.int64(-1)],
-                "version": [np.int64(-1)], "attr": [""],
-                "valid_from_us": [np.int64(-1)],
-                "event_id": [np.int64(-1)], "ts_us": [np.int64(-1)],
-                "kind": [np.int8(1)],
-                "n_ops": [np.int64(len(ops))],
-                "n_late": [np.int64(int(late.sum()))],
-            })
-            cols = _STATE_COLS + ["kind", "n_ops", "n_late"]
-            return pd.concat([nxt[cols], summ[cols]], ignore_index=True)
-
-        ds = rd.read_parquet(
-            path, columns=["event_id", "ts", "user_id", "event_type"])
-        tagged = ds.map_batches(tag, batch_format="pandas")
-        if len(st):
-            tagged = tagged.union(rd.from_pandas(st))
-        out = (tagged.groupby("_ub")
-               .map_groups(bucket, batch_format="pandas")
-               .to_pandas())
-        if not len(out):
-            return 0, 0, _empty_reg(), _empty_buf()
-        summ = out[out["kind"] == 1]
-        body = out[out["kind"] == 0]
-        nreg = (body[body["side"] == 0]
-                [["user_id", "version", "attr", "valid_from_us"]]
-                .sort_values("user_id", kind="mergesort")
-                .reset_index(drop=True))
-        nbuf = (body[body["side"] == 1]
-                [["user_id", "event_id", "ts_us", "attr"]]
-                .sort_values(["user_id", "event_id"], kind="mergesort")
-                .reset_index(drop=True))
-        return (int(summ["n_ops"].sum()), int(summ["n_late"].sum()),
-                nreg, nbuf)
-
-    @staticmethod
-    def _file_max_ts(path: str) -> int:
-        from .stream_join import StreamingJoinJob
-        return StreamingJoinJob._file_max_ts(path)
-
-    # -- driver loop ---------------------------------------------------
-    def run_cycle(self) -> dict | None:
-        pending = self.pending_files()
-        if not pending:
-            return None
-        state = self.cp.load()
-        if state.get("finalized"):
-            raise RuntimeError("streaming SCD2 job already finalized")
-        fname = pending[0]
-        wm = int(state.get("watermark_us", 0))
-        cycle = int(state.get("cycles", 0))
-        reg, buf = self._load_state(state)
-        path = os.path.join(self.input_dir, fname)
-        max_ts = self._file_max_ts(path)
-        new_wm = max(wm, max_ts - self.lateness_us) if max_ts >= 0 else wm
-
-        import pyarrow.dataset as pads
-        nrows = pads.dataset(path).count_rows()
-        runner = (self._cycle_dataset if nrows > self.RAY_CYCLE_THRESHOLD
-                  else self._cycle_pandas)
-        n_ops, n_late, new_reg, new_buf = runner(
-            path, wm, cycle, reg, buf, new_wm)
-
-        open_fname = self.cp.stage_open_sessions(
-            self._pack_state(new_reg, new_buf), cycle)
-        state["open_sessions_file"] = open_fname
-        state["watermark_us"] = int(new_wm)
-        state["processed"] = list(state.get("processed", [])) + [fname]
-        state["cycles"] = cycle + 1
-        result = {"file": fname, "watermark_us": int(new_wm),
-                  "ops": int(n_ops), "late": int(n_late),
-                  "buffer_rows": int(len(new_buf)),
-                  "state_users": int(len(new_reg))}
-        state["cycle_metrics"] = (list(state.get("cycle_metrics", []))
-                                  + [result])
-        self.cp.save(state)
-        self.cp.gc_open_sessions(keep=open_fname)
-        return result
-
-    def run_all(self) -> dict:
-        totals = {"cycles": 0, "ops": 0, "late": 0}
-        while (r := self.run_cycle()) is not None:
-            totals["cycles"] += 1
-            totals["ops"] += r["ops"]
-            totals["late"] += r["late"]
-        return totals
+    def _cycle_kernel(self, st: pd.DataFrame, new: pd.DataFrame, wm: int,
+                      new_wm: int, cycle: int):
+        """Fold every buffered/new event the watermark made final into
+        the registers; the rest stays buffered."""
+        reg, buf = self._unpack(st)
+        pool = pd.concat([buf, new[["user_id", "event_id", "ts_us", "attr"]]],
+                         ignore_index=True)
+        ready = pool["ts_us"].to_numpy(dtype="int64") < new_wm
+        ops, nreg = _scd2_cycle_kernel(reg, pool[ready])
+        nxt = self._pack_state(nreg, pool[~ready].reset_index(drop=True))
+        return {"ops": ops}, nxt, {"ops": len(ops)}
 
     def finalize(self) -> int:
         """End-of-stream: sweep the watermark to +inf — every buffered
         event folds through the kernel; open versions stay open (their
         +1 rows were emitted when they opened). Idempotent byte-stable
         overwrite; terminal."""
-        state = self.cp.load()
-        reg, buf = self._load_state(state)
-        ops, _ = _scd2_cycle_kernel(reg, buf)
-        self._write(ops, self.ops_dir, "ops-final.parquet")
-        state["finalized"] = True
-        self.cp.save(state)
-        return len(ops)
+        def flush(st: pd.DataFrame) -> int:
+            ops, _ = _scd2_cycle_kernel(*self._unpack(st))
+            write_parquet_atomic(ops, self._final_path("ops"))
+            return len(ops)
+        return self._finalize(flush)
 
     def ops(self) -> pd.DataFrame:
-        parts = [pd.read_parquet(os.path.join(self.ops_dir, f))
-                 for f in sorted(os.listdir(self.ops_dir))
-                 if f.endswith(".parquet")]
-        if not parts:
-            return _empty_ops()
-        return (pd.concat(parts, ignore_index=True)
-                .sort_values(["user_id", "change_ts_us", "version", "op"],
-                             kind="mergesort")
-                .reset_index(drop=True))
-
+        return self._read_back(
+            "ops", ["user_id", "change_ts_us", "version", "op"],
+            _empty_ops())
     def folded(self) -> pd.DataFrame:
         """Net dimension table (rows whose ops sum to +1) — equals the
         batch ``scd2_dimension`` minus its n_events column."""

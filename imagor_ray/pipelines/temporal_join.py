@@ -25,22 +25,19 @@ sorted by probe event_id and written BEFORE the single checkpoint
 commit; crash replay reruns the cycle against the committed pre-cycle
 state and overwrites identical bytes.
 
-Scale shape: above ``RAY_CYCLE_THRESHOLD`` footer rows the cycle runs
-as one user-bucket ``groupby().map_groups`` over tagged new rows ∪
-state rows — each grouped task runs the same as-of kernel
-(``pd.merge_asof`` by user over the ts-sorted frames) and writes its
-bucket's emission file in-task; below it, driver pandas. Both paths
-byte-equal by test.
+Scale shape: ONE as-of kernel (``pd.merge_asof`` by user over the
+ts-sorted frames) run by the keyed-stream runtime — in-process below
+``RAY_CYCLE_THRESHOLD`` footer rows, per user bucket above it (each
+grouped task writes its bucket's emission file in-task).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 
-from ..state.checkpoint import Checkpoint
+from ..stages.windows import ts_us
+from .keyed_stream import KeyedStreamJob, side_counts, write_parquet_atomic
 
 __all__ = ["TemporalJoinJob"]
 
@@ -112,41 +109,26 @@ def _evict_versions(versions: pd.DataFrame, wm: int) -> pd.DataFrame:
     return v[keep].reset_index(drop=True)
 
 
-class TemporalJoinJob:
+class TemporalJoinJob(KeyedStreamJob):
     """Micro-batch temporal table join with watermark-gated probe
     emission (module docstring has the full semantics)."""
 
-    RAY_CYCLE_THRESHOLD = 150_000
+    READ_COLS = ["event_id", "ts", "user_id", "event_type", "value"]
+    STATE_ORDER = ["side", "user_id", "ts_us", "event_id"]
+    FINALIZED_MSG = "temporal join already finalized"
 
     def __init__(self, input_dir: str, state_dir: str,
                  version_type: str = "purchase",
                  probe_type: str = "click",
                  allowed_lateness_s: int = 0, num_buckets: int = 32,
                  ray_cycle_threshold: int | None = None):
-        self.input_dir = input_dir
-        self.cp = Checkpoint(state_dir)
+        super().__init__(input_dir, state_dir, allowed_lateness_s,
+                         num_buckets, ray_cycle_threshold)
         self.version_type = version_type
         self.probe_type = probe_type
-        self.lateness_us = allowed_lateness_s * 1_000_000
-        self.num_buckets = num_buckets
-        if ray_cycle_threshold is not None:
-            self.RAY_CYCLE_THRESHOLD = ray_cycle_threshold
-        self.emitted_dir = os.path.join(state_dir, "emitted")
-        self.late_dir = os.path.join(state_dir, "late")
-        os.makedirs(self.emitted_dir, exist_ok=True)
-        os.makedirs(self.late_dir, exist_ok=True)
 
-    def pending_files(self) -> list[str]:
-        state = self.cp.load()
-        done = set(state.get("processed", []))
-        return [f for f in sorted(os.listdir(self.input_dir))
-                if f.endswith(".parquet") and f not in done]
-
-    def _load_state(self, state: dict
-                    ) -> tuple[pd.DataFrame, pd.DataFrame]:
-        st = self.cp.load_open_sessions(state)
-        if st is None or not len(st):
-            return _empty_versions(), _empty_probes()
+    @staticmethod
+    def _unpack(st: pd.DataFrame) -> tuple[pd.DataFrame, pd.DataFrame]:
         ver = (st[st["side"] == 0]
                [["user_id", "ts_us", "event_id", "value"]]
                .reset_index(drop=True))
@@ -164,236 +146,56 @@ class TemporalJoinJob:
                              kind="mergesort")
                 .reset_index(drop=True))
 
-    def _split(self, df: pd.DataFrame, wm: int):
-        us = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        late = us < wm
-        lrows = pd.DataFrame({
-            "event_id": df["event_id"].to_numpy(dtype="int64")[late],
-            "ts": pd.Series(us[late]).astype("datetime64[us]"),
-        }).sort_values("event_id", kind="mergesort").reset_index(drop=True)
-        on = df[~late]
-        on_us = us[~late]
-        tv = on["event_type"].to_numpy() == self.version_type
-        tp = on["event_type"].to_numpy() == self.probe_type
-        new_ver = pd.DataFrame({
-            "user_id": on["user_id"].to_numpy(dtype="int64")[tv],
-            "ts_us": on_us[tv],
-            "event_id": on["event_id"].to_numpy(dtype="int64")[tv],
-            "value": on["value"].to_numpy(dtype="float64")[tv],
-        })
-        new_prb = pd.DataFrame({
-            "event_id": on["event_id"].to_numpy(dtype="int64")[tp],
-            "user_id": on["user_id"].to_numpy(dtype="int64")[tp],
-            "ts_us": on_us[tp],
-        })
-        max_ts = int(us.max()) if len(us) else -1
-        return new_ver, new_prb, lrows, max_ts
+    def _empty_state(self) -> pd.DataFrame:
+        return self._pack_state(_empty_versions(), _empty_probes())
 
-    def _cycle_pandas(self, path: str, wm: int, cycle: int,
-                      ver: pd.DataFrame, prb: pd.DataFrame, new_wm: int):
-        df = pd.read_parquet(
-            path, columns=["event_id", "ts", "user_id", "event_type",
-                           "value"])
-        new_ver, new_prb, lrows, _ = self._split(df, wm)
-        ltmp = os.path.join(self.late_dir, f"late-{cycle:05d}.parquet")
-        lrows.to_parquet(ltmp + ".tmp", index=False)
-        os.replace(ltmp + ".tmp", ltmp)
-        all_ver = pd.concat([ver, new_ver], ignore_index=True)
-        all_prb = pd.concat([prb, new_prb], ignore_index=True)
+    def _state_metrics(self, snap: pd.DataFrame) -> dict:
+        return side_counts(snap, pending_probes=1, version_rows=0)
+
+    def _tag(self, b: pd.DataFrame, wm: int) -> pd.DataFrame:
+        """side 0 = version, 1 = probe, 2 = any other type (kept for
+        the late output only)."""
+        t = b["event_type"].to_numpy()
+        return pd.DataFrame({
+            "user_id": b["user_id"].to_numpy(dtype="int64"),
+            "ts_us": ts_us(b["ts"]),
+            "event_id": b["event_id"].to_numpy(dtype="int64"),
+            "value": b["value"].to_numpy(dtype="float64"),
+            "side": np.where(t == self.version_type, 0,
+                             np.where(t == self.probe_type, 1, 2))
+            .astype(np.int8),
+        })
+
+    def _cycle_kernel(self, st: pd.DataFrame, new: pd.DataFrame, wm: int,
+                      new_wm: int, cycle: int):
+        """As-of enrich every probe the watermark made final; versions
+        evict to the watermark horizon, the rest of the probes wait."""
+        ver, prb = self._unpack(st)
+        side = new["side"].to_numpy()
+        all_ver = pd.concat(
+            [ver, new[side == 0][["user_id", "ts_us", "event_id", "value"]]],
+            ignore_index=True)
+        all_prb = pd.concat(
+            [prb, new[side == 1][["event_id", "user_id", "ts_us"]]],
+            ignore_index=True)
         ready = all_prb["ts_us"].to_numpy(dtype="int64") < new_wm
         emitted = _asof_emit(all_prb[ready], all_ver)
-        tmp = os.path.join(self.emitted_dir,
-                           f"emitted-{cycle:05d}.parquet")
-        emitted.to_parquet(tmp + ".tmp", index=False)
-        os.replace(tmp + ".tmp", tmp)
-        return (len(emitted), int(len(lrows)),
-                _evict_versions(all_ver, new_wm),
-                all_prb[~ready].sort_values(
-                    "event_id", kind="mergesort").reset_index(drop=True))
-
-    def _cycle_dataset(self, path: str, wm: int, cycle: int,
-                       ver: pd.DataFrame, prb: pd.DataFrame, new_wm: int):
-        """User-bucket grouped cycle: each task runs the as-of kernel
-        over its bucket's (state ∪ new) rows and writes its bucket's
-        emission file; next-state + summary rows return."""
-        import ray.data as rd
-
-        nb = self.num_buckets
-        edir = self.emitted_dir
-        ldir = self.late_dir
-        vtype, ptype = self.version_type, self.probe_type
-
-        def tag(b: pd.DataFrame) -> pd.DataFrame:
-            us = b["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-            uid = b["user_id"].to_numpy(dtype="int64")
-            # side: 0=version-state 1=probe-state 2=new row (raw)
-            return pd.DataFrame({
-                "user_id": uid,
-                "ts_us": us,
-                "event_id": b["event_id"].to_numpy(dtype="int64"),
-                "value": b["value"].to_numpy(dtype="float64"),
-                "etype": b["event_type"].to_numpy(),
-                "side": np.full(len(b), 2, dtype=np.int8),
-                "_ub": (uid % nb).astype(np.int32),
-            })
-
-        st = self._pack_state(ver, prb)
-        st = st.assign(etype="")
-        st["_ub"] = (st["user_id"].to_numpy(dtype="int64")
-                     % nb).astype(np.int32)
-        st = st[["user_id", "ts_us", "event_id", "value", "etype",
-                 "side", "_ub"]]
-
-        def bucket(g: pd.DataFrame) -> pd.DataFrame:
-            ub = int(g["_ub"].iloc[0])
-            side = g["side"].to_numpy()
-            sv = (g[side == 0]
-                  [["user_id", "ts_us", "event_id", "value"]]
-                  .reset_index(drop=True))
-            sp = (g[side == 1][["event_id", "user_id", "ts_us"]]
-                  .reset_index(drop=True))
-            new = g[side == 2]
-            us = new["ts_us"].to_numpy(dtype="int64")
-            late = us < wm
-            lrows = pd.DataFrame({
-                "event_id": new["event_id"].to_numpy(dtype="int64")[late],
-                "ts": pd.Series(us[late]).astype("datetime64[us]"),
-            }).sort_values("event_id", kind="mergesort")
-            ltmp = os.path.join(ldir, f"late-{cycle:05d}-{ub:02d}.parquet")
-            lrows.reset_index(drop=True).to_parquet(ltmp + ".tmp",
-                                                    index=False)
-            os.replace(ltmp + ".tmp", ltmp)
-            on = new[~late]
-            tv = on["etype"].to_numpy() == vtype
-            tp = on["etype"].to_numpy() == ptype
-            all_ver = pd.concat([sv, pd.DataFrame({
-                "user_id": on["user_id"].to_numpy(dtype="int64")[tv],
-                "ts_us": on["ts_us"].to_numpy(dtype="int64")[tv],
-                "event_id": on["event_id"].to_numpy(dtype="int64")[tv],
-                "value": on["value"].to_numpy(dtype="float64")[tv],
-            })], ignore_index=True)
-            all_prb = pd.concat([sp, pd.DataFrame({
-                "event_id": on["event_id"].to_numpy(dtype="int64")[tp],
-                "user_id": on["user_id"].to_numpy(dtype="int64")[tp],
-                "ts_us": on["ts_us"].to_numpy(dtype="int64")[tp],
-            })], ignore_index=True)
-            ready = all_prb["ts_us"].to_numpy(dtype="int64") < new_wm
-            emitted = _asof_emit(all_prb[ready], all_ver)
-            etmp = os.path.join(edir,
-                                f"emitted-{cycle:05d}-{ub:02d}.parquet")
-            emitted.to_parquet(etmp + ".tmp", index=False)
-            os.replace(etmp + ".tmp", etmp)
-            nxt = self._pack_state(
-                _evict_versions(all_ver, new_wm),
-                all_prb[~ready].reset_index(drop=True))
-            nxt = nxt.assign(kind=np.int8(0), n_emit=np.int64(0),
-                             n_late=np.int64(0))
-            summ = pd.DataFrame({
-                "user_id": [np.int64(-1)], "ts_us": [np.int64(-1)],
-                "event_id": [np.int64(-1)],
-                "value": [np.float64("nan")], "side": [np.int8(-1)],
-                "kind": [np.int8(1)],
-                "n_emit": [np.int64(len(emitted))],
-                "n_late": [np.int64(int(late.sum()))],
-            })
-            cols = ["user_id", "ts_us", "event_id", "value", "side",
-                    "kind", "n_emit", "n_late"]
-            return pd.concat([nxt[cols], summ[cols]], ignore_index=True)
-
-        ds = rd.read_parquet(
-            path, columns=["event_id", "ts", "user_id", "event_type",
-                           "value"])
-        tagged = ds.map_batches(tag, batch_format="pandas")
-        if len(st):
-            tagged = tagged.union(rd.from_pandas(st))
-        out = (tagged.groupby("_ub")
-               .map_groups(bucket, batch_format="pandas")
-               .to_pandas())
-        if not len(out):
-            return 0, 0, _empty_versions(), _empty_probes()
-        summ = out[out["kind"] == 1]
-        body = out[out["kind"] == 0]
-        ver = (body[body["side"] == 0]
-               [["user_id", "ts_us", "event_id", "value"]]
-               .reset_index(drop=True))
-        prb = (body[body["side"] == 1]
-               [["event_id", "user_id", "ts_us"]]
-               .sort_values("event_id", kind="mergesort")
-               .reset_index(drop=True))
-        return (int(summ["n_emit"].sum()), int(summ["n_late"].sum()),
-                ver, prb)
-
-    @staticmethod
-    def _file_max_ts(path: str) -> int:
-        from .stream_join import StreamingJoinJob
-        return StreamingJoinJob._file_max_ts(path)
-
-    def run_cycle(self) -> dict | None:
-        pending = self.pending_files()
-        if not pending:
-            return None
-        state = self.cp.load()
-        if state.get("finalized"):
-            raise RuntimeError("temporal join already finalized")
-        fname = pending[0]
-        wm = int(state.get("watermark_us", 0))
-        cycle = int(state.get("cycles", 0))
-        ver, prb = self._load_state(state)
-        path = os.path.join(self.input_dir, fname)
-        max_ts = self._file_max_ts(path)
-        new_wm = max(wm, max_ts - self.lateness_us) if max_ts >= 0 else wm
-
-        import pyarrow.dataset as pads
-        nrows = pads.dataset(path).count_rows()
-        runner = (self._cycle_dataset if nrows > self.RAY_CYCLE_THRESHOLD
-                  else self._cycle_pandas)
-        n_emit, n_late, new_ver, new_prb = runner(
-            path, wm, cycle, ver, prb, new_wm)
-
-        open_fname = self.cp.stage_open_sessions(
-            self._pack_state(new_ver, new_prb), cycle)
-        state["open_sessions_file"] = open_fname
-        state["watermark_us"] = int(new_wm)
-        state["processed"] = list(state.get("processed", [])) + [fname]
-        state["cycles"] = cycle + 1
-        result = {"file": fname, "watermark_us": int(new_wm),
-                  "emitted": int(n_emit), "late": int(n_late),
-                  "pending_probes": int(len(new_prb)),
-                  "version_rows": int(len(new_ver))}
-        state["cycle_metrics"] = (list(state.get("cycle_metrics", []))
-                                  + [result])
-        self.cp.save(state)
-        self.cp.gc_open_sessions(keep=open_fname)
-        return result
-
-    def run_all(self) -> dict:
-        totals = {"cycles": 0, "emitted": 0, "late": 0}
-        while (r := self.run_cycle()) is not None:
-            totals["cycles"] += 1
-            totals["emitted"] += r["emitted"]
-            totals["late"] += r["late"]
-        return totals
+        nxt = self._pack_state(_evict_versions(all_ver, new_wm),
+                               all_prb[~ready].reset_index(drop=True))
+        return {"emitted": emitted}, nxt, {"emitted": len(emitted)}
 
     def finalize(self) -> int:
         """End-of-stream: emit every still-buffered probe against the
         full committed version state (no future version can arrive).
         Idempotent byte-stable overwrite; terminal."""
-        state = self.cp.load()
-        ver, prb = self._load_state(state)
-        emitted = _asof_emit(prb, ver)
-        tmp = os.path.join(self.emitted_dir, "emitted-final.parquet")
-        emitted.to_parquet(tmp + ".tmp", index=False)
-        os.replace(tmp + ".tmp", tmp)
-        state["finalized"] = True
-        self.cp.save(state)
-        return len(emitted)
+        def flush(st: pd.DataFrame) -> int:
+            ver, prb = self._unpack(st)
+            emitted = _asof_emit(prb, ver)
+            write_parquet_atomic(emitted, self._final_path("emitted"))
+            return len(emitted)
+        return self._finalize(flush)
 
     def emitted(self) -> pd.DataFrame:
-        parts = [pd.read_parquet(os.path.join(self.emitted_dir, f))
-                 for f in sorted(os.listdir(self.emitted_dir))
-                 if f.endswith(".parquet")]
-        if not parts:
-            return _asof_emit(_empty_probes(), _empty_versions())
-        return (pd.concat(parts, ignore_index=True)
-                .sort_values("event_id", kind="mergesort")
-                .reset_index(drop=True))
+        return self._read_back(
+            "emitted", ["event_id"],
+            _asof_emit(_empty_probes(), _empty_versions()))

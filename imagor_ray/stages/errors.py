@@ -80,6 +80,8 @@ def verify_batch(
             code = ERR_SIGNATURE_MISMATCH
         elif abs(p.width) * abs(p.height) > K.MAX_RESOLUTION:
             code = ERR_MAX_RESOLUTION
+        elif not _prescans(p):
+            code = ERR_INVALID_PARAM
         else:
             for f in p.filters:
                 if f.name == "expire":
@@ -96,6 +98,19 @@ def verify_batch(
         codes.append(code)
     batch["error_code"] = codes
     return batch
+
+
+def _prescans(p: ip.Params) -> bool:
+    """True when the utility-filter pre-scan (and the result-path
+    regeneration it does) accepts ``p``; hostile paths it cannot handle
+    are dead-lettered instead of crashing the chain stage."""
+    from .chain import prescan_utility_filters
+
+    try:
+        prescan_utility_filters(p)
+    except ValueError:          # incl. UnicodeError from path regeneration
+        return False
+    return True
 
 
 def route(

@@ -11,6 +11,8 @@ from __future__ import annotations
 from datetime import datetime, timedelta
 from types import SimpleNamespace
 
+import pytest
+
 from imagor_ray.functions.httpheaders import (
     DEFAULT_SWR_S,
     DEFAULT_TTL_S,
@@ -117,6 +119,31 @@ class TestExpireFilter:
         code, h = self._serve([Filter("expire", "never")])
         assert code == 200
         assert h["Cache-Control"] == "public, s-maxage=169, max-age=169, no-transform"
+
+    @pytest.mark.parametrize("delta_ms, want", [
+        (-1, 0), (-1000, 0), (-1999, 0), (-2000, -1), (-2001, -1),
+        (-5000, -4), (1, 1), (1000, 1), (1001, 2)])
+    def test_get_ttl_truncates_toward_zero(self, delta_ms, want):
+        # (sub + time.Second - 1).Truncate(time.Second): Go's Truncate
+        # rounds toward zero, so past instants do not floor
+        flt = [Filter("expire", str(NOW_MS + delta_ms))]
+        assert get_ttl(flt, 169, NOW_MS) == want
+
+    @pytest.mark.parametrize("args", [
+        "1_700000001000", " 1700000001000", "1700000001000 ", "+", "",
+        "9223372036854775808", "-9223372036854775809", "\u0661\u0667"])
+    def test_non_parseint_expire_ignored(self, args):
+        # strconv.ParseInt(args, 10, 64) rejects these, so the reference
+        # neither 410s nor marks the request private
+        req = {}
+        assert prescan_expire(req, [Filter("expire", args)], NOW_MS) is False
+        assert req == {}
+        assert get_ttl([Filter("expire", args)], 169, NOW_MS) == 169
+
+    def test_signed_expire_parses(self):
+        code, h = self._serve([Filter("expire", "+" + str(NOW_MS + 1000))])
+        assert code == 200
+        assert h["Cache-Control"] == "private, max-age=1, no-transform"
 
     def test_valid_expire_overwrites_request_no_cache(self):
         # Header.Set semantics: the pre-scan REPLACES a client
