@@ -300,13 +300,8 @@ def run_stream() -> dict:
         ds.write_parquet(os.path.join(input_dir, f"batch-{c:05d}.parquet"),
                          min_rows_per_file=65536)
 
-    # tasks is the measured-faster cycle engine for sub-second cycles
-    # (BENCH.md finding 20; byte-identical, kill/resume-tested) — the
-    # bench reports which engine produced the number
-    cycle_engine = os.environ.get("IMAGOR_RAY_CYCLE_ENGINE", "tasks")
     job = StreamingFlagshipJob(
-        input_dir, os.path.join(root, "state"), gap_s=1800, num_buckets=64,
-        cycle_engine=cycle_engine)
+        input_dir, os.path.join(root, "state"), gap_s=1800, num_buckets=64)
     t0 = time.perf_counter()
     results = job.run_all()
     job.flush()
@@ -319,7 +314,7 @@ def run_stream() -> dict:
         "unit": "sec",
         "n_turns": int(n_turns),
         "cycles": len(results),
-        "cycle_engine": cycle_engine,
+        "cycle_engine": "tasks",
         "num_cpus": num_cpus,
         "turns_per_sec": round(n_turns / wall, 1),
         "late_rows": int(sum(r["late"] for r in results)),

@@ -6,9 +6,22 @@ session changelog, broadcast rules) over ``_random_batches(41)`` from
 ``tests/test_state_rescale.py`` — split click / non-click for the
 two-source join — with lateness 0 and 7200 s, on the in-process
 executor (``ray_cycle_threshold=10**9``) and the bucketed one
-(``0``, 4 buckets), plus ``finalize()`` where the job has one. It
-writes the sha1 of every file under each state dir except
-``checkpoint.json``, the checkpoint itself and the ``run_all`` totals.
+(``0``, 4 buckets), plus ``finalize()`` where the job has one.
+
+It also runs ``StreamingSessionJob`` and ``StreamingFlagshipJob`` (2
+buckets) then ``flush()`` over two streams from
+``tests/test_streaming.py`` — ``TestPipelinedCycles._mk_batches(6)``
+and the jittered stream of ``test_jittered_closed_equals_batch_three_engines``
+— crossed with lateness 0 and 86 400 s, ``RAY_CYCLE_THRESHOLD``
+10**9 (in-process) and 0 (hash exchange), and ``PIPELINE_DEPTH`` 1
+and 2.
+
+For every case it writes the sha1 of every file under the state dir
+except ``checkpoint.json``, the checkpoint itself and the ``run_all``
+totals. A late-row directory written by Ray Data (``late/late-*/``)
+has random file names, so it gets one digest of its sorted rows; a
+sink manifest (``_manifest/*.json``) is digested without its wall-clock
+timings (``write_ms`` and ``*_ms`` stage metrics).
 
 ``compare A.json B.json`` prints one line per case and exits non-zero
 unless every file digest and the totals match and B's checkpoints lose
@@ -27,6 +40,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import pathlib
+import shutil
 import sys
 import tempfile
 
@@ -45,7 +60,10 @@ def dump(root: str, out: str) -> None:
     from imagor_ray.pipelines.stream_join import (StreamingJoinJob,
                                                   TwoSourceJoinJob)
     from imagor_ray.pipelines.stream_scd2 import StreamingScd2Job
+    from imagor_ray.pipelines.streaming import (StreamingFlagshipJob,
+                                                StreamingSessionJob)
     from imagor_ray.pipelines.temporal_join import TemporalJoinJob
+    from test_streaming import TestPipelinedCycles, write_stream
 
     ray.init(num_cpus=1, include_dashboard=False, logging_level="ERROR")
     tmp = tempfile.mkdtemp()
@@ -88,22 +106,90 @@ def dump(root: str, out: str) -> None:
                 totals = job.run_all()
                 if hasattr(job, "finalize"):
                     job.finalize()
-                files = {}
-                for dp, _, fs in os.walk(sd):
-                    for f in fs:
-                        p = os.path.join(dp, f)
-                        rel = os.path.relpath(p, sd)
-                        if rel != "checkpoint.json":
-                            with open(p, "rb") as fh:
-                                files[rel] = hashlib.sha1(
-                                    fh.read()).hexdigest()
-                with open(os.path.join(sd, "checkpoint.json")) as fh:
-                    cp = json.load(fh)
-                res[f"{name}-{late}-{ex}"] = {
-                    "files": files, "checkpoint": cp, "totals": totals}
+                res[f"{name}-{late}-{ex}"] = _digest_state(sd, totals)
+
+    streams = {
+        "pipe6": write_stream(pathlib.Path(tmp, "pipe6"),
+                              TestPipelinedCycles._mk_batches(6)),
+        "jitter": write_stream(pathlib.Path(tmp, "jitter"),
+                               _jittered_batches()),
+    }
+    session_jobs = {"sessionjob": StreamingSessionJob,
+                    "flagship": lambda i, s, **kw: StreamingFlagshipJob(
+                        i, s, num_buckets=2, **kw)}
+    for name, make in session_jobs.items():
+        for sname, stream in streams.items():
+            for late in (0, 86_400):
+                for ex, thr in (("local", 10**9), ("exchange", 0)):
+                    for depth in (1, 2):
+                        case = f"{name}-{sname}-{late}-{ex}-d{depth}"
+                        sd = os.path.join(tmp, case)
+                        StreamingSessionJob.PIPELINE_DEPTH = depth
+                        job = make(stream, sd, gap_s=1800,
+                                   allowed_lateness_s=late,
+                                   ray_cycle_threshold=thr,
+                                   cycle_engine="tasks")
+                        totals = job.run_all()
+                        job.flush()
+                        res[case] = _digest_state(sd, totals)
     ray.shutdown()
+    shutil.rmtree(tmp, ignore_errors=True)
     with open(out, "w") as fh:
-        json.dump(res, fh, indent=1, sort_keys=True)
+        json.dump(res, fh, indent=1, sort_keys=True, default=int)
+
+
+def _jittered_batches() -> list:
+    """The out-of-order stream of
+    ``test_jittered_closed_equals_batch_three_engines``: 240 turns over
+    48 h in 12 h arrival batches, every third turn one batch late."""
+    import numpy as np
+    import pandas as pd
+
+    rng = np.random.RandomState(17)
+    hour = 3600
+    batches = [[] for _ in range(6)]
+    for eid in range(240):
+        t0 = pd.Timestamp("2024-01-01") + pd.Timedelta(
+            seconds=int(rng.randint(0, 48 * hour)))
+        conv = f"c{int(rng.randint(0, 12)):02d}"
+        ep = int((t0 - pd.Timestamp("2024-01-01")).total_seconds()) // (
+            12 * hour)
+        batches[ep + (eid % 3 == 0)].append(
+            (conv, t0.strftime("%Y-%m-%d %H:%M:%S")))
+    return [b for b in batches if b]
+
+
+def _digest_state(sd: str, totals) -> dict:
+    import pandas as pd
+
+    files = {}
+    for dp, _, fs in os.walk(sd):
+        rel_dir = os.path.relpath(dp, sd)
+        if rel_dir.startswith("late" + os.sep) and fs:
+            rows = pd.concat([pd.read_parquet(os.path.join(dp, f))
+                              for f in fs], ignore_index=True)
+            rows = rows.sort_values(list(rows.columns)).reset_index(drop=True)
+            files[rel_dir] = hashlib.sha1(
+                rows.to_csv(index=False).encode()).hexdigest()
+            continue
+        for f in fs:
+            p = os.path.join(dp, f)
+            rel = os.path.relpath(p, sd)
+            if rel == "checkpoint.json":
+                continue
+            with open(p, "rb") as fh:
+                data = fh.read()
+            if os.path.basename(dp) == "_manifest" and f.endswith(".json"):
+                entry = json.loads(data)
+                entry.pop("write_ms", None)
+                entry["stage_metrics"] = {
+                    k: v for k, v in entry.get("stage_metrics", {}).items()
+                    if not k.endswith("_ms")}
+                data = json.dumps(entry, sort_keys=True).encode()
+            files[rel] = hashlib.sha1(data).hexdigest()
+    with open(os.path.join(sd, "checkpoint.json")) as fh:
+        cp = json.load(fh)
+    return {"files": files, "checkpoint": cp, "totals": totals}
 
 
 def compare(a_path: str, b_path: str) -> int:
@@ -114,7 +200,7 @@ def compare(a_path: str, b_path: str) -> int:
     bad = 0
     for case in sorted(a):
         if case not in b:
-            print(f"{case:24s} MISSING")
+            print(f"{case:36s} MISSING")
             bad += 1
             continue
         fa, fb = a[case]["files"], b[case]["files"]
@@ -125,7 +211,7 @@ def compare(a_path: str, b_path: str) -> int:
         same_totals = a[case]["totals"] == b[case]["totals"]
         ok = not (diff or lost or changed) and same_totals
         bad += not ok
-        print(f"{case:24s} files={len(fa):3d} differing={len(diff)} "
+        print(f"{case:36s} files={len(fa):3d} differing={len(diff)} "
               f"checkpoint_lost={lost} checkpoint_changed={changed} "
               f"totals_equal={same_totals} {'OK' if ok else diff[:6]}")
     print("ALL IDENTICAL" if not bad else f"{bad} cases differ")

@@ -141,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--lateness-s", type=int, default=0)
     p.add_argument("--buckets", type=int, default=None)
     p.add_argument("--cycle-threshold", type=int, default=None,
-                   help="rows/cycle above which cycles run dataset-native")
+                   help="rows/cycle above which cycles run on the hash exchange")
     p.add_argument("--flush", action="store_true", help="close open sessions at end")
 
     args = ap.parse_args(argv)
@@ -290,7 +290,6 @@ def main(argv: list[str] | None = None) -> int:
             allowed_lateness_s=args.lateness_s,
             num_buckets=cfg.num_buckets,
             ray_cycle_threshold=cfg.stream_cycle_threshold,
-            cycle_engine=cfg.cycle_engine,
         )
         results = job.run_all()
         if args.flush:

@@ -46,13 +46,9 @@ class EngineConfig:
     window_s: int = 3600
     allowed_lateness_s: int = 0
     salt_bucket_s: int = 0              # 0 = unsalted
-    # rows per cycle above which the streaming driver runs the fused
-    # dataset-native cycle (0 = always dataset-native)
+    # rows per cycle above which the streaming driver runs the cycle on
+    # the hash exchange (0 = always the exchange)
     stream_cycle_threshold: int = 150_000
-    # large-cycle execution engine: 'dataset' (fused groupby shuffle) or
-    # 'tasks' (raw two-stage hash exchange — same outputs, no per-cycle
-    # sort machinery; measured faster for sub-second cycles)
-    cycle_engine: str = "dataset"
 
     # filter chain (vipsconfig: disabled filters, MaxFilterOps, caches)
     max_filter_ops: int = 64

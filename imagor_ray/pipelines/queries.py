@@ -4104,8 +4104,10 @@ _DRIVER_WINDOW = [
     # quantifier takes the slot — newest shape first)
     "corpus_clean", "streaming_cep",
     # ANN / embeddings (knn_accuracy → sweep; FLAC, the round-5
-    # predictive-codec entry, takes the slot)
-    "ann_topk", "media_flac_roundtrip", "embedding_neardup",
+    # predictive-codec entry, takes the slot; embedding_neardup has a
+    # 0-row oracle on the test data → sweep, its planted twin with 20
+    # planted pairs takes the slot)
+    "ann_topk", "media_flac_roundtrip", "embedding_neardup_planted",
     # (lsh_fullprobe → sweep; complete output mode takes the slot)
     "tumbling_complete_mode",
     # iterative linear algebra

@@ -20,14 +20,15 @@ workloads), so progress lives in the driver + checkpoint (SURVEY §7.4.2):
   when the watermark passes ``last_ts + gap``;
 - killing the driver between cycles and restarting resumes from the
   checkpoint with byte-identical emitted output (asserted in tests);
-- cycles above ``RAY_CYCLE_THRESHOLD`` rows run **dataset-native and
-  fused**: one Arrow read pinned via ``materialize()``, then a single
-  conv-bucket shuffle whose grouped task does the chain→sink partition
-  write, the sessionize, and the close split — closed summaries write
-  distributedly, and only still-open summaries + the watermark return
-  to the driver (round-3; 324k turns/s at 16 CPUs vs 137k for the
-  round-2 driver-staged loop). Small cycles keep the driver-pandas path
-  (Ray per-stage overhead dominates); both paths byte-equivalent.
+- a cycle runs one of two paths. Cycles above ``RAY_CYCLE_THRESHOLD``
+  rows run on a raw two-stage hash exchange: one Arrow read pinned via
+  ``materialize()``, map tasks that split each block into conv-bucket
+  shards, and one reduce task per bucket that does the chain→sink
+  partition write, the sessionize and the close split — closed
+  summaries write distributedly, and only still-open summaries + the
+  watermark return to the driver. Smaller cycles run the same steps
+  in-process (Ray per-task overhead dominates them); both paths are
+  byte-equivalent (BENCH.md finding 20 and its 2026-10-17 note).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import os
 
 import numpy as np
 import pandas as pd
-import ray.data as rd
 
 from ..stages.windows import ts_us
 from ..state.checkpoint import Checkpoint
@@ -73,22 +73,19 @@ _EXCHANGE_FNS = None
 
 
 def _exchange_fns():
-    """Remote functions of the ``tasks`` cycle engine (decorated lazily
-    so importing this module never touches ray eagerly).
+    """Remote functions of the large-cycle hash exchange (decorated
+    lazily so importing this module never touches ray eagerly).
 
-    The two-stage hash exchange is the hand-rolled counterpart of the
-    fused dataset cycle's ``groupby(_bucket).map_groups``: map tasks
-    split each pinned raw block into per-bucket sub-tables
+    Map tasks split each pinned raw block into per-bucket sub-tables
     (``num_returns=nb`` object refs — only O(blocks × buckets) refs
     cross the driver, never rows), reduce tasks concat their bucket's
-    shards and run the SAME fused per-bucket work (chain→sink partition
+    shards and run the fused per-bucket work (chain→sink partition
     write + sessionize + close split). Skipping Ray Data's sort-based
     shuffle removes the per-execution fixed cost (quantile sampling +
     boundary exchange + executor planning) that dominates sub-second
     streaming cycles — the measured bound on small-cycle scaling
-    efficiency (BENCH.md finding 19). Partitioning assumption:
-    conversations are hash-bucket-complete by ``crc32(conv_id) % nb``,
-    identical to the dataset engine."""
+    efficiency (BENCH.md findings 19/20). Partitioning assumption:
+    conversations are hash-bucket-complete by ``crc32(conv_id) % nb``."""
     global _EXCHANGE_FNS
     if _EXCHANGE_FNS is not None:
         return _EXCHANGE_FNS
@@ -151,8 +148,8 @@ def _exchange_fns():
         closed = sessions[closed_mask].sort_values(
             ["conv_id", "session_start"]).reset_index(drop=True)
         if len(closed):
-            # deterministic per-bucket file + atomic rename, exactly the
-            # dataset engine's commit shape
+            # deterministic per-bucket file + atomic rename: a replayed
+            # cycle overwrites with identical bytes
             part = os.path.join(closed_dir, f"part-{bucket:05d}.parquet")
             closed.to_parquet(part + ".tmp", index=False)
             os.replace(part + ".tmp", part)
@@ -178,36 +175,21 @@ class StreamingSessionJob:
         gap_s: int = 1800,
         allowed_lateness_s: int = 0,
         ray_cycle_threshold: int | None = None,
-        cycle_engine: str = "dataset",
-        pipeline_depth: int | None = None,
+        cycle_engine: str = "tasks",
     ):
         self.input_dir = input_dir
         self.cp = Checkpoint(state_dir)
         self.gap_s = gap_s
         self.lateness_us = allowed_lateness_s * 1_000_000
-        if cycle_engine not in ("dataset", "tasks"):
+        if cycle_engine != "tasks":
+            # the keyword stays for callers that name the engine; the
+            # hash exchange is the only large-cycle path
             raise ValueError(f"unknown cycle_engine: {cycle_engine!r}")
-        if pipeline_depth is not None:
-            self.PIPELINE_DEPTH = pipeline_depth
-        elif os.environ.get("IMAGOR_RAY_PIPELINE_DEPTH"):
-            # env fallback mirrors the flag > IMAGOR_RAY_* > default
-            # resolution the other knobs get via EngineConfig
-            self.PIPELINE_DEPTH = int(os.environ["IMAGOR_RAY_PIPELINE_DEPTH"])
-        if os.environ.get("IMAGOR_RAY_PIPELINE_ROW_MAX"):
-            self.PIPELINE_ROW_MAX = int(
-                os.environ["IMAGOR_RAY_PIPELINE_ROW_MAX"])
-        #: large-cycle execution engine: 'dataset' = fused
-        #: groupby.map_groups shuffle; 'tasks' = raw two-stage hash
-        #: exchange (same outputs, no per-cycle sort machinery)
-        self.cycle_engine = cycle_engine
         if ray_cycle_threshold is not None:
             # instance override of the class default (config-bound knob)
             self.RAY_CYCLE_THRESHOLD = ray_cycle_threshold
         #: (fname, thread, holder) of an in-flight next-cycle raw read
         self._prefetch: dict = {}
-        if os.environ.get("IMAGOR_RAY_PREFETCH_DEPTH"):
-            self.PREFETCH_DEPTH = int(
-                os.environ["IMAGOR_RAY_PREFETCH_DEPTH"])
         self.closed_dir = os.path.join(state_dir, "closed")
         self.late_dir = os.path.join(state_dir, "late")
         os.makedirs(self.closed_dir, exist_ok=True)
@@ -223,38 +205,15 @@ class StreamingSessionJob:
             if f.endswith(".parquet") and f not in done
         ]
 
-    @staticmethod
-    def _sessionize(df: pd.DataFrame, gap_s: int) -> pd.DataFrame:
-        """Vectorized sessionize of (conv_id-sorted) turns → summaries."""
-        df = df.sort_values(["conv_id", "ts"], kind="mergesort").reset_index(drop=True)
-        if len(df) == 0:
-            return pd.DataFrame({
-                "conv_id": pd.Series([], dtype=object),
-                "session_start": pd.Series([], dtype="datetime64[us]"),
-                "session_end": pd.Series([], dtype="datetime64[us]"),
-                "n_turns": pd.Series([], dtype="int64"),
-            })
-        us = ts_us(df["ts"])
-        conv = df["conv_id"].to_numpy()
-        new = np.empty(len(df), dtype=bool)
-        new[0] = True
-        new[1:] = (conv[1:] != conv[:-1]) | (np.diff(us) > gap_s * 1_000_000)
-        gsid = np.cumsum(new)
-        return df.assign(_g=gsid).groupby("_g", sort=True).agg(
-            conv_id=("conv_id", "first"),
-            session_start=("ts", "min"),
-            session_end=("ts", "max"),
-            n_turns=("n_turns", "sum") if "n_turns" in df.columns else ("ts", "size"),
-        ).reset_index(drop=True)
-
     # -- one cycle ---------------------------------------------------------
 
-    #: above this many rows the WHOLE cycle runs dataset-native —
-    #: ``rd.read_parquet`` → late split → subclass processing → bucketed
-    #: sessionize — with only session summaries, the late count and the
-    #: watermark returning to the driver (nothing row-scale crosses it).
-    #: Below it, driver pandas is faster: Ray per-stage overhead dominates
-    #: tiny cycles. Both paths are asserted equivalent in tests.
+    #: above this many rows the WHOLE cycle runs on the hash exchange
+    #: (:meth:`_cycle_tasks`) — pinned read → late split → per-bucket
+    #: chain→sink + sessionize — with only session summaries, the late
+    #: count and the watermark returning to the driver (nothing
+    #: row-scale crosses it). Below it the cycle runs in-process
+    #: (:meth:`_cycle_pandas`): Ray per-task overhead dominates tiny
+    #: cycles. Both paths are asserted byte-equivalent in tests.
     RAY_CYCLE_THRESHOLD = 150_000
 
     def run_cycle(self) -> dict | None:
@@ -276,16 +235,10 @@ class StreamingSessionJob:
         # row count from parquet footers only — picks the execution path
         # without reading any data
         nrows = pads.dataset(path).count_rows()
-        if nrows > self.RAY_CYCLE_THRESHOLD:
-            runner = (self._cycle_tasks if self.cycle_engine == "tasks"
-                      else self._cycle_dataset)
-            still_open, closed_count, late_count, new_watermark = (
-                runner(path, fname, watermark, cycle, open_prev)
-            )
-        else:
-            still_open, closed_count, late_count, new_watermark = (
-                self._cycle_pandas(path, fname, watermark, cycle, open_prev)
-            )
+        runner = (self._cycle_tasks if nrows > self.RAY_CYCLE_THRESHOLD
+                  else self._cycle_pandas)
+        still_open, closed_count, late_count, new_watermark = runner(
+            path, fname, watermark, cycle, open_prev)
         return self._commit_cycle(state, fname, cycle, still_open,
                                   closed_count, late_count, new_watermark,
                                   nrows - late_count)
@@ -327,10 +280,8 @@ class StreamingSessionJob:
         self, sessions: pd.DataFrame, new_watermark: int
     ) -> tuple[pd.DataFrame, pd.DataFrame]:
         """Split summaries into (closed, still_open) by the watermark,
-        both sorted (conv_id, session_start) — the sort makes the staged
-        snapshot and the closed output byte-stable even when the
-        producing sessionize ran as a Ray groupby with nondeterministic
-        row order."""
+        both sorted (conv_id, session_start) so the staged snapshot and
+        the closed output are byte-stable."""
         end_us = np.asarray(ts_us(sessions["session_end"]))
         closed_mask = (end_us + self.gap_s * 1_000_000) < new_watermark
         closed = sessions[closed_mask].sort_values(
@@ -342,7 +293,7 @@ class StreamingSessionJob:
     def _cycle_pandas(
         self, path, fname, watermark, cycle, open_prev
     ) -> tuple[pd.DataFrame, int, int, int]:
-        """Driver-pandas cycle for small micro-batches. Returns
+        """In-process cycle for small micro-batches. Returns
         ``(still_open, closed_count, late_count, new_watermark)``."""
         batch = pd.read_parquet(path)
         us = ts_us(batch["ts"])
@@ -380,11 +331,11 @@ class StreamingSessionJob:
             turns = pd.concat([prev, turns], ignore_index=True)
         else:
             turns["_start"] = turns["ts"]
-        sessions = self._sessionize_cycle(turns, self.gap_s)
+        sessions = self._sessionize_with_start(turns, self.gap_s)
         closed, still_open = self._close_split(sessions, new_watermark)
         if len(closed):
             out = os.path.join(self.closed_dir, f"closed-{cycle:05d}.parquet")
-            if os.path.isdir(out):  # leftover from a crashed dataset-path run
+            if os.path.isdir(out):  # leftover from a crashed exchange run
                 import shutil
 
                 shutil.rmtree(out)
@@ -397,11 +348,11 @@ class StreamingSessionJob:
         return max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
 
     def _make_grouped_cycle_work(self, cycle: int):
-        """Subclass hook for the fused dataset cycle: return a callable
-        run INSIDE each bucket's grouped task with that bucket's on-time
-        turn rows (full payload + ``_bucket``), or None for no extra
-        work. The flagship returns its chain→exactly-once-partition-write
-        leg here, so sink and sessionize share ONE shuffle."""
+        """Subclass hook for hash-exchange cycles: return a callable run
+        INSIDE each bucket's reduce task with that bucket's on-time turn
+        rows (full payload + ``_bucket``), or None for no extra work.
+        The flagship returns its chain→exactly-once-partition-write leg
+        here, so sink and sessionize share ONE exchange."""
         return None
 
     @staticmethod
@@ -465,17 +416,16 @@ class StreamingSessionJob:
         return late, total, max_us
 
     def _cycle_prelude(self, path, fname, wm):
-        """Shared pre-shuffle work of the dataset and tasks cycle
-        engines: pin the raw Arrow blocks (prefetched during the
-        previous cycle, normally), resolve the late count + watermark
-        advance WITHOUT a data pass (parquet row-group zone maps — a
-        group with ``min_ts >= watermark`` has zero late rows, so the
-        no-late common case runs ZERO pre-shuffle executions; only
-        groups straddling the watermark are scanned, and a stats-less
-        file falls back to ONE distributed partials pass — BENCH.md
-        finding 19: the fixed per-cycle execution count is what bounds
-        streaming scaling efficiency), and write the late rows out
-        (rare). Returns ``(raw, late_count, new_watermark)``."""
+        """Pre-exchange work of a large cycle: pin the raw Arrow blocks
+        (prefetched during the previous cycle, normally), resolve the
+        late count + watermark advance WITHOUT a data pass (parquet
+        row-group zone maps — a group with ``min_ts >= watermark`` has
+        zero late rows, so the no-late common case runs ZERO
+        pre-exchange executions; only groups straddling the watermark
+        are scanned, and a stats-less file falls back to ONE
+        distributed partials pass — BENCH.md finding 19: the fixed
+        per-cycle execution count is what bounds streaming scaling
+        efficiency), and write the late rows out (rare). Returns ``(raw, late_count, new_watermark)``."""
         import ray
         import ray.data as _rd
         import pyarrow as pa
@@ -485,7 +435,7 @@ class StreamingSessionJob:
         if raw is None:
             read_blocks = max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
             # pin once: the stats pass, the (rare) late write and the
-            # shuffle all read the same blocks
+            # exchange all read the same blocks
             raw = _rd.read_parquet(
                 path, override_num_blocks=read_blocks).materialize()
 
@@ -506,7 +456,7 @@ class StreamingSessionJob:
             total_rows = int(stats["n"].sum())
             max_us = (int(stats["max_us"].max())
                       if late_count < total_rows else None)
-        # watermark advance before the shuffle; max over all rows == max
+        # watermark advance before the exchange; max over all rows == max
         # over on-time rows for watermark purposes (late ts < old
         # watermark by definition)
         new_watermark = (
@@ -538,12 +488,13 @@ class StreamingSessionJob:
         return closed_dir
 
     @staticmethod
-    def _finish_open_closed(still_open: pd.DataFrame, closed_dir: str):
-        """Shared epilogue of the distributed cycle engines: stable-sort
-        the still-open summaries and count the distributedly-written
-        closed rows from footers."""
+    def _finish_open_closed(opens: list, closed_dir: str):
+        """Epilogue of a hash-exchange cycle: concat and stable-sort the
+        reducers' still-open summaries and count the
+        distributedly-written closed rows from footers."""
         import pyarrow.dataset as pads
 
+        still_open = pd.concat(opens, ignore_index=True)
         if len(still_open):
             still_open = still_open.sort_values(
                 ["conv_id", "session_start"]).reset_index(drop=True)
@@ -570,230 +521,50 @@ class StreamingSessionJob:
                 prev[int(b)] = open_prev[pb == b].reset_index(drop=True)
         return prev
 
+    def _launch_cycle(self, path, fname, wm, cycle, prev, nb):
+        """Start one large cycle on the hash exchange without waiting
+        for it: the prelude (pinned read, zone-map late stats,
+        watermark, late write), one split task per pinned block (refs,
+        not rows, return to the driver) and one reduce task per bucket.
+        ``prev[b]`` is bucket ``b``'s carried open-session SUMMARIES —
+        a frame, or the previous cycle's reducer ObjectRef; the reducer
+        converts them to pseudo-turn rows itself, which is what lets the
+        pipelined loop chain reducer (N, b) into (N+1, b) with no driver
+        hop. Returns ``(open_refs, closed_dir, late_count,
+        new_watermark)``."""
+        split_fn, reduce_fn = _exchange_fns()
+        raw, late_count, new_wm = self._cycle_prelude(path, fname, wm)
+        shards = [split_fn.options(num_returns=nb).remote(r, wm, nb)
+                  for r in raw.to_arrow_refs()]
+        work = self._make_grouped_cycle_work(cycle)
+        closed_dir = self._prepare_closed_dir(cycle)
+        open_refs = [
+            reduce_fn.remote(b, new_wm, self.gap_s, closed_dir, work,
+                             prev[b], *[s[b] for s in shards])
+            for b in range(nb)
+        ]
+        return open_refs, closed_dir, late_count, new_wm
+
     def _cycle_tasks(
         self, path, fname, watermark, cycle, open_prev
     ) -> tuple[pd.DataFrame, int, int, int]:
-        """Raw two-stage hash-exchange cycle (``cycle_engine='tasks'``):
-        byte-identical outputs to the dataset engine (asserted in
-        tests), but the conv-bucket all-to-all runs as plain Ray tasks —
-        map tasks split each pinned block into ``nb`` bucket shards
-        (refs, not rows, return to the driver), reduce tasks concat
-        their shards and run the same fused per-bucket work. No sort
-        sampling, no boundary exchange, no per-cycle streaming-executor
-        plan: the fixed cost a sub-second cycle pays under the dataset
-        engine (BENCH.md finding 19/20). The prelude (pinned read,
-        zone-map late stats, watermark, late write) is shared."""
-        import ray
-
-        wm = watermark
-        nb = self._cycle_bucket_count()
-        raw, late_count, new_watermark = self._cycle_prelude(path, fname, wm)
-        split_fn, reduce_fn = _exchange_fns()
-
-        refs = raw.to_arrow_refs()
-        shards = [split_fn.options(num_returns=nb).remote(r, wm, nb)
-                  for r in refs]
-
-        # per-bucket slices of the carried open-session SUMMARIES (tiny —
-        # bounded by conversations alive at the cycle boundary); shipped
-        # straight into the owning reducer, which converts them to
-        # pseudo-turn rows itself — the reducer-side convert is what lets
-        # the pipelined loop chain reducer (N, b)'s output ObjectRef
-        # directly into reducer (N+1, b) with no driver hop
-        prev = self._split_summaries(open_prev, nb)
-        work = self._make_grouped_cycle_work(cycle)
-        closed_dir = self._prepare_closed_dir(cycle)
-        opens = ray.get([
-            reduce_fn.remote(b, new_watermark, self.gap_s, closed_dir,
-                             work, prev[b], *[s[b] for s in shards])
-            for b in range(nb)
-        ])
-        still_open = (pd.concat(opens, ignore_index=True)
-                      if opens else _empty_summaries())
-        still_open, closed_count = self._finish_open_closed(
-            still_open, closed_dir)
-        return still_open, closed_count, late_count, new_watermark
-
-    def _cycle_dataset(
-        self, path, fname, watermark, cycle, open_prev
-    ) -> tuple[pd.DataFrame, int, int, int]:
-        """Dataset-native cycle, fused to a single all-to-all:
-
-        - the Arrow read is pinned ONCE via ``materialize()`` (by the
-          prefetcher during the previous cycle, normally); a single
-          partial-stats pass over the pinned blocks reduces per-batch
-          (rows, late, max_ts) triples on the driver — late count and
-          the watermark advance cost one execution, not three, and no
-          block is rewritten (round-4: the fixed per-cycle execution
-          count is what bounds streaming scaling efficiency,
-          BENCH.md finding 19);
-        - the watermark is known BEFORE the shuffle, so the close/open
-          split distributes too; flag + conv-bucket assignment fuse
-          into the shuffle's map side;
-        - open-session summaries are injected as pseudo-turn rows
-          (``ts = session_end``, carried ``_start``/``n_turns``,
-          ``_prev`` marker) into the SAME conv-bucket shuffle;
-        - one ``groupby(_bucket).map_groups`` then runs, per bucket, the
-          subclass's chain→sink partition write (turn rows only), the
-          vectorized sessionize (turn + pseudo-turn rows), AND the
-          close split — CLOSED summaries are written distributedly as
-          deterministic per-bucket files under
-          ``closed-{cycle}.parquet/``; only the still-OPEN summaries
-          (bounded by conversations alive at the cycle boundary) return
-          to the driver. The flagship cycle pays exactly one shuffle
-          end-to-end, like the batch flagship (BENCH.md: the fused
-          reduce is the 100 TB shape), and nothing row-scale ever
-          crosses the driver.
-
+        """One large cycle on the raw two-stage hash exchange, waited
+        on: launch, gather the reducers' still-open summaries, count the
+        closed rows. No sort sampling, no boundary exchange, no
+        per-cycle streaming-executor plan — the fixed cost a sub-second
+        cycle pays under Ray Data's groupby (BENCH.md finding 19/20).
         Returns ``(still_open, closed_count, late_count,
-        new_watermark)`` like the pandas path (asserted equivalent in
-        tests). The watermark uses max over ALL event ts in the file:
-        late rows can't raise it (their ts is below the old watermark by
-        definition) so this equals the pandas path's on-time max."""
-        import ray.data as _rd
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
-        from ..functions.hashing import crc32_bucket
-
-        wm = watermark
-        nb = self._cycle_bucket_count()
-        _ts_us = _arrow_ts_us
-        raw, late_count, new_watermark = self._cycle_prelude(path, fname, wm)
-        base_schema = raw.schema().base_schema.append(
-            pa.field("_bucket", pa.int32()))
-
-        def ontime_prep(t: pa.Table) -> pa.Table:
-            t = t.filter(
-                pc.greater_equal(_ts_us(t), pa.scalar(wm, pa.int64())))
-            conv = t["conv_id"].to_numpy(zero_copy_only=False)
-            bucket = crc32_bucket(conv, nb).astype(np.int32)
-            t = t.append_column("_bucket", pa.array(bucket, type=pa.int32()))
-            n = t.num_rows
-            t = t.append_column("n_turns", pa.array(np.ones(n, np.int64)))
-            t = t.append_column("_start", t["ts"])
-            return t.append_column("_prev", pa.array(np.zeros(n, np.bool_)))
-
-        shuffled = raw.map_batches(ontime_prep, batch_format="pyarrow")
-
-        if open_prev is not None and len(open_prev):
-            # pseudo-turn rows matching the on-time schema exactly:
-            # payload columns are null-padded (values never read — the
-            # _prev marker keeps them out of the grouped sink work)
-            fields = [f for f in base_schema if f.name != "_late"]
-            n = len(open_prev)
-            ends = pa.array(
-                open_prev["session_end"].astype("datetime64[us]"),
-                type=base_schema.field("ts").type,
-            )
-            pb = crc32_bucket(
-                open_prev["conv_id"].to_numpy(), nb
-            ).astype(np.int32)
-            cols, names = [], []
-            for f in fields:
-                names.append(f.name)
-                if f.name == "conv_id":
-                    cols.append(pa.array(open_prev["conv_id"], type=f.type))
-                elif f.name == "ts":
-                    cols.append(ends)
-                elif f.name == "_bucket":
-                    cols.append(pa.array(pb, type=pa.int32()))
-                else:
-                    cols.append(pa.nulls(n, type=f.type))
-            names += ["n_turns", "_start", "_prev"]
-            cols += [
-                pa.array(open_prev["n_turns"].astype("int64")),
-                pa.array(
-                    open_prev["session_start"].astype("datetime64[us]"),
-                    type=base_schema.field("ts").type,
-                ),
-                pa.array(np.ones(n, np.bool_)),
-            ]
-            shuffled = shuffled.union(
-                _rd.from_arrow(pa.table(cols, names=names))
-            )
-
-        # pandas dtypes the grouped work must see: groups containing
-        # null-padded pseudo-turn rows degrade int columns to float64 on
-        # arrow→pandas conversion; restore the clean-schema dtypes after
-        # dropping the pseudo-turn rows
-        dtype_map = (
-            pa.schema([f for f in base_schema if f.name != "_late"])
-            .empty_table().to_pandas().dtypes.to_dict()
-        )
-        work = self._make_grouped_cycle_work(cycle)
-        gap_s = self.gap_s
-        sess_fn = self._sessionize_with_start
-        closed_dir = self._prepare_closed_dir(cycle)
-        final_wm = new_watermark
-
-        def fused(g: pd.DataFrame) -> pd.DataFrame:
-            bucket = int(g["_bucket"].iloc[0])
-            prev_mask = g["_prev"].to_numpy()
-            if work is not None and not prev_mask.all():
-                turns = (
-                    g.loc[~prev_mask]
-                    .drop(columns=["n_turns", "_start", "_prev"])
-                    .reset_index(drop=True)
-                    .astype(dtype_map)
-                )
-                work(turns)
-            sessions = sess_fn(g[["conv_id", "ts", "n_turns", "_start"]], gap_s)
-            end_us = np.asarray(ts_us(sessions["session_end"]))
-            closed_mask = (end_us + gap_s * 1_000_000) < final_wm
-            closed = sessions[closed_mask].sort_values(
-                ["conv_id", "session_start"]).reset_index(drop=True)
-            if len(closed):
-                # deterministic per-bucket file + atomic rename: a
-                # replayed cycle overwrites with identical bytes
-                part = os.path.join(closed_dir, f"part-{bucket:05d}.parquet")
-                closed.to_parquet(part + ".tmp", index=False)
-                os.replace(part + ".tmp", part)
-            return sessions[~closed_mask]
-
-        still_open = (
-            shuffled.groupby("_bucket")
-            .map_groups(fused, batch_format="pandas")
-            .to_pandas()
-        )
-        still_open, closed_count = self._finish_open_closed(
-            still_open, closed_dir)
-        return still_open, closed_count, late_count, new_watermark
-
-    #: above this cycle size the session merge runs as a bucketed Ray
-    #: groupby instead of one driver-side pandas sort (conversations are
-    #: hash-bucket-complete, so per-bucket sessionize is exact)
-    RAY_SESSIONIZE_THRESHOLD = 200_000
-
-    @classmethod
-    def _sessionize_cycle(cls, turns: pd.DataFrame, gap_s: int) -> pd.DataFrame:
-        """Per-cycle sessionize: driver pandas for small cycles, the
-        bucketed distributed path for large ones (same result — asserted
-        in tests)."""
-        if len(turns) <= cls.RAY_SESSIONIZE_THRESHOLD:
-            return cls._sessionize_with_start(turns, gap_s)
+        new_watermark)`` like :meth:`_cycle_pandas` (asserted
+        byte-equivalent in tests)."""
         import ray
-        import ray.data as _rd
 
-        from ..functions.hashing import crc32_bucket
-
-        n_buckets = max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
-        turns = turns.reset_index(drop=True)
-        turns["_sb"] = crc32_bucket(
-            turns["conv_id"].to_numpy(), n_buckets
-        ).astype("int32")
-        n_chunks = max(1, len(turns) // 65536 + 1)
-        chunks = [c.reset_index(drop=True) for c in np.array_split(turns, n_chunks)]
-        out = (
-            _rd.from_pandas(chunks)
-            .groupby("_sb")
-            .map_groups(
-                lambda g: cls._sessionize_with_start(g.drop(columns=["_sb"]), gap_s),
-                batch_format="pandas",
-            )
-            .to_pandas()
-        )
-        return out
+        nb = self._cycle_bucket_count()
+        open_refs, closed_dir, late_count, new_watermark = self._launch_cycle(
+            path, fname, watermark, cycle,
+            self._split_summaries(open_prev, nb), nb)
+        still_open, closed_count = self._finish_open_closed(
+            ray.get(open_refs), closed_dir)
+        return still_open, closed_count, late_count, new_watermark
 
     @staticmethod
     def _sessionize_with_start(turns: pd.DataFrame, gap_s: int) -> pd.DataFrame:
@@ -815,12 +586,7 @@ class StreamingSessionJob:
                                 kind="mergesort")
               .reset_index(drop=True))
         if len(df) == 0:
-            return pd.DataFrame({
-                "conv_id": pd.Series([], dtype=object),
-                "session_start": pd.Series([], dtype="datetime64[us]"),
-                "session_end": pd.Series([], dtype="datetime64[us]"),
-                "n_turns": pd.Series([], dtype="int64"),
-            })
+            return _empty_summaries()
         s_us = ts_us(df["_start"])
         e_us = ts_us(df["ts"])
         conv = df["conv_id"].to_numpy()
@@ -853,12 +619,12 @@ class StreamingSessionJob:
     #: parallelism cycles are short and a single slot leaves the read
     #: on the critical path about every other cycle — depth 2 keeps the
     #: reader ahead at the cost of one extra pinned cycle in the object
-    #: store (spills gracefully). Env: IMAGOR_RAY_PREFETCH_DEPTH.
+    #: store (spills gracefully).
     PREFETCH_DEPTH = 2
 
     def _start_prefetch(self, fname: str) -> None:
         """Pin an upcoming cycle's raw parquet blocks in a background
-        thread while the current cycle's shuffle runs — bounded
+        thread while the current cycle's exchange runs — bounded
         pipelining (PREFETCH_DEPTH files in flight), read-only, so
         replay semantics are untouched."""
         import threading
@@ -904,8 +670,9 @@ class StreamingSessionJob:
         t.join()
         return holder.get("ds")
 
-    #: max cycles in flight under the pipelined tasks-engine loop (the
-    #: oldest is committed before another launches). Depth 2 overlaps
+    #: max cycles in flight under the pipelined ``run_all`` loop (the
+    #: oldest is committed before another launches; depth 1 runs the
+    #: plain ``run_cycle`` loop). Depth 2 overlaps
     #: cycle N+1's read/split/launch with cycle N's reducer drain —
     #: the fixed per-cycle exchange cost stops serializing with compute
     #: (the round-4 streaming-scaling residue); deeper pipelines only
@@ -924,7 +691,7 @@ class StreamingSessionJob:
     PIPELINE_ROW_MAX = 2_000_000
 
     def run_all(self) -> list[dict]:
-        if self.cycle_engine == "tasks" and self.PIPELINE_DEPTH > 1:
+        if self.PIPELINE_DEPTH > 1:
             return self._run_all_pipelined()
         out = []
         while True:
@@ -940,7 +707,7 @@ class StreamingSessionJob:
         return out
 
     def _run_all_pipelined(self) -> list[dict]:
-        """Pipelined tasks-engine loop: consecutive large cycles overlap.
+        """Pipelined loop: consecutive large cycles overlap.
 
         The per-cycle global barrier in :meth:`run_cycle` (``ray.get``
         on every reducer before the next cycle starts) is what bounds
@@ -967,30 +734,27 @@ class StreamingSessionJob:
         Small cycles (≤ RAY_CYCLE_THRESHOLD) and giant cycles
         (> PIPELINE_ROW_MAX, where overlap measured net-negative — see
         that attribute) drain the pipeline and run through the standard
-        committed path; outputs stay byte-identical to the unpipelined
-        engines (asserted in tests).
+        committed path; outputs stay byte-identical to the depth-1 loop
+        (asserted in tests).
         """
         import ray
         import pyarrow.dataset as pads
 
-        split_fn, reduce_fn = _exchange_fns()
         state = self.cp.load()
         wm = int(state.get("watermark_us", 0))
         cycle = int(state.get("cycles", 0))
-        nb = self._cycle_bucket_count()
         done = set(state.get("processed", []))
-        prev = self._split_summaries(self.cp.load_open_sessions(state), nb)
+        # per-bucket carry, loaded at the first exchange cycle after a
+        # (re)sync: a stream of small cycles never touches Ray
+        nb = prev = None
 
         results: list[dict] = []
         inflight: list[tuple] = []  # (fname, cycle, open_refs, late, wm, closed_dir, n_ontime)
 
         def commit_oldest():
             fn_, cyc_, refs_, late_, wm_, cdir_, n_on = inflight.pop(0)
-            opens = ray.get(refs_)
-            still_open = (pd.concat(opens, ignore_index=True)
-                          if opens else _empty_summaries())
             still_open, closed_count = self._finish_open_closed(
-                still_open, cdir_)
+                ray.get(refs_), cdir_)
             results.append(self._commit_cycle(
                 state, fn_, cyc_, still_open, closed_count, late_,
                 wm_, n_on))
@@ -1021,23 +785,17 @@ class StreamingSessionJob:
                 state = self.cp.load()
                 wm = int(state.get("watermark_us", 0))
                 cycle = int(state.get("cycles", 0))
-                prev = self._split_summaries(
-                    self.cp.load_open_sessions(state), nb)
+                prev = None
                 continue
 
             if len(pending) > 1:
                 self._start_prefetches(pending)
-            raw, late_count, new_wm = self._cycle_prelude(path, fname, wm)
-            refs = raw.to_arrow_refs()
-            shards = [split_fn.options(num_returns=nb).remote(r, wm, nb)
-                      for r in refs]
-            work = self._make_grouped_cycle_work(cycle)
-            closed_dir = self._prepare_closed_dir(cycle)
-            open_refs = [
-                reduce_fn.remote(b, new_wm, self.gap_s, closed_dir,
-                                 work, prev[b], *[s[b] for s in shards])
-                for b in range(nb)
-            ]
+            if prev is None:
+                nb = self._cycle_bucket_count()
+                prev = self._split_summaries(
+                    self.cp.load_open_sessions(state), nb)
+            open_refs, closed_dir, late_count, new_wm = self._launch_cycle(
+                path, fname, wm, cycle, prev, nb)
             inflight.append((fname, cycle, open_refs, late_count, new_wm,
                              closed_dir, nrows - late_count))
             prev = open_refs  # chain per-bucket refs into the next cycle
@@ -1070,8 +828,8 @@ class StreamingSessionJob:
         return closed
 
     def _process_batch(self, batch: pd.DataFrame, cycle: int) -> None:
-        """Hook for subclasses (driver-pandas cycles); the base job only
-        sessionizes. Dataset-native cycles use
+        """Hook for subclasses (in-process cycles); the base job only
+        sessionizes. Hash-exchange cycles use
         :meth:`_make_grouped_cycle_work` instead."""
 
     def closed_sessions(self) -> pd.DataFrame:
@@ -1107,7 +865,7 @@ class StreamingFlagshipJob(StreamingSessionJob):
         secret: str | None = None,
         num_buckets: int = 8,
         ray_cycle_threshold: int | None = None,
-        cycle_engine: str = "dataset",
+        cycle_engine: str = "tasks",
     ):
         super().__init__(input_dir, state_dir, gap_s, allowed_lateness_s,
                          ray_cycle_threshold=ray_cycle_threshold,
@@ -1169,7 +927,7 @@ class StreamingFlagshipJob(StreamingSessionJob):
 
     def _cycle_bucket_count(self) -> int:
         # ONE bucket key serves both the sink partitions and the
-        # sessionize groups in the fused dataset cycle
+        # sessionize groups in the hash exchange
         return self.num_buckets
 
     def _make_grouped_cycle_work(self, cycle: int):

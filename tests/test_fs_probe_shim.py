@@ -6,13 +6,14 @@ Environment fact (round-3 verdict): `aiohttp` is absent here, so
 partially-initialised module in `sys.modules`, and the next
 `from fsspec.implementations.http import HTTPFileSystem` raises plain
 `ImportError` ("cannot import name ..."), which escaped out of
-`read_parquet` (imagor_ray/pipelines/streaming.py `_cycle_dataset`) and
-flaked `tests/test_streaming.py` ~50% of full-suite runs.
+`read_parquet` (the large-cycle read, imagor_ray/pipelines/streaming.py
+`_cycle_prelude`) and flaked `tests/test_streaming.py` ~50% of
+full-suite runs.
 
 `imagor_ray/__init__._harden_ray_http_fs_probe` rebinds the probe to treat
 any ImportError as "not an HTTP filesystem". These tests pin (a) the shim is
 installed on package import, (b) it swallows the exact racy ImportError
-shape, and (c) the dataset-native streaming cycle survives repeated runs in
+shape, and (c) the large-cycle streaming path survives repeated runs in
 one session even with the race deterministically forced.
 """
 
@@ -85,9 +86,10 @@ def test_read_parquet_survives_poisoned_http_module(
 
 
 class TestDatasetCycleStress:
-    """Round-3 flake repro: the dataset-native streaming cycle run several
-    times in one session (the failure was intermittent under concurrent
-    executor-thread imports). With the shim this must be deterministic."""
+    """Round-3 flake repro: the large-cycle streaming path (pinned
+    ``read_parquet`` + hash exchange) run several times in one session
+    (the failure was intermittent under concurrent executor-thread
+    imports). With the shim this must be deterministic."""
 
     def test_dataset_cycle_repeated(self, ray_session, tmp_path, monkeypatch):
         from imagor_ray.pipelines.streaming import (
@@ -105,7 +107,7 @@ class TestDatasetCycleStress:
         ]
         old = StreamingSessionJob.RAY_CYCLE_THRESHOLD
         try:
-            StreamingSessionJob.RAY_CYCLE_THRESHOLD = 0  # force dataset path
+            StreamingSessionJob.RAY_CYCLE_THRESHOLD = 0  # force the exchange
             sha = None
             for i in range(5):
                 root = tmp_path / f"run{i}"

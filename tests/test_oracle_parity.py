@@ -52,10 +52,13 @@ def oracle_keys():
 
 @pytest.mark.parametrize("name", oracle_keys())
 def test_query_matches_oracle(name, ray_session):
-    from imagor_ray.pipelines.queries import ORACLES, QUERIES
+    from imagor_ray.pipelines.queries import _DRIVER_WINDOW, ORACLES, QUERIES
 
     got = normalize(to_df(QUERIES[name](SF)))
     want = normalize(run_oracle(ORACLES[name]))
+    if name in _DRIVER_WINDOW:
+        # a 0-row oracle makes the driver's check of this entry vacuous
+        assert len(want) > 0, f"{name}: driver-window entry has a 0-row oracle"
     assert len(got) == len(want), f"{name}: {len(got)} rows vs oracle {len(want)}"
     assert list(got.columns) == list(want.columns), (
         f"{name}: columns {list(got.columns)} vs {list(want.columns)}"

@@ -256,48 +256,19 @@ class TestCrashBetweenStageAndCommit:
         pd.testing.assert_frame_equal(got, want)
 
 
-def test_ray_sessionize_path_equals_pandas(ray_session):
-    # the distributed per-cycle sessionize must equal the driver-side
-    # pandas path exactly (conversations are bucket-complete)
-    import numpy as np
-    from imagor_ray.pipelines.streaming import StreamingSessionJob
-
-    rng = np.random.default_rng(11)
-    n = 5000
-    turns = pd.DataFrame({
-        "conv_id": [f"c{rng.integers(0, 200):04d}" for _ in range(n)],
-        "ts": pd.Timestamp("2024-05-01")
-        + pd.to_timedelta(rng.integers(0, 7 * 86400, n), unit="s"),
-        "n_turns": 1,
-    })
-    turns["_start"] = turns["ts"]
-    want = StreamingSessionJob._sessionize_with_start(turns.copy(), 1800)
-    old_thresh = StreamingSessionJob.RAY_SESSIONIZE_THRESHOLD
-    try:
-        StreamingSessionJob.RAY_SESSIONIZE_THRESHOLD = 100  # force Ray path
-        got = StreamingSessionJob._sessionize_cycle(turns.copy(), 1800)
-    finally:
-        StreamingSessionJob.RAY_SESSIONIZE_THRESHOLD = old_thresh
-    key = ["conv_id", "session_start"]
-    pd.testing.assert_frame_equal(
-        got.sort_values(key).reset_index(drop=True),
-        want.sort_values(key).reset_index(drop=True),
-    )
-
-
 def test_open_snapshot_byte_stable_across_runs(tmp_path, ray_session):
     """The staged open-session snapshot must be byte-identical between a
-    run and its replay even when the per-cycle sessionize runs as a Ray
-    groupby (whose output row order varies) — still_open is sorted
-    before staging."""
+    run and its replay even when the cycle runs on the hash exchange
+    (whose reducer output order varies) — still_open is sorted before
+    staging."""
     rows = [
         (f"c{i % 23:03d}", f"2024-06-01 {i % 24:02d}:{i % 60:02d}:00")
         for i in range(400)
     ]
     stream = write_stream(tmp_path, [rows])
-    old = StreamingSessionJob.RAY_SESSIONIZE_THRESHOLD
+    old = StreamingSessionJob.RAY_CYCLE_THRESHOLD
     try:
-        StreamingSessionJob.RAY_SESSIONIZE_THRESHOLD = 10  # force Ray path
+        StreamingSessionJob.RAY_CYCLE_THRESHOLD = 0  # force the exchange
         shas = []
         for name in ("sA", "sB"):
             job = StreamingSessionJob(stream, str(tmp_path / name), gap_s=1800)
@@ -308,15 +279,15 @@ def test_open_snapshot_byte_stable_across_runs(tmp_path, ray_session):
                 import hashlib
                 shas.append(hashlib.sha1(f.read()).hexdigest())
     finally:
-        StreamingSessionJob.RAY_SESSIONIZE_THRESHOLD = old
+        StreamingSessionJob.RAY_CYCLE_THRESHOLD = old
     assert shas[0] == shas[1]
 
 
 class TestDatasetNativeCycle:
-    """Above RAY_CYCLE_THRESHOLD a cycle runs dataset-native end-to-end
-    (rd.read_parquet → late split → chain→sink → bucketed sessionize).
-    The two paths must produce byte-identical sink output and identical
-    session/late accounting."""
+    """Above RAY_CYCLE_THRESHOLD a cycle runs on the hash exchange
+    end-to-end (pinned read → late split → per-bucket chain→sink +
+    sessionize). The two paths must produce byte-identical sink output
+    and identical session/late accounting."""
 
     def test_paths_byte_identical(self, ray_session, tmp_path):
         from imagor_ray.pipelines.streaming import (
@@ -338,7 +309,7 @@ class TestDatasetNativeCycle:
 
         old = StreamingSessionJob.RAY_CYCLE_THRESHOLD
         try:
-            StreamingSessionJob.RAY_CYCLE_THRESHOLD = 0  # force dataset path
+            StreamingSessionJob.RAY_CYCLE_THRESHOLD = 0  # force the exchange
             jd = StreamingFlagshipJob(s, str(tmp_path / "ds"), gap_s=1800, num_buckets=2)
             rds = jd.run_all()
             jd.flush()
@@ -479,8 +450,8 @@ def test_cli_stream_end_to_end(tmp_path):
 
 class TestTasksEngineCycle:
     """cycle_engine='tasks' (raw two-stage hash exchange) must be
-    byte-identical to the pandas and dataset engines, and resume from a
-    mid-stream kill the same way."""
+    byte-identical to the in-process path, and resume from a mid-stream
+    kill the same way."""
 
     BATCHES = [
         [("a", "2024-01-01 00:00:00"), ("b", "2024-01-01 00:05:00"),
@@ -505,7 +476,7 @@ class TestTasksEngineCycle:
         try:
             StreamingSessionJob.RAY_CYCLE_THRESHOLD = 0
             jobs = {}
-            for eng in ("dataset", "tasks"):
+            for eng in ("tasks",):
                 j = StreamingFlagshipJob(s, str(tmp_path / eng), gap_s=1800,
                                          num_buckets=2, cycle_engine=eng)
                 r = j.run_all()
@@ -546,31 +517,31 @@ class TestTasksEngineCycle:
                                       num_buckets=2, cycle_engine="tasks")
             j2.run_cycle()
             del j2
-            # a DATASET-engine restart of a tasks-engine run must also
-            # converge: both engines share checkpoint + sink layout
+            # a restart with the default engine must also converge
             j3 = StreamingFlagshipJob(s, str(tmp_path / "w2"), gap_s=1800,
-                                      num_buckets=2, cycle_engine="dataset")
+                                      num_buckets=2)
             j3.run_all()
             j3.flush()
             assert j3.processed_sha1() == want
         finally:
             StreamingSessionJob.RAY_CYCLE_THRESHOLD = old
 
-    def test_unknown_engine_rejected(self, tmp_path):
+    @pytest.mark.parametrize("engine", ["spark", "dataset"])
+    def test_unknown_engine_rejected(self, tmp_path, engine):
         from imagor_ray.pipelines.streaming import StreamingSessionJob
 
         with pytest.raises(ValueError):
             StreamingSessionJob(str(tmp_path), str(tmp_path / "st"),
-                                cycle_engine="spark")
+                                cycle_engine=engine)
 
 
 class TestPipelinedCycles:
     """``run_all`` on the tasks engine pipelines consecutive cycles:
     reducer (N, b)'s output ObjectRef feeds reducer (N+1, b) directly
     and checkpoints commit strictly in cycle order with PIPELINE_DEPTH
-    cycles in flight. Byte-identity with the dataset/pandas engines is
-    already asserted by TestTasksEngineCycle (run_all routes tasks
-    through the pipelined loop); here: session chains spanning more
+    cycles in flight. Byte-identity with the in-process path is
+    already asserted by TestTasksEngineCycle (run_all routes large
+    cycles through the pipelined loop); here: session chains spanning more
     cycles than the pipeline depth, a mid-pipeline crash, and the
     small-cycle drain/fallback."""
 
@@ -729,7 +700,7 @@ class TestOutOfOrderSessions:
     """Under allowed lateness, on-time arrivals may predate open
     summaries: the interval-hull sessionize must merge them backward,
     bridge two open summaries of one conversation, and stay
-    byte-identical across all three cycle engines."""
+    byte-identical across both cycle paths."""
 
     def test_backward_merge_into_open_summary(self, tmp_path):
         stream = write_stream(tmp_path, [
@@ -816,7 +787,7 @@ class TestOutOfOrderSessions:
         shas = set()
         try:
             StreamingSessionJob.RAY_CYCLE_THRESHOLD = 0
-            for eng in ("dataset", "tasks"):
+            for eng in ("tasks",):
                 j = StreamingFlagshipJob(
                     stream, str(tmp_path / eng), gap_s=1800,
                     allowed_lateness_s=86_400, num_buckets=2,
