@@ -86,7 +86,7 @@ def test_read_parquet_survives_poisoned_http_module(
 
 
 class TestDatasetCycleStress:
-    """Round-3 flake repro: the large-cycle streaming path (pinned
+    """Flake repro: the large-cycle streaming path (pinned
     ``read_parquet`` + hash exchange) run several times in one session
     (the failure was intermittent under concurrent executor-thread
     imports). With the shim this must be deterministic."""

@@ -57,8 +57,8 @@ def test_query_matches_oracle(name, ray_session):
     got = normalize(to_df(QUERIES[name](SF)))
     want = normalize(run_oracle(ORACLES[name]))
     if name in _DRIVER_WINDOW:
-        # a 0-row oracle makes the driver's check of this entry vacuous
-        assert len(want) > 0, f"{name}: driver-window entry has a 0-row oracle"
+        # a 0-row oracle would make the parity check of this entry vacuous
+        assert len(want) > 0, f"{name}: _DRIVER_WINDOW entry has a 0-row oracle"
     assert len(got) == len(want), f"{name}: {len(got)} rows vs oracle {len(want)}"
     assert list(got.columns) == list(want.columns), (
         f"{name}: columns {list(got.columns)} vs {list(want.columns)}"
