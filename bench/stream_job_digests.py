@@ -1,12 +1,17 @@
 """Byte-identity check for the keyed-stream jobs across two checkouts.
 
-``dump ROOT OUT.json`` runs every keyed-stream job of the checkout at
-ROOT (stream and two-source joins, temporal join, SCD2, CEP, dedup,
-session changelog, broadcast rules) over ``_random_batches(41)`` from
+``dump ROOT OUT.json [CPUS]`` starts a Ray session of CPUS CPUs
+(default 1) and runs every keyed-stream job of the checkout at ROOT
+(stream and two-source joins, temporal join, SCD2, CEP, dedup, session
+changelog, broadcast rules) over ``_random_batches(41)`` from
 ``tests/test_state_rescale.py`` — split click / non-click for the
 two-source join — with lateness 0 and 7200 s, on the in-process
 executor (``ray_cycle_threshold=10**9``) and the bucketed one
-(``0``, 4 buckets), plus ``finalize()`` where the job has one.
+(``0``, 4 buckets), plus ``finalize()`` where the job has one. The
+bucketed layout is placed by the CPU count: CPUS=1 runs its buckets in
+the driver loop, CPUS>=2 on the hash exchange — so a 1-CPU dump
+compared with a 4-CPU dump of the same checkout checks that the two
+placements write the same bytes.
 
 It also runs ``StreamingSessionJob`` and ``StreamingFlagshipJob`` (2
 buckets) then ``flush()`` over two streams from
@@ -33,6 +38,9 @@ checkout::
     PYTHONPATH=$OLD python bench/stream_job_digests.py dump $OLD old.json
     PYTHONPATH=$NEW python bench/stream_job_digests.py dump $NEW new.json
     python bench/stream_job_digests.py compare old.json new.json
+
+ROOT need not be the checkout this file comes from, so one copy of this
+file can dump an older checkout at any CPU count.
 """
 
 from __future__ import annotations
@@ -46,11 +54,25 @@ import sys
 import tempfile
 
 
-def dump(root: str, out: str) -> None:
+def dump(root: str, out: str, cpus: int = 1) -> None:
     sys.path.insert(0, root)
     sys.path.insert(0, os.path.join(root, "tests"))
-    import pandas as pd
     import ray
+
+    ray.init(num_cpus=cpus, include_dashboard=False, logging_level="ERROR")
+    tmp = tempfile.mkdtemp()
+    try:
+        res = _run_cases(tmp)
+    finally:
+        ray.shutdown()
+        shutil.rmtree(tmp, ignore_errors=True)
+    with open(out, "w") as fh:
+        json.dump(res, fh, indent=1, sort_keys=True, default=int)
+
+
+def _run_cases(tmp: str) -> dict:
+    """Every case, run under ``tmp``: ``{case: digests}``."""
+    import pandas as pd
 
     from test_state_rescale import _random_batches
     from imagor_ray.pipelines.broadcast_rules import BroadcastRulesJob
@@ -65,8 +87,6 @@ def dump(root: str, out: str) -> None:
     from imagor_ray.pipelines.temporal_join import TemporalJoinJob
     from test_streaming import TestPipelinedCycles, write_stream
 
-    ray.init(num_cpus=1, include_dashboard=False, logging_level="ERROR")
-    tmp = tempfile.mkdtemp()
     batches = _random_batches(41)
 
     def stage(name, sel=None):
@@ -132,10 +152,7 @@ def dump(root: str, out: str) -> None:
                         totals = job.run_all()
                         job.flush()
                         res[case] = _digest_state(sd, totals)
-    ray.shutdown()
-    shutil.rmtree(tmp, ignore_errors=True)
-    with open(out, "w") as fh:
-        json.dump(res, fh, indent=1, sort_keys=True, default=int)
+    return res
 
 
 def _jittered_batches() -> list:
@@ -219,8 +236,8 @@ def compare(a_path: str, b_path: str) -> int:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["dump"] and len(sys.argv) == 4:
-        dump(sys.argv[2], sys.argv[3])
+    if sys.argv[1:2] == ["dump"] and len(sys.argv) in (4, 5):
+        dump(sys.argv[2], sys.argv[3], *map(int, sys.argv[4:]))
     elif sys.argv[1:2] == ["compare"] and len(sys.argv) == 4:
         sys.exit(compare(sys.argv[2], sys.argv[3]))
     else:

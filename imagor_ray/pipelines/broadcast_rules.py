@@ -30,10 +30,11 @@ rule rows through a driver-side predicate+column-pushdown read
 (bounded by the control stream's volume — the pattern's defining
 assumption), and the merged global rule table ships to the scoring
 tasks once per cycle through ``ray.put`` as presorted numpy columns
-(the broadcast small side). The probe exchange carries only probe
-rows bucketed by ``event_id % num_buckets``, and that bucketing exists
-purely so each grouped task writes a DETERMINISTIC per-bucket emission
-file; no state co-location is required at all. Below
+(the broadcast small side) when the buckets run on the hash exchange.
+The probe exchange carries only probe rows bucketed by
+``event_id % num_buckets``, and that bucketing exists purely so each
+bucket's run writes a DETERMINISTIC per-bucket emission file; no state
+co-location is required at all. Below
 ``RAY_CYCLE_THRESHOLD`` footer rows the keyed-stream runtime runs the
 same scoring kernel once in-process.
 
@@ -134,7 +135,7 @@ def _score_kernel(st: pd.DataFrame, new: pd.DataFrame, wm: int,
                   new_wm: int, cycle: int, rules) -> tuple:
     """Per-bucket kernel: score every pending/new probe the watermark
     made final against the broadcast rule table (a dict of presorted
-    arrays, or its object-store ref on the bucketed executor); the
+    arrays, or its object-store ref on the hash exchange); the
     rest keep waiting."""
     if not isinstance(rules, dict):
         import ray
@@ -208,8 +209,9 @@ class BroadcastRulesJob(KeyedStreamJob):
         the "rules" were stream-sized, broadcast state is the wrong
         operator), and row-group/type pushdown keeps it bounded even
         when the cycle file is huge. The merged rule table ships once
-        per cycle (``ray.put`` on the bucketed executor) and only the
-        probes run through the runtime's executor."""
+        per cycle (``ray.put`` when the buckets run on the hash
+        exchange) and only the probes run through the runtime's
+        executor."""
         import pyarrow.parquet as pq
 
         (path, _, _), = inputs
@@ -234,7 +236,7 @@ class BroadcastRulesJob(KeyedStreamJob):
             "value": np.ascontiguousarray(
                 all_rules["value"].to_numpy(dtype="float64")),
         }
-        if self._is_big(inputs):
+        if self._placement(inputs) == "exchange":
             # THE broadcast: one object-store copy per cycle (zero-copy
             # numpy columns), fetched once per worker, never re-pickled
             # per task closure

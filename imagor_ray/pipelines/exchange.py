@@ -15,9 +15,10 @@ wherever a pipeline offers both engines.
 
 Partitioning assumption: ``bucket_col`` holds ints in ``[0, nb)`` and a
 group's rows are exactly the rows sharing its bucket value — identical
-to what the groupby engine guarantees. Use the default dataset engine
-when you want Ray Data's spill/retry machinery wholesale; use this for
-short executions where the fixed cost dominates.
+to what the groupby engine guarantees. It is the keyed-stream runtime's
+only exchange (on a one-CPU cluster that runtime skips the exchange and
+runs its buckets in a driver loop); the flagship offers it beside Ray
+Data's groupby as ``engine='tasks'``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-__all__ = ["hash_exchange"]
+__all__ = ["hash_exchange", "bucket_split", "shard_refs"]
 
 _FNS = None
 
@@ -38,18 +39,11 @@ def _fns():
 
     @ray.remote
     def split_block(tbl, nb: int, bucket_col: str):
-        import pyarrow as pa
-
-        if tbl.num_rows == 0:
-            # fully-filtered blocks arrive schema-less; emit empty
-            # shards the reducer's num_rows guard drops
-            return [tbl] * nb
-        b = tbl[bucket_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(b, kind="stable")
-        t = tbl.take(pa.array(order))
-        bounds = np.searchsorted(b[order], np.arange(nb + 1))
-        return [t.slice(int(bounds[i]), int(bounds[i + 1] - bounds[i]))
-                for i in range(nb)]
+        # fully-filtered blocks arrive schema-less; they split into
+        # empty shards the reducer's num_rows guard drops
+        b = (tbl[bucket_col].to_numpy(zero_copy_only=False).astype(np.int64)
+             if tbl.num_rows else np.zeros(0, np.int64))
+        return bucket_split(tbl, b, nb)
 
     @ray.remote
     def reduce_bucket(fn, *parts):
@@ -64,6 +58,29 @@ def _fns():
     return _FNS
 
 
+def bucket_split(t, b: np.ndarray, nb: int):
+    """A split task's return value: the rows of Arrow table ``t`` by
+    bucket ``b`` (ints in ``[0, nb)``) as ``nb`` slices — or the lone
+    slice when ``nb == 1``, because Ray stores a ``num_returns=1``
+    result as ONE object (a one-element list would reach the reducer
+    as a list)."""
+    import pyarrow as pa
+
+    order = np.argsort(b, kind="stable")
+    t = t.take(pa.array(order))
+    bounds = np.searchsorted(b[order], np.arange(nb + 1))
+    shards = [t.slice(int(bounds[i]), int(bounds[i + 1] - bounds[i]))
+              for i in range(nb)]
+    return shards if nb > 1 else shards[0]
+
+
+def shard_refs(split_task, nb: int, *args) -> list:
+    """Launch ``split_task`` with ``num_returns=nb`` and return its
+    ``nb`` shard refs as a list (Ray hands back a bare ref for 1)."""
+    refs = split_task.options(num_returns=nb).remote(*args)
+    return refs if nb > 1 else [refs]
+
+
 def hash_exchange(ds, nb: int, grouped_fn, bucket_col: str = "_bucket"
                   ) -> pd.DataFrame:
     """Run ``grouped_fn`` once per non-empty bucket of ``ds`` (a Ray
@@ -74,8 +91,7 @@ def hash_exchange(ds, nb: int, grouped_fn, bucket_col: str = "_bucket"
 
     split_block, reduce_bucket = _fns()
     refs = ds.to_arrow_refs()
-    shards = [split_block.options(num_returns=nb).remote(r, nb, bucket_col)
-              for r in refs]
+    shards = [shard_refs(split_block, nb, r, nb, bucket_col) for r in refs]
     outs = ray.get([
         reduce_bucket.remote(grouped_fn, *[s[b] for s in shards])
         for b in range(nb)

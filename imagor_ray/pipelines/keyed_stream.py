@@ -24,21 +24,29 @@ writer every emission/late/timeout file goes through, the single
 commit (``stage_open_sessions`` → ``save`` → ``gc_open_sessions``),
 the ``cycle_metrics`` entry, ``run_all`` totals and output read-back.
 
-One kernel, two executors. Below ``RAY_CYCLE_THRESHOLD`` footer rows
-the kernel runs ONCE in-process over ``state ∪ tag(file)`` and its
-files carry no bucket suffix; above it the SAME kernel runs per bucket
-inside ``read_parquet → map_batches(tag) ∪ from_pandas(state) →
-groupby('_ub').map_groups``, writing its bucket's files in-task and
-returning only next-state rows plus ONE summary row of counters (what
+One kernel, two layouts. ``RAY_CYCLE_THRESHOLD`` footer rows pick the
+layout: at or below it the kernel runs ONCE in-process over
+``state ∪ tag(file)`` and its files carry no bucket suffix; above it
+the SAME kernel runs once per bucket (``key % num_buckets``) over that
+bucket's tagged ∪ state rows and writes the bucket's ``-{bucket}``
+files itself. The live cluster places the bucketed layout
+(:meth:`KeyedStreamJob._placement`): with no Ray session, or one CPU,
+the buckets run in ascending order in a driver loop, since an exchange
+could run nothing in parallel; otherwise they run as the reduce tasks
+of :func:`~imagor_ray.pipelines.exchange.hash_exchange`
+(``read_parquet → map_batches(tag) ∪ from_pandas(state)``), which
+return only next-state rows plus ONE summary row of counters (what
 crosses the driver is the watermark-bounded state, never the stream).
-Crash replay reruns the cycle against the committed pre-cycle state
-and overwrites identical bytes: kernels sort every emission and
+Both placements run the same bucket function, so they write the same
+bytes. Crash replay reruns the cycle against the committed pre-cycle
+state and overwrites identical bytes: kernels sort every emission and
 snapshots are canonically ordered.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import numpy as np
 import pandas as pd
@@ -101,7 +109,7 @@ class KeyedStreamJob:
     has the contract). Subclasses set the class attributes below and
     implement ``_empty_state``, ``_tag`` and ``_cycle_kernel``."""
 
-    #: above this many footer rows a cycle runs as one bucket groupby
+    #: above this many footer rows a cycle runs per bucket
     RAY_CYCLE_THRESHOLD = 150_000
     #: input columns each cycle reads
     READ_COLS = ["event_id", "ts", "user_id", "event_type"]
@@ -285,30 +293,45 @@ class KeyedStreamJob:
                 f"{name}-{cycle:05d}{sfx}.parquet"))
         return nxt, {**counts, "late": int(late.sum())}
 
-    def _is_big(self, inputs: list) -> bool:
-        """Executor choice from the parquet footers only (never reads
-        data to decide)."""
+    def _placement(self, inputs: list) -> str:
+        """THE executor choice, from the parquet footers and the live
+        cluster only (it never reads data and never starts Ray):
+
+        - ``"whole"``: at most ``RAY_CYCLE_THRESHOLD`` footer rows — one
+          in-process unit whose files carry no bucket suffix;
+        - ``"driver"``: the per-bucket layout run bucket by bucket in a
+          driver loop — no Ray session is up, or it has one CPU, so an
+          exchange would buy no parallelism;
+        - ``"exchange"``: the per-bucket layout through
+          :func:`~imagor_ray.pipelines.exchange.hash_exchange`."""
         import pyarrow.dataset as pads
 
-        return (sum(pads.dataset(p).count_rows() for p, _, _ in inputs)
-                > self.RAY_CYCLE_THRESHOLD)
+        if (sum(pads.dataset(p).count_rows() for p, _, _ in inputs)
+                <= self.RAY_CYCLE_THRESHOLD):
+            return "whole"
+        import ray
+
+        if (not ray.is_initialized()
+                or ray.cluster_resources().get("CPU", 0) <= 1):
+            return "driver"
+        return "exchange"
 
     def _execute(self, inputs: list, wm: int, new_wm: int, cycle: int,
                  st: pd.DataFrame, kernel=None):
         """Run ``kernel`` (default :meth:`_cycle_kernel`) over
         ``state ∪ tagged inputs``; returns ``(next state, counters)``."""
         kernel = kernel or self._cycle_kernel
-        if self._is_big(inputs):
+        where = self._placement(inputs)
+        if where != "whole":
             return self._execute_bucketed(inputs, wm, new_wm, cycle, st,
-                                          kernel)
+                                          kernel, where == "driver")
         new = pd.concat([tag(pd.read_parquet(p, columns=cols), wm)
                          for p, cols, tag in inputs], ignore_index=True)
         return self._step(st, new, wm, new_wm, cycle, None, kernel)
 
     def _execute_bucketed(self, inputs: list, wm: int, new_wm: int,
-                          cycle: int, st: pd.DataFrame, kernel):
-        import ray.data as rd
-
+                          cycle: int, st: pd.DataFrame, kernel,
+                          on_driver: bool):
         nb, key, fill = self.num_buckets, self.KEY, self.FILL
         state_cols, dtypes = list(st.columns), st.dtypes
         cols = state_cols + [c for c in fill if c not in state_cols]
@@ -323,26 +346,45 @@ class KeyedStreamJob:
             df["_ub"] = (df[key].to_numpy(dtype="int64") % nb).astype(np.int32)
             return df
 
-        def tagged(tag):
-            return lambda b: mark(tag(b, wm), 1)
-
-        def bucket(g: pd.DataFrame) -> pd.DataFrame:
+        def bucket(g: pd.DataFrame):
             ub = int(g["_ub"].iloc[0])
             is_new = g["_new"].to_numpy() == 1
             nxt, counts = self._step(
                 g[~is_new][state_cols].reset_index(drop=True), g[is_new],
                 wm, new_wm, cycle, ub, kernel)
-            return _with_summary(nxt[state_cols], counts, dtypes)
+            return nxt[state_cols], counts
+
+        if on_driver:
+            parts = [mark(tag(pd.read_parquet(p, columns=rcols), wm), 1)
+                     for p, rcols, tag in inputs]
+            if len(st):
+                parts.append(mark(st.copy(), 0))
+            rows = pd.concat(parts, ignore_index=True)
+            outs = [bucket(g.reset_index(drop=True))
+                    for _, g in rows.groupby("_ub", sort=True)]
+            if not outs:
+                return st.iloc[:0].reset_index(drop=True), {}
+            counts = Counter()
+            for _, c in outs:
+                counts.update(c)
+            return (pd.concat([n for n, _ in outs], ignore_index=True),
+                    dict(counts))
+
+        import ray.data as rd
+
+        from .exchange import hash_exchange
 
         ds = None
         for p, rcols, tag in inputs:
             part = rd.read_parquet(p, columns=rcols).map_batches(
-                tagged(tag), batch_format="pandas")
+                lambda b, tag=tag: mark(tag(b, wm), 1),
+                batch_format="pandas")
             ds = part if ds is None else ds.union(part)
         if len(st):
             ds = ds.union(rd.from_pandas(mark(st.copy(), 0)))
-        out = (ds.groupby("_ub").map_groups(bucket, batch_format="pandas")
-               .to_pandas())
+        out = hash_exchange(
+            ds, nb, lambda g: _with_summary(*bucket(g), dtypes),
+            bucket_col="_ub")
         if not len(out):
             return st.iloc[:0].reset_index(drop=True), {}
         kind = out["_kind"].to_numpy()

@@ -1115,8 +1115,9 @@ def _q_q18(sf_dir: str, qty_threshold: int = 250, topn: int = 100):
     ~4 s broadcast; above a few GB of heavy keys a deployment would
     flip back to the hash join). Customer decoration happens AFTER the
     top-N — N keys, predicate pushed into the read (the Q10 pattern).
-    At 100 TB the final head() would be ds.sort().limit(); the heavy
-    subset here is hundreds of rows.
+    The top-N is a merge: each probed batch keeps its own top N and one
+    group merges those, so the driver collects N rows, never the heavy
+    subset.
 
     Output: c_custkey, c_name, o_orderkey, o_orderdate, price_m,
     total_qty.
@@ -1177,11 +1178,20 @@ def _q_q18(sf_dir: str, qty_threshold: int = 250, topn: int = 100):
             b.pop("o_totalprice").to_numpy() * 1000).astype("int64")
         return b
 
-    joined = orders.map_batches(probe, batch_format="pandas").to_pandas()
+    def top_n(b: pd.DataFrame) -> pd.DataFrame:
+        return b.sort_values(["price_m", "o_orderkey"],
+                             ascending=[False, True],
+                             kind="mergesort").head(topn)
 
-    top = (joined.sort_values(["price_m", "o_orderkey"],
-                              ascending=[False, True], kind="mergesort")
-           .head(topn))
+    # top-N merge: every batch keeps its own top-N map-side (a global
+    # top-N row is in its batch's top-N), one group merges them, and
+    # only the final N rows reach the driver
+    top = (orders.map_batches(lambda b: top_n(probe(b)).assign(_k=0),
+                              batch_format="pandas")
+           .groupby("_k")
+           .map_groups(lambda g: top_n(g.drop(columns=["_k"])),
+                       batch_format="pandas")
+           .to_pandas())
     keys = top["o_custkey"].astype("int64").unique().tolist()
     cust = pq.read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"],

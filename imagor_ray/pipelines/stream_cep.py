@@ -51,8 +51,8 @@ buffer of one cycle + lateness horizon — never the stream.
 Scale shape: ONE kernel run by the keyed-stream runtime — in-process
 below ``RAY_CYCLE_THRESHOLD`` footer rows, above it per user bucket
 over tagged new ∪ state rows (buckets are user-complete, so NFA state
-and buffer co-locate with their events); each grouped task writes its
-bucket's emission file in-task. The shuffle carries fixed-width
+and buffer co-locate with their events); each bucket's run writes its
+emission file itself. The exchange carries fixed-width
 columns only (user_id, event_id, ts, type-code, registers) — no
 text.
 """

@@ -33,9 +33,8 @@ bucket-agnostic (the rescaling guarantee).
 Scale shape: ONE kernel run by the keyed-stream runtime — in-process
 below ``RAY_CYCLE_THRESHOLD`` footer rows, above it per user bucket
 over (registers ∪ buffer ∪ new): registers and buffers are user-keyed,
-so buckets are version-complete; each grouped task writes its
-bucket's op + late files in-task and returns state + summary rows
-only.
+so buckets are version-complete; each bucket's run writes its op +
+late files itself and returns state + summary rows only.
 
 Reference semantics: the result-storage freshness/overwrite contract
 (``imagor.go:605-652``) generalized to versioned dimension rows;

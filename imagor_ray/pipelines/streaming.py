@@ -40,6 +40,7 @@ import pandas as pd
 
 from ..stages.windows import ts_us
 from ..state.checkpoint import Checkpoint
+from .exchange import bucket_split, shard_refs
 
 __all__ = ["StreamingSessionJob", "StreamingFlagshipJob"]
 
@@ -101,12 +102,7 @@ def _exchange_fns():
         t = tbl.filter(
             pc.greater_equal(_arrow_ts_us(tbl), pa.scalar(wm, pa.int64())))
         conv = t["conv_id"].to_numpy(zero_copy_only=False)
-        b = crc32_bucket(conv, nb)
-        order = np.argsort(b, kind="stable")
-        t = t.take(pa.array(order))
-        bounds = np.searchsorted(b[order], np.arange(nb + 1))
-        return [t.slice(int(bounds[i]), int(bounds[i + 1] - bounds[i]))
-                for i in range(nb)]
+        return bucket_split(t, crc32_bucket(conv, nb), nb)
 
     @ray.remote
     def reduce_bucket(bucket: int, final_wm: int, gap_s: int,
@@ -534,7 +530,7 @@ class StreamingSessionJob:
         new_watermark)``."""
         split_fn, reduce_fn = _exchange_fns()
         raw, late_count, new_wm = self._cycle_prelude(path, fname, wm)
-        shards = [split_fn.options(num_returns=nb).remote(r, wm, nb)
+        shards = [shard_refs(split_fn, nb, r, wm, nb)
                   for r in raw.to_arrow_refs()]
         work = self._make_grouped_cycle_work(cycle)
         closed_dir = self._prepare_closed_dir(cycle)

@@ -28,7 +28,7 @@ state and overwrites identical bytes.
 Scale shape: ONE as-of kernel (``pd.merge_asof`` by user over the
 ts-sorted frames) run by the keyed-stream runtime — in-process below
 ``RAY_CYCLE_THRESHOLD`` footer rows, per user bucket above it (each
-grouped task writes its bucket's emission file in-task).
+bucket's run writes that bucket's emission file).
 """
 
 from __future__ import annotations

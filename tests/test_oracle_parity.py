@@ -73,3 +73,29 @@ def test_rows_only_queries_run(ray_session):
     for name in sorted(set(QUERIES) - set(ORACLES)):
         df = to_df(QUERIES[name](SF))
         assert df is not None and len(df.columns) > 0, name
+
+
+def test_q18_driver_collects_at_most_topn(ray_session, monkeypatch):
+    """q18 with every order heavy (threshold 0) and a top-3: the oracle
+    still matches, and no Ray collection of probed orders brings more
+    than the top-3 rows to the driver."""
+    import ray.data as rd
+
+    from imagor_ray.pipelines.queries import _Q18_SQL, _q_q18
+
+    collected = []
+    to_pandas = rd.Dataset.to_pandas
+
+    def spy(self, *a, **kw):
+        df = to_pandas(self, *a, **kw)
+        if "o_orderkey" in df.columns:
+            collected.append(len(df))
+        return df
+
+    monkeypatch.setattr(rd.Dataset, "to_pandas", spy)
+    got = normalize(_q_q18(SF, qty_threshold=0, topn=3))
+    sql = _Q18_SQL.replace("> 250", "> 0").replace("LIMIT 100", "LIMIT 3")
+    want = normalize(run_oracle(sql))
+    assert len(want) == 3
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    assert collected and max(collected) <= 3, collected

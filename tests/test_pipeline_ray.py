@@ -397,6 +397,12 @@ class TestFusedFlagship:
         r = flagship_write(SF, d2, num_buckets=4)   # dataset engine
         assert r["buckets_written"] == 1
         assert sink2.content_sha1() == sha
+        # one bucket: the exchange's lone shard per block
+        d3, d4 = str(tmp_path / "ds1"), str(tmp_path / "tk1")
+        flagship_write(SF, d3, num_buckets=1)
+        flagship_write(SF, d4, num_buckets=1, engine="tasks")
+        assert (ExactlyOnceSink(d4, num_buckets=1).content_sha1()
+                == ExactlyOnceSink(d3, num_buckets=1).content_sha1())
 
 
 class TestAnnRecall:

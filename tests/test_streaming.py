@@ -287,7 +287,7 @@ class TestDatasetNativeCycle:
     """Above RAY_CYCLE_THRESHOLD a cycle runs on the hash exchange
     end-to-end (pinned read → late split → per-bucket chain→sink +
     sessionize). The two paths must produce byte-identical sink output
-    and identical session/late accounting."""
+    and identical session/late accounting, at two buckets and at one."""
 
     def test_paths_byte_identical(self, ray_session, tmp_path):
         from imagor_ray.pipelines.streaming import (
@@ -303,31 +303,34 @@ class TestDatasetNativeCycle:
         ]
         s = write_stream(tmp_path, batches)
 
-        jp = StreamingFlagshipJob(s, str(tmp_path / "pd"), gap_s=1800, num_buckets=2)
-        rp = jp.run_all()
-        jp.flush()
+        for nb in (2, 1):
+            jp = StreamingFlagshipJob(s, str(tmp_path / f"pd{nb}"),
+                                      gap_s=1800, num_buckets=nb)
+            rp = jp.run_all()
+            jp.flush()
 
-        old = StreamingSessionJob.RAY_CYCLE_THRESHOLD
-        try:
-            StreamingSessionJob.RAY_CYCLE_THRESHOLD = 0  # force the exchange
-            jd = StreamingFlagshipJob(s, str(tmp_path / "ds"), gap_s=1800, num_buckets=2)
-            rds = jd.run_all()
-            jd.flush()
-        finally:
-            StreamingSessionJob.RAY_CYCLE_THRESHOLD = old
+            old = StreamingSessionJob.RAY_CYCLE_THRESHOLD
+            try:
+                StreamingSessionJob.RAY_CYCLE_THRESHOLD = 0  # the exchange
+                jd = StreamingFlagshipJob(s, str(tmp_path / f"ds{nb}"),
+                                          gap_s=1800, num_buckets=nb)
+                rds = jd.run_all()
+                jd.flush()
+            finally:
+                StreamingSessionJob.RAY_CYCLE_THRESHOLD = old
 
-        # identical per-cycle accounting (rows, late, closed, watermark)
-        assert rds == rp
-        # byte-identical exactly-once sink output
-        assert jd.processed_sha1() == jp.processed_sha1()
-        # identical closed sessions
-        key = ["conv_id", "session_start"]
-        pd.testing.assert_frame_equal(
-            jd.closed_sessions().sort_values(key).reset_index(drop=True),
-            jp.closed_sessions().sort_values(key).reset_index(drop=True),
-        )
-        # late routing captured the out-of-order row in both
-        assert sum(r["late"] for r in rds) == 1
+            # identical per-cycle accounting (rows, late, closed, watermark)
+            assert rds == rp
+            # byte-identical exactly-once sink output
+            assert jd.processed_sha1() == jp.processed_sha1()
+            # identical closed sessions
+            key = ["conv_id", "session_start"]
+            pd.testing.assert_frame_equal(
+                jd.closed_sessions().sort_values(key).reset_index(drop=True),
+                jp.closed_sessions().sort_values(key).reset_index(drop=True),
+            )
+            # late routing captured the out-of-order row in both
+            assert sum(r["late"] for r in rds) == 1
         late_files = os.listdir(jd.late_dir)
         assert len(late_files) == 1
         late = pd.read_parquet(os.path.join(jd.late_dir, late_files[0]))
