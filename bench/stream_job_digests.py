@@ -8,10 +8,11 @@ changelog, broadcast rules) over ``_random_batches(41)`` from
 two-source join — with lateness 0 and 7200 s, on the in-process
 executor (``ray_cycle_threshold=10**9``) and the bucketed one
 (``0``, 4 buckets), plus ``finalize()`` where the job has one. The
-bucketed layout is placed by the CPU count: CPUS=1 runs its buckets in
-the driver loop, CPUS>=2 on the hash exchange — so a 1-CPU dump
-compared with a 4-CPU dump of the same checkout checks that the two
-placements write the same bytes.
+keyed jobs run their buckets in a driver loop whatever CPUS is; CPUS
+sizes the session jobs' hash exchange below, and the Ray tasks that
+older checkouts ran the keyed buckets on — so dumps of an old and a new
+checkout at CPUS=4 compare the old Ray placement with the driver
+loop.
 
 It also runs ``StreamingSessionJob`` and ``StreamingFlagshipJob`` (2
 buckets) then ``flush()`` over two streams from

@@ -25,13 +25,12 @@ O(rules-in-horizon), independent of both the stream length and the
 key cardinality.
 
 Scale shape — what distinguishes this job from the temporal join: the
-rule side NEVER enters the shuffle. Each cycle extracts the file's
+rule side is NEVER bucketed. Each cycle extracts the file's
 rule rows through a driver-side predicate+column-pushdown read
 (bounded by the control stream's volume — the pattern's defining
-assumption), and the merged global rule table ships to the scoring
-tasks once per cycle through ``ray.put`` as presorted numpy columns
-(the broadcast small side) when the buckets run on the hash exchange.
-The probe exchange carries only probe rows bucketed by
+assumption), and the merged global rule table is built once per cycle
+as presorted numpy columns (the broadcast small side) that every
+bucket's scoring run shares. Only probe rows are bucketed, by
 ``event_id % num_buckets``, and that bucketing exists purely so each
 bucket's run writes a DETERMINISTIC per-bucket emission file; no state
 co-location is required at all. Below
@@ -135,11 +134,7 @@ def _score_kernel(st: pd.DataFrame, new: pd.DataFrame, wm: int,
                   new_wm: int, cycle: int, rules) -> tuple:
     """Per-bucket kernel: score every pending/new probe the watermark
     made final against the broadcast rule table (a dict of presorted
-    arrays, or its object-store ref on the hash exchange); the
-    rest keep waiting."""
-    if not isinstance(rules, dict):
-        import ray
-        rules = ray.get(rules)
+    arrays); the rest keep waiting."""
     pr = pd.concat([st, new[["event_id", "ts_us"]]], ignore_index=True)
     ready = pr["ts_us"].to_numpy(dtype="int64") < new_wm
     emitted = _score_arrays(pr[ready], rules["ts_us"], rules["value"])
@@ -193,7 +188,7 @@ class BroadcastRulesJob(KeyedStreamJob):
 
     def _tag(self, b: pd.DataFrame, wm: int) -> pd.DataFrame:
         """Late rows of any type plus on-time probes; on-time rules
-        never ride the exchange."""
+        are never bucketed."""
         us = ts_us(b["ts"])
         keep = (us < wm) | (b["event_type"].to_numpy() == self.probe_type)
         return pd.DataFrame({
@@ -208,10 +203,9 @@ class BroadcastRulesJob(KeyedStreamJob):
         control stream is small by the pattern's own assumption (if
         the "rules" were stream-sized, broadcast state is the wrong
         operator), and row-group/type pushdown keeps it bounded even
-        when the cycle file is huge. The merged rule table ships once
-        per cycle (``ray.put`` when the buckets run on the hash
-        exchange) and only the probes run through the runtime's
-        executor."""
+        when the cycle file is huge. The merged rule table is built
+        once per cycle and only the probes run through the runtime's
+        layouts."""
         import pyarrow.parquet as pq
 
         (path, _, _), = inputs
@@ -236,12 +230,6 @@ class BroadcastRulesJob(KeyedStreamJob):
             "value": np.ascontiguousarray(
                 all_rules["value"].to_numpy(dtype="float64")),
         }
-        if self._placement(inputs) == "exchange":
-            # THE broadcast: one object-store copy per cycle (zero-copy
-            # numpy columns), fetched once per worker, never re-pickled
-            # per task closure
-            import ray
-            table = ray.put(table)
         nxt_prb, counts = super()._execute(
             inputs, wm, new_wm, cycle, prb,
             functools.partial(_score_kernel, rules=table))

@@ -750,8 +750,8 @@ class SessionChangelogJob(KeyedStreamJob):
 
     Scale shape: the keyed-stream runtime runs the ONE kernel
     in-process below RAY_CYCLE_THRESHOLD footer rows and per user
-    bucket above it (each bucket's run writes its changelog file; state
-    + summary rows return).
+    bucket above it, in a driver loop (each bucket's run writes its
+    changelog file and returns its state rows).
     """
 
     OUTPUTS = ("changelog",)

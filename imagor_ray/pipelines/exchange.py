@@ -15,10 +15,11 @@ wherever a pipeline offers both engines.
 
 Partitioning assumption: ``bucket_col`` holds ints in ``[0, nb)`` and a
 group's rows are exactly the rows sharing its bucket value — identical
-to what the groupby engine guarantees. It is the keyed-stream runtime's
-only exchange (on a one-CPU cluster that runtime skips the exchange and
-runs its buckets in a driver loop); the flagship offers it beside Ray
-Data's groupby as ``engine='tasks'``.
+to what the groupby engine guarantees. The flagship offers it beside
+Ray Data's groupby as ``engine='tasks'``; the session stream runs its
+large cycles on a private copy of the same split/reduce. The
+keyed-stream runtime uses no exchange: its buckets run in a driver
+loop, which beat this exchange on its workload at 1 and 4 Ray CPUs.
 """
 
 from __future__ import annotations

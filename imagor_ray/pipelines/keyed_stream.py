@@ -28,19 +28,15 @@ One kernel, two layouts. ``RAY_CYCLE_THRESHOLD`` footer rows pick the
 layout: at or below it the kernel runs ONCE in-process over
 ``state ∪ tag(file)`` and its files carry no bucket suffix; above it
 the SAME kernel runs once per bucket (``key % num_buckets``) over that
-bucket's tagged ∪ state rows and writes the bucket's ``-{bucket}``
-files itself. The live cluster places the bucketed layout
-(:meth:`KeyedStreamJob._placement`): with no Ray session, or one CPU,
-the buckets run in ascending order in a driver loop, since an exchange
-could run nothing in parallel; otherwise they run as the reduce tasks
-of :func:`~imagor_ray.pipelines.exchange.hash_exchange`
-(``read_parquet → map_batches(tag) ∪ from_pandas(state)``), which
-return only next-state rows plus ONE summary row of counters (what
-crosses the driver is the watermark-bounded state, never the stream).
-Both placements run the same bucket function, so they write the same
-bytes. Crash replay reruns the cycle against the committed pre-cycle
-state and overwrites identical bytes: kernels sort every emission and
-snapshots are canonically ordered.
+bucket's tagged ∪ state rows, in ascending bucket order in a driver
+loop, and writes the bucket's ``-{bucket}`` files itself. Neither
+layout starts Ray work: on ``stream_join`` the driver loop beat the raw
+hash exchange at 4 Ray CPUs as well as at 1 (BENCH.md, note after
+finding 26). The price is that a cycle's tagged rows and the state sit
+in driver memory together (:meth:`KeyedStreamJob._is_big`). Crash
+replay reruns the cycle against the committed pre-cycle state and
+overwrites identical bytes: kernels sort every emission and snapshots
+are canonically ordered.
 """
 
 from __future__ import annotations
@@ -83,27 +79,6 @@ def file_max_ts(path: str) -> int:
     return int(pd.Timestamp(v).value // 1000)
 
 
-def _sentinel(dt) -> object:
-    if dt.kind in "iu":
-        return np.array([-1], dtype=dt)
-    if dt.kind == "f":
-        return np.array([np.nan], dtype=dt)
-    return np.array([""], dtype=object)
-
-
-def _with_summary(nxt: pd.DataFrame, counts: dict,
-                  dtypes: pd.Series) -> pd.DataFrame:
-    """Bucket output protocol: next-state rows (``_kind`` 0) plus ONE
-    summary row (``_kind`` 1, sentinel state columns) of counters."""
-    zero = {f"_n_{k}": np.int64(0) for k in counts}
-    body = nxt.assign(_kind=np.int8(0), **zero)
-    summ = pd.DataFrame({c: _sentinel(dt) for c, dt in dtypes.items()})
-    summ["_kind"] = np.int8(1)
-    for k, v in counts.items():
-        summ[f"_n_{k}"] = np.int64(v)
-    return pd.concat([body, summ], ignore_index=True)
-
-
 class KeyedStreamJob:
     """Base of the keyed-watermark stream operators (module docstring
     has the contract). Subclasses set the class attributes below and
@@ -119,7 +94,7 @@ class KeyedStreamJob:
     OUTPUTS: tuple = ("emitted",)
     #: cycle counters, in result order (also the run_all totals)
     COUNTERS: tuple = ("emitted", "late")
-    #: exchange bucket key (``key % num_buckets``)
+    #: bucket key (``key % num_buckets``)
     KEY = "user_id"
     #: sentinel for a column only one of (state, tagged rows) carries
     FILL: dict = {}
@@ -293,47 +268,34 @@ class KeyedStreamJob:
                 f"{name}-{cycle:05d}{sfx}.parquet"))
         return nxt, {**counts, "late": int(late.sum())}
 
-    def _placement(self, inputs: list) -> str:
-        """THE executor choice, from the parquet footers and the live
-        cluster only (it never reads data and never starts Ray):
-
-        - ``"whole"``: at most ``RAY_CYCLE_THRESHOLD`` footer rows — one
-          in-process unit whose files carry no bucket suffix;
-        - ``"driver"``: the per-bucket layout run bucket by bucket in a
-          driver loop — no Ray session is up, or it has one CPU, so an
-          exchange would buy no parallelism;
-        - ``"exchange"``: the per-bucket layout through
-          :func:`~imagor_ray.pipelines.exchange.hash_exchange`."""
+    def _is_big(self, inputs: list) -> bool:
+        """Layout choice from the parquet footers only (never reads
+        data to decide): above ``RAY_CYCLE_THRESHOLD`` rows the cycle
+        runs per bucket. Either layout holds the whole cycle's tagged
+        rows plus the state in driver memory, so a cycle file must fit
+        there; the bucketed layout briefly holds them twice (the marked
+        parts and their concat)."""
         import pyarrow.dataset as pads
 
-        if (sum(pads.dataset(p).count_rows() for p, _, _ in inputs)
-                <= self.RAY_CYCLE_THRESHOLD):
-            return "whole"
-        import ray
-
-        if (not ray.is_initialized()
-                or ray.cluster_resources().get("CPU", 0) <= 1):
-            return "driver"
-        return "exchange"
+        return (sum(pads.dataset(p).count_rows() for p, _, _ in inputs)
+                > self.RAY_CYCLE_THRESHOLD)
 
     def _execute(self, inputs: list, wm: int, new_wm: int, cycle: int,
                  st: pd.DataFrame, kernel=None):
         """Run ``kernel`` (default :meth:`_cycle_kernel`) over
         ``state ∪ tagged inputs``; returns ``(next state, counters)``."""
         kernel = kernel or self._cycle_kernel
-        where = self._placement(inputs)
-        if where != "whole":
+        if self._is_big(inputs):
             return self._execute_bucketed(inputs, wm, new_wm, cycle, st,
-                                          kernel, where == "driver")
+                                          kernel)
         new = pd.concat([tag(pd.read_parquet(p, columns=cols), wm)
                          for p, cols, tag in inputs], ignore_index=True)
         return self._step(st, new, wm, new_wm, cycle, None, kernel)
 
     def _execute_bucketed(self, inputs: list, wm: int, new_wm: int,
-                          cycle: int, st: pd.DataFrame, kernel,
-                          on_driver: bool):
+                          cycle: int, st: pd.DataFrame, kernel):
         nb, key, fill = self.num_buckets, self.KEY, self.FILL
-        state_cols, dtypes = list(st.columns), st.dtypes
+        state_cols = list(st.columns)
         cols = state_cols + [c for c in fill if c not in state_cols]
 
         def mark(df: pd.DataFrame, new: int) -> pd.DataFrame:
@@ -346,52 +308,24 @@ class KeyedStreamJob:
             df["_ub"] = (df[key].to_numpy(dtype="int64") % nb).astype(np.int32)
             return df
 
-        def bucket(g: pd.DataFrame):
-            ub = int(g["_ub"].iloc[0])
-            is_new = g["_new"].to_numpy() == 1
-            nxt, counts = self._step(
-                g[~is_new][state_cols].reset_index(drop=True), g[is_new],
-                wm, new_wm, cycle, ub, kernel)
-            return nxt[state_cols], counts
-
-        if on_driver:
-            parts = [mark(tag(pd.read_parquet(p, columns=rcols), wm), 1)
-                     for p, rcols, tag in inputs]
-            if len(st):
-                parts.append(mark(st.copy(), 0))
-            rows = pd.concat(parts, ignore_index=True)
-            outs = [bucket(g.reset_index(drop=True))
-                    for _, g in rows.groupby("_ub", sort=True)]
-            if not outs:
-                return st.iloc[:0].reset_index(drop=True), {}
-            counts = Counter()
-            for _, c in outs:
-                counts.update(c)
-            return (pd.concat([n for n, _ in outs], ignore_index=True),
-                    dict(counts))
-
-        import ray.data as rd
-
-        from .exchange import hash_exchange
-
-        ds = None
-        for p, rcols, tag in inputs:
-            part = rd.read_parquet(p, columns=rcols).map_batches(
-                lambda b, tag=tag: mark(tag(b, wm), 1),
-                batch_format="pandas")
-            ds = part if ds is None else ds.union(part)
+        parts = [mark(tag(pd.read_parquet(p, columns=rcols), wm), 1)
+                 for p, rcols, tag in inputs]
         if len(st):
-            ds = ds.union(rd.from_pandas(mark(st.copy(), 0)))
-        out = hash_exchange(
-            ds, nb, lambda g: _with_summary(*bucket(g), dtypes),
-            bucket_col="_ub")
-        if not len(out):
+            parts.append(mark(st.copy(), 0))
+        rows = pd.concat(parts, ignore_index=True)
+        del parts
+        nxts, counts = [], Counter()
+        for ub, g in rows.groupby("_ub", sort=True):
+            g = g.reset_index(drop=True)
+            is_new = g["_new"].to_numpy() == 1
+            nxt, c = self._step(
+                g[~is_new][state_cols].reset_index(drop=True), g[is_new],
+                wm, new_wm, cycle, int(ub), kernel)
+            nxts.append(nxt[state_cols])
+            counts.update(c)
+        if not nxts:
             return st.iloc[:0].reset_index(drop=True), {}
-        kind = out["_kind"].to_numpy()
-        summ = out[kind == 1]
-        counts = {c[3:]: int(summ[c].sum()) for c in out.columns
-                  if c.startswith("_n_")}
-        return out[kind == 0][state_cols].reset_index(drop=True), counts
+        return pd.concat(nxts, ignore_index=True), dict(counts)
 
 
 def side_counts(snap: pd.DataFrame, **names: int) -> dict:

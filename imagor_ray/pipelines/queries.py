@@ -1149,6 +1149,9 @@ def _q_q18(sf_dir: str, qty_threshold: int = 250, topn: int = 100):
                 .map_groups(lambda g: heavy(g.drop(columns=["_qb"])),
                             batch_format="pandas")
                 .to_pandas()
+                # a groupby over all-empty blocks (no heavy order) can
+                # come back without columns
+                .reindex(columns=["l_orderkey", "total_qty"])
                 .sort_values("l_orderkey"))
     heavy_keys = _ray.put(heavy_df["l_orderkey"].to_numpy(dtype="int64"))
     heavy_qty = _ray.put(heavy_df["total_qty"].to_numpy(dtype="int64"))
@@ -1191,7 +1194,9 @@ def _q_q18(sf_dir: str, qty_threshold: int = 250, topn: int = 100):
            .groupby("_k")
            .map_groups(lambda g: top_n(g.drop(columns=["_k"])),
                        batch_format="pandas")
-           .to_pandas())
+           .to_pandas()
+           .reindex(columns=["o_orderkey", "o_custkey", "o_orderdate",
+                             "price_m", "total_qty"]))
     keys = top["o_custkey"].astype("int64").unique().tolist()
     cust = pq.read_table(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"],

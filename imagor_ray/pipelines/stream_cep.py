@@ -52,9 +52,8 @@ Scale shape: ONE kernel run by the keyed-stream runtime — in-process
 below ``RAY_CYCLE_THRESHOLD`` footer rows, above it per user bucket
 over tagged new ∪ state rows (buckets are user-complete, so NFA state
 and buffer co-locate with their events); each bucket's run writes its
-emission file itself. The exchange carries fixed-width
-columns only (user_id, event_id, ts, type-code, registers) — no
-text.
+emission file itself. The bucketed rows are fixed-width columns
+only (user_id, event_id, ts, type-code, registers) — no text.
 """
 
 from __future__ import annotations
@@ -277,7 +276,7 @@ class StreamingCepJob(KeyedStreamJob):
 
     def _tag(self, b: pd.DataFrame, wm: int) -> pd.DataFrame:
         """New events as buffer rows (side 1) of 4 fixed-width columns
-        — no text crosses the exchange."""
+        — no text is bucketed."""
         n = len(b)
         return pd.DataFrame({
             "side": np.full(n, 1, dtype=np.int8),

@@ -31,8 +31,8 @@ Scale shape: ONE kernel run by the keyed-stream runtime — in-process
 below ``RAY_CYCLE_THRESHOLD`` footer rows, above it per user bucket
 over tagged new rows ∪ state rows: each bucket's run dedupes its
 bucket (keys contain user_id, so buckets are key-complete), writes its
-emission file itself, and returns only state + summary rows; eviction
-runs driver-side on the gathered state.
+emission file itself, and returns only its state rows; eviction runs
+on the gathered state.
 """
 
 from __future__ import annotations

@@ -42,12 +42,10 @@ Scale shape: the per-cycle match is the (user, new×state) band join,
 ONE kernel run by the keyed-stream runtime (:mod:`.keyed_stream`):
 in-process below ``RAY_CYCLE_THRESHOLD`` rows (Ray per-stage overhead
 dominates tiny cycles), above it per user bucket over the cycle's
-tagged rows ∪ the (small, watermark-bounded) state rows — in a driver
-loop on a one-CPU cluster, otherwise as the reduce tasks of the hash
-exchange. Matched pairs are written per bucket by the bucket's own run,
-and on the exchange only per-bucket summaries plus next-cycle state
-rows return to the driver. Eviction and the timeout writes stay
-driver-side.
+tagged rows ∪ the (small, watermark-bounded) state rows, in a driver
+loop. Matched pairs are written per bucket by the bucket's own run,
+which returns only its next-cycle state rows. Eviction and the timeout
+writes run once on the gathered state.
 """
 
 from __future__ import annotations

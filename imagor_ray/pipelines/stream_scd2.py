@@ -34,7 +34,7 @@ Scale shape: ONE kernel run by the keyed-stream runtime — in-process
 below ``RAY_CYCLE_THRESHOLD`` footer rows, above it per user bucket
 over (registers ∪ buffer ∪ new): registers and buffers are user-keyed,
 so buckets are version-complete; each bucket's run writes its op +
-late files itself and returns state + summary rows only.
+late files itself and returns its state rows only.
 
 Reference semantics: the result-storage freshness/overwrite contract
 (``imagor.go:605-652``) generalized to versioned dimension rows;

@@ -1,9 +1,9 @@
-"""Crash replay for every job on the keyed-stream runtime, on every
-executor: the in-process one, and the per-bucket layout (each bucket
-writes its own ``-{bucket}`` files) placed on the hash exchange and in
-the one-CPU driver loop. A commit lost in cycle 1 (``cp.save`` raises
-after every emission file was written) must replay from the committed
-cycle-0 state and overwrite the same bytes."""
+"""Crash replay for every job on the keyed-stream runtime, in BOTH
+layouts: the in-process one and the per-bucket driver loop (each
+bucket writes its own ``-{bucket}`` files). A commit lost in cycle 1
+(``cp.save`` raises after every emission file was written) must replay
+from the committed cycle-0 state and overwrite the same bytes, and
+neither layout may start Ray work."""
 
 from __future__ import annotations
 
@@ -73,10 +73,8 @@ def _drain(job) -> None:
 
 JOBS = ["stream_join", "two_source_join", "temporal_join", "scd2", "cep",
         "dedup", "session_changelog", "broadcast_rules"]
-#: job keyword args, and the CPU count the job sees (None: the session's)
-EXECUTORS = {"in_process": (dict(ray_cycle_threshold=10**9), None),
-             "bucketed": (dict(ray_cycle_threshold=0, num_buckets=4), None),
-             "driver_loop": (dict(ray_cycle_threshold=0, num_buckets=4), 1)}
+EXECUTORS = {"in_process": dict(ray_cycle_threshold=10**9),
+             "bucketed": dict(ray_cycle_threshold=0, num_buckets=4)}
 
 
 @pytest.mark.parametrize("executor", list(EXECUTORS))
@@ -86,26 +84,16 @@ def test_lost_commit_replays_identical_bytes(ray_session, tmp_path,
     import ray
     import ray.data
 
-    from imagor_ray.pipelines import exchange
-
+    spies = {}
+    for mod, attr in ((ray.data, "read_parquet"),
+                      (ray.data, "from_pandas"), (ray, "put")):
+        spies[attr] = mock.Mock(wraps=getattr(mod, attr))
+        monkeypatch.setattr(mod, attr, spies[attr])
     root = str(tmp_path)
     _stage(root, "in")
     _stage(root, "left", keep=("click",))
     _stage(root, "right", keep=("purchase", "view"))
-    job_kw, cpus = EXECUTORS[executor]
-    kw = dict(job_kw, allowed_lateness_s=7200)
-    if cpus is not None:
-        # the same layout on the session's hash exchange, before the
-        # job is shown a smaller cluster
-        exchanged = os.path.join(root, "exchanged")
-        _drain(_make(name, root, exchanged, **kw))
-        monkeypatch.setattr(ray, "cluster_resources",
-                            lambda: {"CPU": float(cpus)})
-        spies = {}
-        for mod, attr in ((exchange, "hash_exchange"),
-                          (ray.data, "read_parquet"), (ray, "put")):
-            spies[attr] = mock.Mock(wraps=getattr(mod, attr))
-            monkeypatch.setattr(mod, attr, spies[attr])
+    kw = dict(EXECUTORS[executor], allowed_lateness_s=7200)
 
     crashed = os.path.join(root, "crashed")
     job = _make(name, root, crashed, **kw)
@@ -138,8 +126,4 @@ def test_lost_commit_replays_identical_bytes(ray_session, tmp_path,
     ref = os.path.join(root, "ref")
     _drain(_make(name, root, ref, **kw))
     assert after == _digests(ref)
-    if cpus is not None:
-        # the driver loop started no Ray work and wrote the exchange's
-        # bytes
-        assert [a for a, spy in spies.items() if spy.called] == []
-        assert after == _digests(exchanged)
+    assert [a for a, spy in spies.items() if spy.called] == []

@@ -76,9 +76,11 @@ def test_rows_only_queries_run(ray_session):
 
 
 def test_q18_driver_collects_at_most_topn(ray_session, monkeypatch):
-    """q18 with every order heavy (threshold 0) and a top-3: the oracle
-    still matches, and no Ray collection of probed orders brings more
-    than the top-3 rows to the driver."""
+    """q18 with a top-3, once with every order heavy (threshold 0) and
+    once with none (a threshold above every order's quantity): the
+    oracle still matches, empty result columns included, and no Ray
+    collection of probed orders brings more than the top-3 rows to the
+    driver."""
     import ray.data as rd
 
     from imagor_ray.pipelines.queries import _Q18_SQL, _q_q18
@@ -93,9 +95,13 @@ def test_q18_driver_collects_at_most_topn(ray_session, monkeypatch):
         return df
 
     monkeypatch.setattr(rd.Dataset, "to_pandas", spy)
-    got = normalize(_q_q18(SF, qty_threshold=0, topn=3))
-    sql = _Q18_SQL.replace("> 250", "> 0").replace("LIMIT 100", "LIMIT 3")
-    want = normalize(run_oracle(sql))
-    assert len(want) == 3
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
-    assert collected and max(collected) <= 3, collected
+    for threshold, rows in ((0, 3), (10**12, 0)):
+        collected.clear()
+        got = normalize(_q_q18(SF, qty_threshold=threshold, topn=3))
+        sql = (_Q18_SQL.replace("> 250", f"> {threshold}")
+               .replace("LIMIT 100", "LIMIT 3"))
+        want = normalize(run_oracle(sql))
+        assert len(want) == rows
+        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+        assert max(collected, default=0) <= 3, collected
+        assert collected or not rows

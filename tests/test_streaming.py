@@ -331,10 +331,10 @@ class TestDatasetNativeCycle:
             )
             # late routing captured the out-of-order row in both
             assert sum(r["late"] for r in rds) == 1
-        late_files = os.listdir(jd.late_dir)
-        assert len(late_files) == 1
-        late = pd.read_parquet(os.path.join(jd.late_dir, late_files[0]))
-        assert late["conv_id"].tolist() == ["zz"]
+            late_files = os.listdir(jd.late_dir)
+            assert len(late_files) == 1
+            late = pd.read_parquet(os.path.join(jd.late_dir, late_files[0]))
+            assert late["conv_id"].tolist() == ["zz"]
 
     def test_dataset_cycle_kill_resume(self, ray_session, tmp_path):
         from imagor_ray.pipelines.streaming import (
