@@ -14,6 +14,12 @@ older checkouts ran the keyed buckets on — so dumps of an old and a new
 checkout at CPUS=4 compare the old Ray placement with the driver
 loop.
 
+It runs ``StreamingChangelogJob`` (update, complete and append modes)
+and ``TopKChangelogJob`` (k=2) over two streams — the same
+``_random_batches(41)`` and ten day files with late arrivals, one empty
+file and one all-late file — crossed with lateness 0 and 2 days and
+with tumbling-week and 3-day/1-day sliding windows.
+
 It also runs ``StreamingSessionJob`` and ``StreamingFlagshipJob`` (2
 buckets) then ``flush()`` over two streams from
 ``tests/test_streaming.py`` — ``TestPipelinedCycles._mk_batches(6)``
@@ -74,10 +80,13 @@ def dump(root: str, out: str, cpus: int = 1) -> None:
 def _run_cases(tmp: str) -> dict:
     """Every case, run under ``tmp``: ``{case: digests}``."""
     import pandas as pd
+    import pyarrow.parquet as pq
 
     from test_state_rescale import _random_batches
     from imagor_ray.pipelines.broadcast_rules import BroadcastRulesJob
-    from imagor_ray.pipelines.changelog import SessionChangelogJob
+    from imagor_ray.pipelines.changelog import (SessionChangelogJob,
+                                                StreamingChangelogJob,
+                                                TopKChangelogJob)
     from imagor_ray.pipelines.stream_cep import StreamingCepJob
     from imagor_ray.pipelines.stream_dedup import StreamingDedupJob
     from imagor_ray.pipelines.stream_join import (StreamingJoinJob,
@@ -129,6 +138,28 @@ def _run_cases(tmp: str) -> dict:
                     job.finalize()
                 res[f"{name}-{late}-{ex}"] = _digest_state(sd, totals)
 
+    days = os.path.join(tmp, "days")
+    os.makedirs(days)
+    for i, tbl in enumerate(_changelog_days()):
+        pq.write_table(tbl, os.path.join(days, f"day-{i:03d}.parquet"))
+    modes = {
+        "update": (StreamingChangelogJob, {}),
+        "complete": (StreamingChangelogJob, dict(output_mode="complete")),
+        "append": (StreamingChangelogJob, dict(output_mode="append")),
+        "topk": (TopKChangelogJob, dict(k=2)),
+    }
+    shapes = {"tumbling": {},
+              "sliding": dict(window_s=3 * 86_400, slide_s=86_400)}
+    for sname, stream in (("random", ind), ("days", days)):
+        for late in (0, 2 * 86_400):
+            for shape, wkw in shapes.items():
+                for mode, (cls, mkw) in modes.items():
+                    case = f"chlog-{sname}-{late}-{shape}-{mode}"
+                    sd = os.path.join(tmp, case)
+                    job = cls(stream, sd, allowed_lateness_s=late, **wkw,
+                              **mkw)
+                    res[case] = _digest_state(sd, job.run_all())
+
     streams = {
         "pipe6": write_stream(pathlib.Path(tmp, "pipe6"),
                               TestPipelinedCycles._mk_batches(6)),
@@ -154,6 +185,32 @@ def _run_cases(tmp: str) -> dict:
                         job.flush()
                         res[case] = _digest_state(sd, totals)
     return res
+
+
+def _changelog_days() -> list:
+    """Ten day files of (event_id, ts, event_type) as arrow tables:
+    every fourth row lands one arrival day late, file 4 is empty and
+    file 7 holds only rows from day 1 (late under either horizon)."""
+    import numpy as np
+    import pyarrow as pa
+
+    rng = np.random.RandomState(23)
+    day = 86_400 * 1_000_000
+    schema = pa.schema([("event_id", pa.int64()), ("ts", pa.timestamp("us")),
+                        ("event_type", pa.string())])
+    out, eid = [], 0
+    for d in range(10):
+        n = 0 if d == 4 else 6 if d == 7 else 40
+        rows = []
+        for _ in range(n):
+            ev_day = 1 if d == 7 else d - (eid % 4 == 0)
+            rows.append((eid, ev_day * day + int(rng.randint(0, day)),
+                         str(rng.choice(["a", "b", "c", "d"]))))
+            eid += 1
+        cols = list(zip(*rows)) if rows else [[], [], []]
+        out.append(pa.table([pa.array(c, t.type) for c, t in
+                             zip(cols, schema)], schema=schema))
+    return out
 
 
 def _jittered_batches() -> list:

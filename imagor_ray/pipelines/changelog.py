@@ -27,11 +27,16 @@ changelog files are sorted + written BEFORE the single checkpoint
 commit, so a crash between write and commit replays the cycle against
 the committed pre-cycle state and overwrites identical bytes.
 
-Scale shape: the per-cycle aggregation is distributed (``map_batches``
-partials bounded by the (window × key) domain per batch, never row
-counts); only the tiny partial table reaches the driver fold. The
-changelog diff itself is a pandas merge over the open-window state —
-domain-sized, not stream-sized.
+Scale shape: every job here runs on the keyed-stream runtime
+(``keyed_stream.py``), which owns the zone-map watermark, the late
+split, the atomic writes and the commit. The windowed and top-k jobs
+have no bucket key (their state is sized by the aggregate domain, and
+a ranking spans every key), so each cycle is ONE in-process kernel
+call: it fans sliding windows out, counts the on-time rows, folds the
+counts into the state, evicts closed windows and emits. The price is
+that a cycle's tagged ``(event_id, ts_us, key)`` rows sit in driver
+memory beside the state; the changelog diff itself is a pandas merge
+over the open-window state — domain-sized, not stream-sized.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ import os
 import numpy as np
 import pandas as pd
 
-from ..state.checkpoint import Checkpoint
 from ..stages.windows import ts_us
 from .keyed_stream import KeyedStreamJob
 
@@ -67,7 +71,7 @@ def _empty_state() -> pd.DataFrame:
     })
 
 
-class StreamingChangelogJob:
+class StreamingChangelogJob(KeyedStreamJob):
     """Micro-batch weekly-count changelog with retraction emission
     (module docstring has the full semantics).
 
@@ -90,12 +94,24 @@ class StreamingChangelogJob:
     ``window_s``/``slide_s`` switch the window shape from the default
     tumbling Monday-snapped week to SLIDING epoch-aligned windows of
     length ``window_s`` every ``slide_s`` seconds (``window_s`` must be
-    a multiple of ``slide_s``): each event fans out to its
-    ``window_s/slide_s`` covering windows map-side — the bounded
-    fan-out the sliding assignment in ``stages/windows.py`` documents —
-    and everything downstream (changelog diff, eviction at
+    a multiple of ``slide_s``): the kernel fans each on-time event out
+    to its ``window_s/slide_s`` covering windows — the bounded fan-out
+    the sliding assignment in ``stages/windows.py`` documents — and
+    everything downstream (changelog diff, eviction at
     ``win + window > wm``, folding) is window-shape-agnostic.
+
+    Runs on the keyed-stream runtime with no bucket key (``KEY =
+    None``): the state is sized by the aggregate domain, not by a key
+    space, so every cycle is one in-process unit. A cycle's tagged
+    ``(event_id, ts_us, key)`` rows sit in driver memory beside that
+    state. Append emissions land in ``changelog/closed-*``, complete
+    emissions in ``changelog/complete-*``.
     """
+
+    OUTPUTS = ("changelog",)
+    COUNTERS = ("changelog_rows", "retractions", "late")
+    STATE_ORDER = ["win_us", "key"]
+    KEY = None
 
     def __init__(self, input_dir: str, state_dir: str,
                  key_col: str = "event_type",
@@ -114,119 +130,69 @@ class StreamingChangelogJob:
                 raise ValueError("window_s must be a multiple of slide_s")
             self.win_len_us = window_s * 1_000_000
             self.slide_us = slide_s * 1_000_000
-        self.input_dir = input_dir
-        self.cp = Checkpoint(state_dir)
+        super().__init__(input_dir, state_dir, allowed_lateness_s)
         self.key_col = key_col
-        self.lateness_us = allowed_lateness_s * 1_000_000
+        self.READ_COLS = ["event_id", "ts", key_col]
         self.output_mode = output_mode
-        self.changelog_dir = os.path.join(state_dir, "changelog")
-        self.late_dir = os.path.join(state_dir, "late")
-        os.makedirs(self.changelog_dir, exist_ok=True)
-        os.makedirs(self.late_dir, exist_ok=True)
+        self.closed_dir = self.complete_dir = self.changelog_dir
 
-    def pending_files(self) -> list[str]:
-        state = self.cp.load()
-        done = set(state.get("processed", []))
-        return [f for f in sorted(os.listdir(self.input_dir))
-                if f.endswith(".parquet") and f not in done]
+    def _empty_state(self) -> pd.DataFrame:
+        return _empty_state()
 
-    def _load_state(self, state: dict) -> pd.DataFrame:
-        st = self.cp.load_open_sessions(state)
-        return _empty_state() if st is None else st
+    def _tag(self, b: pd.DataFrame, wm: int) -> pd.DataFrame:
+        return pd.DataFrame({
+            "event_id": b["event_id"].to_numpy(dtype="int64"),
+            "ts_us": ts_us(b["ts"]),
+            "key": b[self.key_col].to_numpy(),
+        })
 
-    def _cycle_counts(self, path: str, wm: int, cycle: int
-                      ) -> tuple[pd.DataFrame, int, int]:
-        """Distributed per-cycle (window, key) partial counts: each
-        batch returns at most |windows × keys| count rows (kind=0)
-        plus its late rows (kind=1 — bounded by the lateness horizon,
-        not the stream); the driver folds the counts and writes ONE
-        sorted per-cycle late file, so replay bytes don't depend on
-        Ray's batch splits. Returns (counts, n_late, max_ts)."""
-        import ray.data as rd
+    def _counts(self, new: pd.DataFrame) -> pd.DataFrame:
+        """Per-(window, key) counts of the on-time rows; a sliding
+        window fans each row out to every covering window start (the
+        k = window/slide epoch-aligned grid points at or before the
+        event, within one window length)."""
+        us = new["ts_us"].to_numpy(dtype="int64")
+        keys = new["key"].to_numpy()
+        if self.slide_us is None:
+            win = _week_start(us)
+        else:
+            k = self.win_len_us // self.slide_us
+            base = (us // self.slide_us) * self.slide_us
+            win = (base[:, None]
+                   - np.arange(k, dtype=np.int64) * self.slide_us).ravel()
+            keys = np.repeat(keys, k)
+        s = (pd.DataFrame({"win_us": win, "key": keys})
+             .groupby(["win_us", "key"], sort=False)
+             .size().reset_index(name="n"))
+        s["n"] = s["n"].astype("int64")
+        return s
 
-        key_col = self.key_col
-        slide_us, win_len_us = self.slide_us, self.win_len_us
+    def _cycle_kernel(self, st: pd.DataFrame, new: pd.DataFrame, wm: int,
+                      new_wm: int, cycle: int):
+        counts = self._counts(new)
+        upd = (pd.concat([st, counts], ignore_index=True)
+               .groupby(["win_us", "key"], sort=False)["n"]
+               .sum().reset_index())
+        # closed windows (watermark past window end) can get no further
+        # on-time update; complete mode keeps them by design
+        open_ = upd["win_us"].to_numpy() + self.win_len_us > new_wm
+        name, out = self._emit(st, counts, upd, open_)
+        out.insert(0, "cycle", np.int64(cycle))
+        nxt = upd if self.output_mode == "complete" else upd[open_]
+        retractions = int((out["op"] == -1).sum()) if "op" in out else 0
+        return ({name: out}, nxt,
+                {"changelog_rows": len(out), "retractions": retractions})
 
-        def partial(b: pd.DataFrame) -> pd.DataFrame:
-            us = b["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-            late = us < wm
-            keys = b[key_col].to_numpy()[~late]
-            if slide_us is None:
-                on = pd.DataFrame({
-                    "win_us": _week_start(us[~late]),
-                    "key": keys,
-                })
-            else:
-                # sliding fan-out: every covering window start (the
-                # k = window/slide epoch-aligned grid points at or
-                # before the event, within one window length)
-                k = win_len_us // slide_us
-                base = (us[~late] // slide_us) * slide_us
-                on = pd.DataFrame({
-                    "win_us": (base[:, None]
-                               - np.arange(k, dtype=np.int64)
-                               * slide_us).ravel(),
-                    "key": np.repeat(keys, k),
-                })
-            s = (on.groupby(["win_us", "key"], sort=False)
-                 .size().reset_index(name="n"))
-            s["n"] = s["n"].astype("int64")
-            s["kind"] = np.int8(0)
-            lrows = pd.DataFrame({
-                "win_us": b["event_id"].to_numpy(dtype="int64")[late],
-                "key": np.full(int(late.sum()), "", dtype=object),
-                "n": us[late],
-                "kind": np.full(int(late.sum()), 1, dtype=np.int8),
-            })
-            out = pd.concat([s, lrows], ignore_index=True)
-            out["_max_ts"] = np.int64(int(us.max()) if len(us) else -1)
-            return out
-
-        parts = (rd.read_parquet(path, columns=["event_id", "ts", key_col])
-                 .map_batches(partial, batch_format="pandas")
-                 .to_pandas())
-        late_rows = (parts[parts["kind"] == 1] if len(parts)
-                     else parts)
-        lrows = pd.DataFrame({
-            "event_id": (late_rows["win_us"].to_numpy(dtype="int64")
-                         if len(late_rows) else
-                         np.array([], dtype="int64")),
-            "ts": pd.Series(late_rows["n"].to_numpy(dtype="int64")
-                            if len(late_rows) else
-                            np.array([], dtype="int64"))
-            .astype("datetime64[us]"),
-        }).sort_values("event_id", kind="mergesort").reset_index(drop=True)
-        tmp = os.path.join(self.late_dir, f"late-{cycle:05d}.parquet")
-        lrows.to_parquet(tmp + ".tmp", index=False)
-        os.replace(tmp + ".tmp", tmp)
-        if not len(parts):
-            return _empty_state(), 0, -1
-        cnt = parts[parts["kind"] == 0]
-        counts = (cnt.groupby(["win_us", "key"], sort=False)["n"]
-                  .sum().reset_index())
-        max_ts = int(parts["_max_ts"].max())
-        return counts, len(lrows), max_ts
-
-    def run_cycle(self) -> dict | None:
-        pending = self.pending_files()
-        if not pending:
-            return None
-        fname = pending[0]
-        state = self.cp.load()
-        wm = int(state.get("watermark_us", 0))
-        cycle = int(state.get("cycles", 0))
-        st = self._load_state(state)
-        path = os.path.join(self.input_dir, fname)
-
-        counts, n_late, max_ts = self._cycle_counts(path, wm, cycle)
-
+    def _emit(self, st: pd.DataFrame, counts: pd.DataFrame,
+              upd: pd.DataFrame, open_: np.ndarray
+              ) -> tuple[str, pd.DataFrame]:
+        """The output mode's emission as ``(output name, frame)``."""
         if self.output_mode == "complete":
-            return self._commit_complete(state, st, counts, fname,
-                                         cycle, wm, n_late, max_ts)
+            return "complete", self._canon(upd)
         if self.output_mode == "append":
-            return self._commit_append(state, st, counts, fname,
-                                       cycle, wm, n_late, max_ts)
-
+            # the closing windows' aggregate is final: emission IS the
+            # eviction
+            return "closed", self._canon(upd[~open_])
         # changelog diff against the open-window state (domain-sized)
         merged = counts.merge(st, on=["win_us", "key"], how="left",
                               suffixes=("_new", "_old"))
@@ -234,82 +200,12 @@ class StreamingChangelogJob:
         new_n = merged["n_new"].astype("int64") + prev
         retract = merged[prev > 0].assign(op=np.int8(-1), n=prev[prev > 0])
         insert = merged.assign(op=np.int8(1), n=new_n)
-        chlog = (pd.concat([retract[["win_us", "key", "op", "n"]],
-                            insert[["win_us", "key", "op", "n"]]],
-                           ignore_index=True)
-                 .sort_values(["win_us", "key", "op"], kind="mergesort")
-                 .reset_index(drop=True))
-        chlog.insert(0, "cycle", np.int64(cycle))
-        tmp = os.path.join(self.changelog_dir,
-                           f"changelog-{cycle:05d}.parquet")
-        chlog.to_parquet(tmp + ".tmp", index=False)
-        os.replace(tmp + ".tmp", tmp)
-
-        # fold into state, then evict CLOSED windows (watermark past
-        # window end — no further update can arrive on time, and the
-        # latest value was already emitted, so eviction is silent)
-        upd = pd.concat(
-            [st, counts.rename(columns={"n": "n"})], ignore_index=True)
-        upd = (upd.groupby(["win_us", "key"], sort=False)["n"]
-               .sum().reset_index())
-        new_wm = max(wm, max_ts - self.lateness_us) if max_ts >= 0 else wm
-        open_mask = upd["win_us"].to_numpy() + self.win_len_us > new_wm
-        new_st = (upd[open_mask]
-                  .sort_values(["win_us", "key"], kind="mergesort")
-                  .reset_index(drop=True))
-
-        open_fname = self.cp.stage_open_sessions(new_st, cycle)
-        state["open_sessions_file"] = open_fname
-        state["watermark_us"] = int(new_wm)
-        state["processed"] = list(state.get("processed", [])) + [fname]
-        state["cycles"] = cycle + 1
-        result = {"file": fname, "watermark_us": int(new_wm),
-                  "changelog_rows": int(len(chlog)),
-                  "retractions": int((chlog["op"] == -1).sum()),
-                  "late": int(n_late), "state_rows": int(len(new_st))}
-        state["cycle_metrics"] = (list(state.get("cycle_metrics", []))
-                                  + [result])
-        self.cp.save(state)
-        self.cp.gc_open_sessions(keep=open_fname)
-        return result
-
-    def _commit_append(self, state: dict, st: pd.DataFrame,
-                       counts: pd.DataFrame, fname: str, cycle: int,
-                       wm: int, n_late: int, max_ts: int) -> dict:
-        """Append-mode cycle tail: fold the counts into state, emit the
-        windows the new watermark CLOSES (their aggregate is final —
-        emission IS the eviction), keep the still-open remainder."""
-        upd = pd.concat([st, counts], ignore_index=True)
-        upd = (upd.groupby(["win_us", "key"], sort=False)["n"]
-               .sum().reset_index())
-        new_wm = max(wm, max_ts - self.lateness_us) if max_ts >= 0 else wm
-        open_mask = upd["win_us"].to_numpy() + self.win_len_us > new_wm
-        closed = (upd[~open_mask]
-                  .sort_values(["win_us", "key"], kind="mergesort")
-                  .reset_index(drop=True))
-        closed.insert(0, "cycle", np.int64(cycle))
-        tmp = os.path.join(self.changelog_dir,
-                           f"closed-{cycle:05d}.parquet")
-        closed.to_parquet(tmp + ".tmp", index=False)
-        os.replace(tmp + ".tmp", tmp)
-
-        new_st = (upd[open_mask]
-                  .sort_values(["win_us", "key"], kind="mergesort")
-                  .reset_index(drop=True))
-        open_fname = self.cp.stage_open_sessions(new_st, cycle)
-        state["open_sessions_file"] = open_fname
-        state["watermark_us"] = int(new_wm)
-        state["processed"] = list(state.get("processed", [])) + [fname]
-        state["cycles"] = cycle + 1
-        result = {"file": fname, "watermark_us": int(new_wm),
-                  "changelog_rows": int(len(closed)),
-                  "retractions": 0,
-                  "late": int(n_late), "state_rows": int(len(new_st))}
-        state["cycle_metrics"] = (list(state.get("cycle_metrics", []))
-                                  + [result])
-        self.cp.save(state)
-        self.cp.gc_open_sessions(keep=open_fname)
-        return result
+        return "changelog", (
+            pd.concat([retract[["win_us", "key", "op", "n"]],
+                       insert[["win_us", "key", "op", "n"]]],
+                      ignore_index=True)
+            .sort_values(["win_us", "key", "op"], kind="mergesort")
+            .reset_index(drop=True))
 
     def closed(self) -> pd.DataFrame:
         """Append-mode consumer view: the closed-window emissions
@@ -326,66 +222,14 @@ class StreamingChangelogJob:
             })
         return pd.concat(parts, ignore_index=True)
 
-    def _commit_complete(self, state: dict, st: pd.DataFrame,
-                         counts: pd.DataFrame, fname: str, cycle: int,
-                         wm: int, n_late: int, max_ts: int) -> dict:
-        """Complete-mode cycle tail: fold the counts into state, emit
-        the WHOLE aggregate table (sorted, byte-stable) for this cycle,
-        evict nothing (complete mode re-emits every window forever —
-        state is aggregate-domain-sized by design)."""
-        upd = pd.concat([st, counts], ignore_index=True)
-        upd = (upd.groupby(["win_us", "key"], sort=False)["n"]
-               .sum().reset_index()
-               .sort_values(["win_us", "key"], kind="mergesort")
-               .reset_index(drop=True))
-        emission = upd.copy()
-        emission.insert(0, "cycle", np.int64(cycle))
-        tmp = os.path.join(self.changelog_dir,
-                           f"complete-{cycle:05d}.parquet")
-        emission.to_parquet(tmp + ".tmp", index=False)
-        os.replace(tmp + ".tmp", tmp)
-
-        new_wm = max(wm, max_ts - self.lateness_us) if max_ts >= 0 else wm
-        open_fname = self.cp.stage_open_sessions(upd, cycle)
-        state["open_sessions_file"] = open_fname
-        state["watermark_us"] = int(new_wm)
-        state["processed"] = list(state.get("processed", [])) + [fname]
-        state["cycles"] = cycle + 1
-        result = {"file": fname, "watermark_us": int(new_wm),
-                  "changelog_rows": int(len(emission)),
-                  "retractions": 0,
-                  "late": int(n_late), "state_rows": int(len(upd))}
-        state["cycle_metrics"] = (list(state.get("cycle_metrics", []))
-                                  + [result])
-        self.cp.save(state)
-        self.cp.gc_open_sessions(keep=open_fname)
-        return result
-
-    def run_all(self) -> dict:
-        totals = {"cycles": 0, "changelog_rows": 0, "retractions": 0,
-                  "late": 0}
-        while (r := self.run_cycle()) is not None:
-            totals["cycles"] += 1
-            totals["changelog_rows"] += r["changelog_rows"]
-            totals["retractions"] += r["retractions"]
-            totals["late"] += r["late"]
-        return totals
-
     def changelog(self) -> pd.DataFrame:
-        # *.parquet only: a crash between the tmp write and os.replace
-        # may leave a half-written .tmp beside the committed files
-        parts = [pd.read_parquet(os.path.join(self.changelog_dir, f))
-                 for f in sorted(os.listdir(self.changelog_dir))
-                 if f.endswith(".parquet")]
-        if not parts:
-            return pd.DataFrame({
-                "cycle": pd.Series([], dtype="int64"),
-                "win_us": pd.Series([], dtype="int64"),
-                "key": pd.Series([], dtype=object),
-                "op": pd.Series([], dtype="int8"),
-                "n": pd.Series([], dtype="int64"),
-            })
-        return pd.concat(parts, ignore_index=True)
+        return self._read_back("changelog", None, pd.DataFrame({
+            "cycle": pd.Series([], dtype="int64"),
+            "win_us": pd.Series([], dtype="int64"),
+            "key": pd.Series([], dtype=object),
+            "op": pd.Series([], dtype="int8"),
+            "n": pd.Series([], dtype="int64"),
+        }))
 
     def folded(self) -> pd.DataFrame:
         """Materialize the consumer view: last-insert-wins per
@@ -410,9 +254,10 @@ class TopKChangelogJob(StreamingChangelogJob):
     so the diff runs over touched windows only; counts are monotone,
     so rank slots never disappear (a retraction is always paired with
     an insert). Ties break (n DESC, key ASC) on both engine and
-    oracle. State is the inherited open-window count table
-    (domain-sized, watermark-evicted); emission files commit before
-    the checkpoint (the house exactly-once discipline)."""
+    oracle. Only the emission step differs from the update-mode
+    parent: the state is the same open-window count table
+    (domain-sized, watermark-evicted), and a ranking spans every key,
+    which is why there is no bucket key to split a cycle by."""
 
     def __init__(self, input_dir: str, state_dir: str,
                  key_col: str = "event_type",
@@ -442,26 +287,12 @@ class TopKChangelogJob(StreamingChangelogJob):
         return (s[s["rnk"] <= self.k]
                 [["win_us", "rnk", "key", "n"]].reset_index(drop=True))
 
-    def run_cycle(self) -> dict | None:
-        pending = self.pending_files()
-        if not pending:
-            return None
-        fname = pending[0]
-        state = self.cp.load()
-        wm = int(state.get("watermark_us", 0))
-        cycle = int(state.get("cycles", 0))
-        st = self._load_state(state)
-        path = os.path.join(self.input_dir, fname)
-
-        counts, n_late, max_ts = self._cycle_counts(path, wm, cycle)
-
+    def _emit(self, st: pd.DataFrame, counts: pd.DataFrame,
+              upd: pd.DataFrame, open_: np.ndarray
+              ) -> tuple[str, pd.DataFrame]:
         touched = counts["win_us"].unique()
         old_top = self._topk(st[st["win_us"].isin(touched)])
-        upd = pd.concat([st, counts], ignore_index=True)
-        upd = (upd.groupby(["win_us", "key"], sort=False)["n"]
-               .sum().reset_index())
         new_top = self._topk(upd[upd["win_us"].isin(touched)])
-
         m = new_top.merge(old_top, on=["win_us", "rnk"], how="left",
                           suffixes=("", "_old"))
         changed = (m["key_old"].isna() | (m["key_old"] != m["key"])
@@ -482,50 +313,20 @@ class TopKChangelogJob(StreamingChangelogJob):
             "key": m["key"].to_numpy(),
             "n": m["n"].to_numpy(dtype="int64"),
         })
-        chlog = (pd.concat([retract, insert], ignore_index=True)
-                 .sort_values(["win_us", "rnk", "op"], kind="mergesort")
-                 .reset_index(drop=True))
-        chlog.insert(0, "cycle", np.int64(cycle))
-        tmp = os.path.join(self.changelog_dir,
-                           f"changelog-{cycle:05d}.parquet")
-        chlog.to_parquet(tmp + ".tmp", index=False)
-        os.replace(tmp + ".tmp", tmp)
-
-        new_wm = max(wm, max_ts - self.lateness_us) if max_ts >= 0 else wm
-        open_mask = upd["win_us"].to_numpy() + self.win_len_us > new_wm
-        new_st = (upd[open_mask]
-                  .sort_values(["win_us", "key"], kind="mergesort")
-                  .reset_index(drop=True))
-
-        open_fname = self.cp.stage_open_sessions(new_st, cycle)
-        state["open_sessions_file"] = open_fname
-        state["watermark_us"] = int(new_wm)
-        state["processed"] = list(state.get("processed", [])) + [fname]
-        state["cycles"] = cycle + 1
-        result = {"file": fname, "watermark_us": int(new_wm),
-                  "changelog_rows": int(len(chlog)),
-                  "retractions": int((chlog["op"] == -1).sum()),
-                  "late": int(n_late), "state_rows": int(len(new_st))}
-        state["cycle_metrics"] = (list(state.get("cycle_metrics", []))
-                                  + [result])
-        self.cp.save(state)
-        self.cp.gc_open_sessions(keep=open_fname)
-        return result
+        return "changelog", (
+            pd.concat([retract, insert], ignore_index=True)
+            .sort_values(["win_us", "rnk", "op"], kind="mergesort")
+            .reset_index(drop=True))
 
     def changelog(self) -> pd.DataFrame:
-        parts = [pd.read_parquet(os.path.join(self.changelog_dir, f))
-                 for f in sorted(os.listdir(self.changelog_dir))
-                 if f.endswith(".parquet")]
-        if not parts:
-            return pd.DataFrame({
-                "cycle": pd.Series([], dtype="int64"),
-                "win_us": pd.Series([], dtype="int64"),
-                "rnk": pd.Series([], dtype="int64"),
-                "op": pd.Series([], dtype="int8"),
-                "key": pd.Series([], dtype=object),
-                "n": pd.Series([], dtype="int64"),
-            })
-        return pd.concat(parts, ignore_index=True)
+        return self._read_back("changelog", None, pd.DataFrame({
+            "cycle": pd.Series([], dtype="int64"),
+            "win_us": pd.Series([], dtype="int64"),
+            "rnk": pd.Series([], dtype="int64"),
+            "op": pd.Series([], dtype="int8"),
+            "key": pd.Series([], dtype=object),
+            "n": pd.Series([], dtype="int64"),
+        }))
 
     def folded(self) -> pd.DataFrame:
         """Consumer view: last insert per (window, rank) — must equal

@@ -1,7 +1,8 @@
 """Keyed-watermark cycle runtime — the ONE driver loop behind the
 micro-batch stream operators (stream-stream and temporal joins,
-broadcast rules, dedup, CEP, SCD2 and the update-mode session
-changelog). A job declares only what is specific to it:
+broadcast rules, dedup, CEP, SCD2, the update-mode session changelog
+and the windowed and top-k changelogs). A job declares only what is
+specific to it:
 
 - its state: a packed, bucket-agnostic snapshot frame
   (``_empty_state``/``_load_state``, and pack/unpack helpers where the
@@ -29,14 +30,15 @@ layout: at or below it the kernel runs ONCE in-process over
 ``state ∪ tag(file)`` and its files carry no bucket suffix; above it
 the SAME kernel runs once per bucket (``key % num_buckets``) over that
 bucket's tagged ∪ state rows, in ascending bucket order in a driver
-loop, and writes the bucket's ``-{bucket}`` files itself. Neither
-layout starts Ray work: on ``stream_join`` the driver loop beat the raw
-hash exchange at 4 Ray CPUs as well as at 1 (BENCH.md, note after
-finding 26). The price is that a cycle's tagged rows and the state sit
-in driver memory together (:meth:`KeyedStreamJob._is_big`). Crash
-replay reruns the cycle against the committed pre-cycle state and
-overwrites identical bytes: kernels sort every emission and snapshots
-are canonically ordered.
+loop, and writes the bucket's ``-{bucket}`` files itself. A job with
+no bucket key (``KEY = None``) always takes the in-process layout.
+Neither layout starts Ray work: on ``stream_join`` the driver loop beat
+the raw hash exchange at 4 Ray CPUs as well as at 1 (BENCH.md, note
+after finding 26). The price is that a cycle's tagged rows and the
+state sit in driver memory together (:meth:`KeyedStreamJob._is_big`).
+Crash replay reruns the cycle against the committed pre-cycle state
+and overwrites identical bytes: kernels sort every emission and
+snapshots are canonically ordered.
 """
 
 from __future__ import annotations
@@ -94,7 +96,8 @@ class KeyedStreamJob:
     OUTPUTS: tuple = ("emitted",)
     #: cycle counters, in result order (also the run_all totals)
     COUNTERS: tuple = ("emitted", "late")
-    #: bucket key (``key % num_buckets``)
+    #: bucket key (``key % num_buckets``); ``None``: no key, so every
+    #: cycle is the one in-process unit
     KEY = "user_id"
     #: sentinel for a column only one of (state, tagged rows) carries
     FILL: dict = {}
@@ -274,11 +277,13 @@ class KeyedStreamJob:
         runs per bucket. Either layout holds the whole cycle's tagged
         rows plus the state in driver memory, so a cycle file must fit
         there; the bucketed layout briefly holds them twice (the marked
-        parts and their concat)."""
+        parts and their concat). A job without a bucket key always
+        runs in-process."""
         import pyarrow.dataset as pads
 
-        return (sum(pads.dataset(p).count_rows() for p, _, _ in inputs)
-                > self.RAY_CYCLE_THRESHOLD)
+        return self.KEY is not None and (
+            sum(pads.dataset(p).count_rows() for p, _, _ in inputs)
+            > self.RAY_CYCLE_THRESHOLD)
 
     def _execute(self, inputs: list, wm: int, new_wm: int, cycle: int,
                  st: pd.DataFrame, kernel=None):

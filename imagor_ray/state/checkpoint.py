@@ -16,6 +16,8 @@ import os
 
 import pandas as pd
 
+from .storage import LocalStorage
+
 __all__ = ["Checkpoint"]
 
 
@@ -33,12 +35,17 @@ class Checkpoint:
             return json.load(f)
 
     def save(self, state: dict) -> None:
+        """The commit point: fsynced temp file, atomic rename, then an
+        fsync of the state directory so the rename (and the snapshot
+        rename :meth:`stage_open_sessions` made before it) survives a
+        power loss."""
         tmp = self.state_file + ".tmp"
         with open(tmp, "w") as f:
             json.dump(state, f)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, self.state_file)
+        LocalStorage().fsync_dir(self.path)
 
     def load_open_sessions(self, state: dict | None = None) -> pd.DataFrame | None:
         """Open-session snapshot as COMMITTED by checkpoint.json.

@@ -86,7 +86,7 @@ class EngineMetrics:
             out["streaming"] = {
                 "cycles": len(cycles),
                 "rows": int(sum(c.get("rows", 0) for c in cycles)),
-                "late_rows": int(state.get("late_rows", 0)),
+                "late_rows": int(sum(c.get("late", 0) for c in cycles)),
                 "closed_sessions": int(sum(c.get("closed", 0) for c in cycles)),
                 "open_sessions": int(cycles[-1].get("open", 0)) if cycles else 0,
                 "watermark_us": int(state.get("watermark_us", 0)),

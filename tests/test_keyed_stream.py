@@ -1,9 +1,10 @@
 """Crash replay for every job on the keyed-stream runtime, in BOTH
 layouts: the in-process one and the per-bucket driver loop (each
-bucket writes its own ``-{bucket}`` files). A commit lost in cycle 1
-(``cp.save`` raises after every emission file was written) must replay
-from the committed cycle-0 state and overwrite the same bytes, and
-neither layout may start Ray work."""
+bucket writes its own ``-{bucket}`` files). The windowed and top-k
+changelog jobs have no bucket key, so they run in-process only. A
+commit lost in cycle 1 (``cp.save`` raises after every emission file
+was written) must replay from the committed cycle-0 state and
+overwrite the same bytes, and neither layout may start Ray work."""
 
 from __future__ import annotations
 
@@ -32,8 +33,8 @@ def _stage(root, name: str, keep=_TYPES) -> str:
 
 
 def _make(name: str, root: str, state_dir: str, **kw):
+    from imagor_ray.pipelines import changelog
     from imagor_ray.pipelines.broadcast_rules import BroadcastRulesJob
-    from imagor_ray.pipelines.changelog import SessionChangelogJob
     from imagor_ray.pipelines.stream_cep import StreamingCepJob
     from imagor_ray.pipelines.stream_dedup import StreamingDedupJob
     from imagor_ray.pipelines.stream_join import (StreamingJoinJob,
@@ -42,12 +43,16 @@ def _make(name: str, root: str, state_dir: str, **kw):
     from imagor_ray.pipelines.temporal_join import TemporalJoinJob
 
     ind = os.path.join(root, "in")
+    if name in KEYLESS:
+        cls, extra = KEYLESS[name]
+        return getattr(changelog, cls)(ind, state_dir, **extra, **kw)
     if name == "two_source_join":
         return TwoSourceJoinJob(os.path.join(root, "left"),
                                 os.path.join(root, "right"), state_dir, **kw)
     cls = {"stream_join": StreamingJoinJob, "temporal_join": TemporalJoinJob,
            "scd2": StreamingScd2Job, "cep": StreamingCepJob,
-           "dedup": StreamingDedupJob, "session_changelog": SessionChangelogJob,
+           "dedup": StreamingDedupJob,
+           "session_changelog": changelog.SessionChangelogJob,
            "broadcast_rules": BroadcastRulesJob}[name]
     return cls(ind, state_dir, **kw)
 
@@ -75,10 +80,23 @@ JOBS = ["stream_join", "two_source_join", "temporal_join", "scd2", "cep",
         "dedup", "session_changelog", "broadcast_rules"]
 EXECUTORS = {"in_process": dict(ray_cycle_threshold=10**9),
              "bucketed": dict(ray_cycle_threshold=0, num_buckets=4)}
+# jobs without a bucket key run in-process only: name -> (class name
+# in pipelines/changelog.py, constructor kwargs)
+_SLIDING = dict(window_s=3 * 86_400, slide_s=86_400)
+KEYLESS = {
+    "changelog_update": ("StreamingChangelogJob", {}),
+    "changelog_complete": ("StreamingChangelogJob",
+                           dict(output_mode="complete")),
+    "changelog_append": ("StreamingChangelogJob",
+                         dict(output_mode="append", **_SLIDING)),
+    "changelog_sliding": ("StreamingChangelogJob", _SLIDING),
+    "topk_changelog": ("TopKChangelogJob", dict(k=2)),
+}
+CASES = ([(name, ex) for name in JOBS for ex in EXECUTORS]
+         + [(name, "in_process") for name in KEYLESS])
 
 
-@pytest.mark.parametrize("executor", list(EXECUTORS))
-@pytest.mark.parametrize("name", JOBS)
+@pytest.mark.parametrize("name,executor", CASES)
 def test_lost_commit_replays_identical_bytes(ray_session, tmp_path,
                                              monkeypatch, name, executor):
     import ray
@@ -93,7 +111,8 @@ def test_lost_commit_replays_identical_bytes(ray_session, tmp_path,
     _stage(root, "in")
     _stage(root, "left", keep=("click",))
     _stage(root, "right", keep=("purchase", "view"))
-    kw = dict(EXECUTORS[executor], allowed_lateness_s=7200)
+    kw = dict({} if name in KEYLESS else EXECUTORS[executor],
+              allowed_lateness_s=7200)
 
     crashed = os.path.join(root, "crashed")
     job = _make(name, root, crashed, **kw)

@@ -111,6 +111,19 @@ class TestSinkStageMetrics:
         assert s["rows"] == 2
         assert s["watermark_us"] > 0
 
+        # a keyed-runtime job counts late rows per cycle only
+        from imagor_ray.pipelines.stream_dedup import StreamingDedupJob
+
+        ind = tmp_path / "keyed_in"
+        ind.mkdir()
+        for i, us in enumerate((5 * 86_400 * 10**6, 3600 * 10**6)):
+            pd.DataFrame({"event_id": [i], "ts": pd.to_datetime([us], unit="us"),
+                          "user_id": [7], "event_type": ["click"]}
+                         ).to_parquet(ind / f"batch-{i:03d}.parquet", index=False)
+        StreamingDedupJob(str(ind), str(tmp_path / "keyed")).run_all()
+        keyed = EngineMetrics.collect(state_dir=str(tmp_path / "keyed"))
+        assert keyed["streaming"]["late_rows"] == 1
+
     def test_cli_metrics_subcommand(self, ray_session, tmp_path):
         from imagor_ray.pipelines.flagship import flagship_write
 

@@ -321,6 +321,33 @@ class TestCheckpoint:
         got = cp.load_open_sessions()
         assert got["conv_id"].tolist() == ["a"]
 
+    def test_save_fsyncs_state_dir_after_replace(self, tmp_path,
+                                                  monkeypatch):
+        # the checkpoint rename survives a power loss only once its
+        # directory is fsynced, after the rename
+        import os
+
+        from imagor_ray.state.checkpoint import Checkpoint
+        from imagor_ray.state.storage import LocalStorage
+
+        events = []
+        real_replace, real_fsync_dir = os.replace, LocalStorage.fsync_dir
+
+        def replace(src, dst):
+            real_replace(src, dst)
+            events.append(("replace", os.path.basename(dst)))
+
+        def fsync_dir(self, path):
+            real_fsync_dir(self, path)
+            events.append(("fsync_dir", path))
+
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(LocalStorage, "fsync_dir", fsync_dir)
+        cp = Checkpoint(str(tmp_path / "cp3"))
+        cp.save(cp.load())
+        assert events == [("replace", "checkpoint.json"),
+                          ("fsync_dir", str(tmp_path / "cp3"))]
+
     def test_staged_open_sessions_invisible_until_commit(self, tmp_path):
         # crash between staging cycle N's snapshot and committing the
         # checkpoint must replay cycle N against the PRE-cycle snapshot
