@@ -21,12 +21,14 @@ file and one all-late file — crossed with lateness 0 and 2 days and
 with tumbling-week and 3-day/1-day sliding windows.
 
 It also runs ``StreamingSessionJob`` and ``StreamingFlagshipJob`` (2
-buckets) then ``flush()`` over two streams from
-``tests/test_streaming.py`` — ``TestPipelinedCycles._mk_batches(6)``
-and the jittered stream of ``test_jittered_closed_equals_batch_three_engines``
-— crossed with lateness 0 and 86 400 s, ``RAY_CYCLE_THRESHOLD``
-10**9 (in-process) and 0 (hash exchange), and ``PIPELINE_DEPTH`` 1
-and 2.
+buckets) then ``flush()`` over three streams — two from
+``tests/test_streaming.py`` (``TestPipelinedCycles._mk_batches(6)``
+and the jittered stream of ``test_jittered_closed_equals_batch_three_engines``)
+and an edge stream of four files (one on-time file, one empty file, one
+all-late file, then one file that advances the watermark) — crossed
+with lateness 0 and 86 400 s, ``RAY_CYCLE_THRESHOLD`` 10**9
+(in-process) and 0 (hash exchange), and ``PIPELINE_DEPTH`` 1 and 2:
+112 cases in all.
 
 For every case it writes the sha1 of every file under the state dir
 except ``checkpoint.json``, the checkpoint itself and the ``run_all``
@@ -165,6 +167,7 @@ def _run_cases(tmp: str) -> dict:
                               TestPipelinedCycles._mk_batches(6)),
         "jitter": write_stream(pathlib.Path(tmp, "jitter"),
                                _jittered_batches()),
+        "edge": write_stream(pathlib.Path(tmp, "edge"), _edge_batches()),
     }
     session_jobs = {"sessionjob": StreamingSessionJob,
                     "flagship": lambda i, s, **kw: StreamingFlagshipJob(
@@ -232,6 +235,21 @@ def _jittered_batches() -> list:
         batches[ep + (eid % 3 == 0)].append(
             (conv, t0.strftime("%Y-%m-%d %H:%M:%S")))
     return [b for b in batches if b]
+
+
+def _edge_batches() -> list:
+    """Four session files: on-time turns, an empty file, a file whose
+    turns are all more than a day behind the watermark (late under
+    either lateness), then turns that advance the watermark and close
+    the first file's sessions."""
+    return [
+        [("a", "2024-01-03 00:00:00"), ("b", "2024-01-03 00:10:00"),
+         ("a", "2024-01-03 00:20:00"), ("c", "2024-01-03 05:00:00")],
+        [],
+        [("z", "2024-01-01 00:00:00"), ("a", "2024-01-01 12:00:00")],
+        [("a", "2024-01-05 00:00:00"), ("c", "2024-01-05 00:20:00"),
+         ("d", "2024-01-05 01:00:00")],
+    ]
 
 
 def _digest_state(sd: str, totals) -> dict:

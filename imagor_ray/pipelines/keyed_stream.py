@@ -20,9 +20,10 @@ The runtime owns everything else: pending-file discovery, the
 watermark ``max(wm, file_max_ts − lateness)`` from the ONE zone-map
 source (:func:`file_max_ts` — never from rows a tag pruned), the
 ``finalized`` guard, the late split (rows with ``ts_us < wm`` route to
-``late-{cycle}[-{bucket}]`` sorted by ``event_id``), the atomic parquet
-writer every emission/late/timeout file goes through, the single
-commit (``stage_open_sessions`` → ``save`` → ``gc_open_sessions``),
+``late-{cycle}[-{bucket}]`` sorted by ``event_id``), the durable
+atomic parquet writer every emission/late/timeout file goes through,
+the single commit (output directories fsynced → ``stage_open_sessions``
+→ ``save`` → ``gc_open_sessions``),
 the ``cycle_metrics`` entry, ``run_all`` totals and output read-back.
 
 One kernel, two layouts. ``RAY_CYCLE_THRESHOLD`` footer rows pick the
@@ -50,17 +51,39 @@ import numpy as np
 import pandas as pd
 
 from ..state.checkpoint import Checkpoint
+from ..state.storage import LocalStorage
 
-__all__ = ["KeyedStreamJob", "file_max_ts", "side_counts",
-           "write_parquet_atomic"]
+__all__ = ["KeyedStreamJob", "file_max_ts", "fsync_dirs", "pending_inputs",
+           "side_counts", "write_parquet_atomic"]
 
 
 def write_parquet_atomic(df: pd.DataFrame, path: str) -> None:
-    """THE emission writer: tmp file + atomic rename, so a reader (or a
-    replay) never observes a torn file and a rewrite is an overwrite."""
+    """THE single-file writer of the stream jobs: tmp file, fsync, atomic
+    rename, so a reader (or a replay) never observes a torn file, a
+    rewrite is an overwrite, and once the caller has fsynced the
+    directory (:func:`fsync_dirs`, before its checkpoint commit) the file
+    survives a power loss."""
     tmp = path + ".tmp"
     df.to_parquet(tmp, index=False)
+    with open(tmp, "rb") as f:
+        LocalStorage().fsync_file(f)
     os.replace(tmp, path)
+
+
+def fsync_dirs(*paths: str) -> None:
+    """fsync each existing directory of ``paths`` once, so the renames a
+    cycle made into it are durable before the checkpoint commit."""
+    st = LocalStorage()
+    for d in paths:
+        if os.path.isdir(d):
+            st.fsync_dir(d)
+
+
+def pending_inputs(d: str, done) -> list[str]:
+    """The ``*.parquet`` files of ``d`` not in ``done``, in name (==
+    arrival) order."""
+    return [f for f in sorted(os.listdir(d))
+            if f.endswith(".parquet") and f not in done]
 
 
 def file_max_ts(path: str) -> int:
@@ -156,10 +179,7 @@ class KeyedStreamJob:
 
     # -- plumbing ------------------------------------------------------
 
-    @staticmethod
-    def _pending(d: str, done) -> list[str]:
-        return [f for f in sorted(os.listdir(d))
-                if f.endswith(".parquet") and f not in done]
+    _pending = staticmethod(pending_inputs)
 
     def pending_files(self) -> list[str]:
         return self._pending(self.input_dir,
@@ -170,6 +190,10 @@ class KeyedStreamJob:
     def _check_open(self, state: dict) -> None:
         if state.get("finalized"):
             raise RuntimeError(self.FINALIZED_MSG)
+
+    def _fsync_outputs(self) -> None:
+        fsync_dirs(*(getattr(self, f"{name}_dir")
+                     for name in (*self.OUTPUTS, "late")))
 
     def _read_back(self, name: str, sort: list | None,
                    empty: pd.DataFrame) -> pd.DataFrame:
@@ -222,6 +246,7 @@ class KeyedStreamJob:
                   **self._state_metrics(snap)}
         state["cycle_metrics"] = (list(state.get("cycle_metrics", []))
                                   + [result])
+        self._fsync_outputs()
         self.cp.save(state)
         self.cp.gc_open_sessions(keep=open_fname)
         return result
@@ -241,6 +266,7 @@ class KeyedStreamJob:
         state = self.cp.load()
         n = flush(self._load_state(state))
         state["finalized"] = True
+        self._fsync_outputs()
         self.cp.save(state)
         return n
 

@@ -20,27 +20,30 @@ workloads), so progress lives in the driver + checkpoint (SURVEY §7.4.2):
   when the watermark passes ``last_ts + gap``;
 - killing the driver between cycles and restarting resumes from the
   checkpoint with byte-identical emitted output (asserted in tests);
-- a cycle runs one of two paths. Cycles above ``RAY_CYCLE_THRESHOLD``
-  rows run on a raw two-stage hash exchange: one Arrow read pinned via
-  ``materialize()``, map tasks that split each block into conv-bucket
-  shards, and one reduce task per bucket that does the chain→sink
-  partition write, the sessionize and the close split — closed
-  summaries write distributedly, and only still-open summaries + the
-  watermark return to the driver. Smaller cycles run the same steps
-  in-process (Ray per-task overhead dominates them); both paths are
+- a cycle runs ONE per-bucket body, :func:`_bucket_cycle` (chain→sink
+  partition write, sessionize, close split), in one of two placements.
+  Cycles above ``RAY_CYCLE_THRESHOLD`` rows run it on a raw two-stage
+  hash exchange: one Arrow read pinned via ``materialize()``, map tasks
+  that split each block into conv-bucket shards, and one reduce task
+  per bucket — only still-open summaries + the watermark return to the
+  driver. Smaller cycles run it in-process, starting no Ray work (Ray
+  per-task overhead dominates them); both placements are
   byte-equivalent (BENCH.md finding 20 and its 2026-10-17 note).
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 
 import numpy as np
 import pandas as pd
 
+from ..functions.hashing import crc32_bucket
 from ..stages.windows import ts_us
 from ..state.checkpoint import Checkpoint
 from .exchange import bucket_split, shard_refs
+from .keyed_stream import fsync_dirs, pending_inputs, write_parquet_atomic
 
 __all__ = ["StreamingSessionJob", "StreamingFlagshipJob"]
 
@@ -70,6 +73,61 @@ def _empty_summaries() -> pd.DataFrame:
     })
 
 
+def _sorted_summaries(frames) -> pd.DataFrame:
+    """Concat summary frames in the byte-stable (conv_id, session_start)
+    order."""
+    out = pd.concat(frames, ignore_index=True)
+    if not len(out):
+        return _empty_summaries()
+    return out.sort_values(["conv_id", "session_start"]).reset_index(drop=True)
+
+
+def _clear_output(path: str) -> None:
+    """Remove what a crashed run of this cycle left at ``path`` (either
+    placement's: a single file or a directory) before a replay writes."""
+    if os.path.isdir(path):
+        shutil.rmtree(path)
+    elif os.path.lexists(path):
+        os.remove(path)
+
+
+def _bucket_cycle(bucket: int, final_wm: int, gap_s: int, work, prev_open,
+                  turns) -> tuple[pd.DataFrame, pd.DataFrame]:
+    """THE per-bucket cycle body of both placements: the grouped ``work``
+    (the flagship's chain→sink partition write) over the on-time
+    ``turns``, the carried open SUMMARIES as pseudo-turn rows, the
+    sessionize and the close split. Returns ``(closed, still_open)``."""
+    sess_frames = []
+    if turns is not None and len(turns):
+        if work is not None:
+            tw = turns.copy()
+            tw["_bucket"] = np.int32(bucket)
+            work(tw)
+        sess_frames.append(pd.DataFrame({
+            "conv_id": turns["conv_id"],
+            "ts": turns["ts"],
+            "n_turns": np.ones(len(turns), np.int64),
+            "_start": turns["ts"],
+        }))
+    if prev_open is not None and len(prev_open):
+        sess_frames.append(pd.DataFrame({
+            "conv_id": prev_open["conv_id"].to_numpy(),
+            "ts": prev_open["session_end"].astype("datetime64[us]").to_numpy(),
+            "n_turns": prev_open["n_turns"].astype("int64").to_numpy(),
+            "_start": prev_open["session_start"]
+            .astype("datetime64[us]").to_numpy(),
+        }))
+    if not sess_frames:
+        return _empty_summaries(), _empty_summaries()
+    sessions = StreamingSessionJob._sessionize_with_start(
+        pd.concat(sess_frames, ignore_index=True), gap_s)
+    end_us = np.asarray(ts_us(sessions["session_end"]))
+    closed_mask = (end_us + gap_s * 1_000_000) < final_wm
+    closed = sessions[closed_mask].sort_values(
+        ["conv_id", "session_start"]).reset_index(drop=True)
+    return closed, sessions[~closed_mask]
+
+
 _EXCHANGE_FNS = None
 
 
@@ -80,9 +138,11 @@ def _exchange_fns():
     Map tasks split each pinned raw block into per-bucket sub-tables
     (``num_returns=nb`` object refs — only O(blocks × buckets) refs
     cross the driver, never rows), reduce tasks concat their bucket's
-    shards and run the fused per-bucket work (chain→sink partition
-    write + sessionize + close split). Skipping Ray Data's sort-based
-    shuffle removes the per-execution fixed cost (quantile sampling +
+    shards, run :func:`_bucket_cycle` (the body in-process cycles run
+    too) and write the bucket's ``part-{bucket}`` file. The body
+    converts ``prev_open`` summaries itself, so the pipelined loop
+    chains reducer (N, b)'s ObjectRef straight into (N+1, b). Skipping
+    Ray Data's sort-based shuffle removes the per-execution fixed cost (quantile sampling +
     boundary exchange + executor planning) that dominates sub-second
     streaming cycles — the measured bound on small-cycle scaling
     efficiency (BENCH.md findings 19/20). Partitioning assumption:
@@ -97,8 +157,6 @@ def _exchange_fns():
         import pyarrow as pa
         import pyarrow.compute as pc
 
-        from ..functions.hashing import crc32_bucket
-
         t = tbl.filter(
             pc.greater_equal(_arrow_ts_us(tbl), pa.scalar(wm, pa.int64())))
         conv = t["conv_id"].to_numpy(zero_copy_only=False)
@@ -110,46 +168,15 @@ def _exchange_fns():
         import pyarrow as pa
 
         parts = [p for p in parts if p.num_rows]
-        sess_frames = []
-        if parts:
-            turns = pa.concat_tables(parts).to_pandas()
-            if work is not None:
-                tw = turns.copy()
-                tw["_bucket"] = np.int32(bucket)
-                work(tw)
-            sess_frames.append(pd.DataFrame({
-                "conv_id": turns["conv_id"],
-                "ts": turns["ts"],
-                "n_turns": np.ones(len(turns), np.int64),
-                "_start": turns["ts"],
-            }))
-        if prev_open is not None and len(prev_open):
-            # carried open-session SUMMARIES → pseudo-turn rows, converted
-            # here (not on the driver) so the pipelined loop can chain
-            # reducer (N, b)'s output ObjectRef straight into (N+1, b)
-            sess_frames.append(pd.DataFrame({
-                "conv_id": prev_open["conv_id"].to_numpy(),
-                "ts": prev_open["session_end"]
-                .astype("datetime64[us]").to_numpy(),
-                "n_turns": prev_open["n_turns"].astype("int64").to_numpy(),
-                "_start": prev_open["session_start"]
-                .astype("datetime64[us]").to_numpy(),
-            }))
-        if not sess_frames:
-            return _empty_summaries()
-        sessions = StreamingSessionJob._sessionize_with_start(
-            pd.concat(sess_frames, ignore_index=True), gap_s)
-        end_us = np.asarray(ts_us(sessions["session_end"]))
-        closed_mask = (end_us + gap_s * 1_000_000) < final_wm
-        closed = sessions[closed_mask].sort_values(
-            ["conv_id", "session_start"]).reset_index(drop=True)
+        turns = pa.concat_tables(parts).to_pandas() if parts else None
+        closed, still_open = _bucket_cycle(bucket, final_wm, gap_s, work,
+                                           prev_open, turns)
         if len(closed):
-            # deterministic per-bucket file + atomic rename: a replayed
-            # cycle overwrites with identical bytes
-            part = os.path.join(closed_dir, f"part-{bucket:05d}.parquet")
-            closed.to_parquet(part + ".tmp", index=False)
-            os.replace(part + ".tmp", part)
-        return sessions[~closed_mask]
+            # deterministic per-bucket file: a replay overwrites it with
+            # identical bytes
+            write_parquet_atomic(closed, os.path.join(
+                closed_dir, f"part-{bucket:05d}.parquet"))
+        return still_open
 
     _EXCHANGE_FNS = (split_by_bucket, reduce_bucket)
     return _EXCHANGE_FNS
@@ -194,22 +221,18 @@ class StreamingSessionJob:
     # -- helpers -----------------------------------------------------------
 
     def pending_files(self) -> list[str]:
-        state = self.cp.load()
-        done = set(state.get("processed", []))
-        return [
-            f for f in sorted(os.listdir(self.input_dir))
-            if f.endswith(".parquet") and f not in done
-        ]
+        return pending_inputs(self.input_dir,
+                              set(self.cp.load().get("processed", [])))
 
     # -- one cycle ---------------------------------------------------------
 
     #: above this many rows the WHOLE cycle runs on the hash exchange
     #: (:meth:`_cycle_tasks`) — pinned read → late split → per-bucket
-    #: chain→sink + sessionize — with only session summaries, the late
+    #: :func:`_bucket_cycle` — with only session summaries, the late
     #: count and the watermark returning to the driver (nothing
-    #: row-scale crosses it). Below it the cycle runs in-process
+    #: row-scale crosses it). Below it the same body runs in-process
     #: (:meth:`_cycle_pandas`): Ray per-task overhead dominates tiny
-    #: cycles. Both paths are asserted byte-equivalent in tests.
+    #: cycles. Both placements are asserted byte-equivalent in tests.
     RAY_CYCLE_THRESHOLD = 150_000
 
     def run_cycle(self) -> dict | None:
@@ -248,8 +271,11 @@ class StreamingSessionJob:
         once checkpoint.json records it — a crash between staging and
         ``cp.save`` replays the cycle against the pre-cycle snapshot,
         keeping the byte-identical-replay guarantee), then advance the
-        checkpoint. Mutates ``state`` in place so a pipelined caller can
-        keep committing against its own loaded copy."""
+        checkpoint (output directories fsynced first). Mutates ``state``
+        in place so a pipelined caller can keep committing against its
+        own loaded copy."""
+        fsync_dirs(self.late_dir, self.closed_dir, os.path.join(
+            self.closed_dir, f"closed-{cycle:05d}.parquet"))
         open_fname = self.cp.stage_open_sessions(still_open, cycle)
         state["open_sessions_file"] = open_fname
         state["watermark_us"] = new_watermark
@@ -272,25 +298,14 @@ class StreamingSessionJob:
 
     # -- cycle execution paths --------------------------------------------
 
-    def _close_split(
-        self, sessions: pd.DataFrame, new_watermark: int
-    ) -> tuple[pd.DataFrame, pd.DataFrame]:
-        """Split summaries into (closed, still_open) by the watermark,
-        both sorted (conv_id, session_start) so the staged snapshot and
-        the closed output are byte-stable."""
-        end_us = np.asarray(ts_us(sessions["session_end"]))
-        closed_mask = (end_us + self.gap_s * 1_000_000) < new_watermark
-        closed = sessions[closed_mask].sort_values(
-            ["conv_id", "session_start"]).reset_index(drop=True)
-        still_open = sessions[~closed_mask].sort_values(
-            ["conv_id", "session_start"]).reset_index(drop=True)
-        return closed, still_open
-
     def _cycle_pandas(
         self, path, fname, watermark, cycle, open_prev
     ) -> tuple[pd.DataFrame, int, int, int]:
-        """In-process cycle for small micro-batches. Returns
-        ``(still_open, closed_count, late_count, new_watermark)``."""
+        """In-process cycle for small micro-batches, starting no Ray work:
+        read, late split and watermark, then the reducers' body
+        :func:`_bucket_cycle` once (no grouped work) or per conv bucket
+        in ascending order. Returns ``(still_open, closed_count,
+        late_count, new_watermark)``."""
         batch = pd.read_parquet(path)
         us = ts_us(batch["ts"])
 
@@ -298,45 +313,36 @@ class StreamingSessionJob:
         late_mask = us < watermark
         late = batch[late_mask]
         if len(late):
-            late.to_parquet(
-                os.path.join(self.late_dir, f"late-{fname}"), index=False
-            )
+            late_path = os.path.join(self.late_dir, f"late-{fname}")
+            _clear_output(late_path)
+            write_parquet_atomic(late, late_path)
         batch = batch[~late_mask]
         us = us[~late_mask]
-
-        # subclass hook: per-cycle processing of the on-time rows (the
-        # chain → exactly-once sink leg of the DAG)
-        self._process_batch(batch, cycle)
         # watermark advance: max event time seen − allowed lateness
         new_watermark = max(
             watermark,
             (int(us.max()) - self.lateness_us) if len(us) else watermark,
         )
 
-        # merge open sessions (carried summaries) with this batch's turns
-        turns = batch[["conv_id", "ts"]].copy()
-        turns["n_turns"] = 1
-        if open_prev is not None and len(open_prev):
-            prev = pd.DataFrame({
-                "conv_id": open_prev["conv_id"],
-                "ts": open_prev["session_end"],
-                "n_turns": open_prev["n_turns"],
-                "_start": open_prev["session_start"],
-            })
-            turns["_start"] = turns["ts"]
-            turns = pd.concat([prev, turns], ignore_index=True)
+        work = self._make_grouped_cycle_work(cycle) if len(batch) else None
+        if work is None:
+            units = [(0, batch, open_prev)]
         else:
-            turns["_start"] = turns["ts"]
-        sessions = self._sessionize_with_start(turns, self.gap_s)
-        closed, still_open = self._close_split(sessions, new_watermark)
+            nb = self._cycle_bucket_count()
+            bk = crc32_bucket(batch["conv_id"].to_numpy(), nb)
+            units = [(b, batch[bk == b].reset_index(drop=True), prev)
+                     for b, prev in enumerate(
+                         self._split_summaries(open_prev, nb))]
+        closed, opens = zip(*[
+            _bucket_cycle(b, new_watermark, self.gap_s, work, prev, turns)
+            for b, turns, prev in units])
+        closed = _sorted_summaries(closed)
         if len(closed):
             out = os.path.join(self.closed_dir, f"closed-{cycle:05d}.parquet")
-            if os.path.isdir(out):  # leftover from a crashed exchange run
-                import shutil
-
-                shutil.rmtree(out)
-            closed.to_parquet(out, index=False)
-        return still_open, len(closed), int(late_mask.sum()), new_watermark
+            _clear_output(out)
+            write_parquet_atomic(closed, out)
+        return (_sorted_summaries(opens), len(closed), int(late_mask.sum()),
+                new_watermark)
 
     def _cycle_bucket_count(self) -> int:
         import ray
@@ -344,11 +350,11 @@ class StreamingSessionJob:
         return max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
 
     def _make_grouped_cycle_work(self, cycle: int):
-        """Subclass hook for hash-exchange cycles: return a callable run
-        INSIDE each bucket's reduce task with that bucket's on-time turn
-        rows (full payload + ``_bucket``), or None for no extra work.
-        The flagship returns its chain→exactly-once-partition-write leg
-        here, so sink and sessionize share ONE exchange."""
+        """The job's one sink hook: a callable :func:`_bucket_cycle` runs
+        on each bucket's on-time turn rows (full payload + ``_bucket``)
+        in both placements, or None. The flagship returns its
+        chain→exactly-once-partition-write leg, so sink and sessionize
+        share ONE bucketing."""
         return None
 
     @staticmethod
@@ -461,27 +467,15 @@ class StreamingSessionJob:
         )
         if late_count:
             late_path = os.path.join(self.late_dir, f"late-{fname}")
-            # replay idempotency at directory granularity: a crashed
-            # cycle's partial late output is replaced wholesale
-            import shutil
-
-            shutil.rmtree(late_path, ignore_errors=True)
+            # replay idempotency: a crashed run's late output (either
+            # placement's) is replaced wholesale
+            _clear_output(late_path)
             raw.map_batches(
                 lambda t: t.filter(
                     pc.less(_arrow_ts_us(t), pa.scalar(wm, pa.int64()))),
                 batch_format="pyarrow",
             ).write_parquet(late_path)
         return raw, late_count, new_watermark
-
-    def _prepare_closed_dir(self, cycle: int) -> str:
-        closed_dir = os.path.join(
-            self.closed_dir, f"closed-{cycle:05d}.parquet")
-        if os.path.isfile(closed_dir):
-            # leftover single file from a crashed pandas-path run of this
-            # cycle (threshold changed between runs); replaced wholesale
-            os.remove(closed_dir)
-        os.makedirs(closed_dir, exist_ok=True)
-        return closed_dir
 
     @staticmethod
     def _finish_open_closed(opens: list, closed_dir: str):
@@ -490,26 +484,16 @@ class StreamingSessionJob:
         distributedly-written closed rows from footers."""
         import pyarrow.dataset as pads
 
-        still_open = pd.concat(opens, ignore_index=True)
-        if len(still_open):
-            still_open = still_open.sort_values(
-                ["conv_id", "session_start"]).reset_index(drop=True)
-        else:
-            still_open = _empty_summaries()
-        closed_count = (
-            pads.dataset(closed_dir).count_rows()
-            if os.listdir(closed_dir) else 0
-        )
+        still_open = _sorted_summaries(opens)
         if not os.listdir(closed_dir):
             os.rmdir(closed_dir)  # keep closed_sessions() listings clean
-        return still_open, int(closed_count)
+            return still_open, 0
+        return still_open, int(pads.dataset(closed_dir).count_rows())
 
     @staticmethod
     def _split_summaries(open_prev: pd.DataFrame | None, nb: int) -> list:
         """Per-bucket slices of an open-session summary frame (crc32
         conv bucketing — the job's one partitioning key)."""
-        from ..functions.hashing import crc32_bucket
-
         prev: list = [None] * nb
         if open_prev is not None and len(open_prev):
             pb = crc32_bucket(open_prev["conv_id"].to_numpy(), nb)
@@ -533,7 +517,10 @@ class StreamingSessionJob:
         shards = [shard_refs(split_fn, nb, r, wm, nb)
                   for r in raw.to_arrow_refs()]
         work = self._make_grouped_cycle_work(cycle)
-        closed_dir = self._prepare_closed_dir(cycle)
+        closed_dir = os.path.join(
+            self.closed_dir, f"closed-{cycle:05d}.parquet")
+        _clear_output(closed_dir)
+        os.makedirs(closed_dir)
         open_refs = [
             reduce_fn.remote(b, new_wm, self.gap_s, closed_dir, work,
                              prev[b], *[s[b] for s in shards])
@@ -756,10 +743,7 @@ class StreamingSessionJob:
                 wm_, n_on))
 
         while True:
-            pending = [
-                f for f in sorted(os.listdir(self.input_dir))
-                if f.endswith(".parquet") and f not in done
-            ]
+            pending = pending_inputs(self.input_dir, done)
             if not pending:
                 break
             fname = pending[0]
@@ -813,20 +797,16 @@ class StreamingSessionJob:
             return pd.DataFrame()
         closed = open_prev.sort_values(["conv_id", "session_start"]).reset_index(drop=True)
         cycle = int(state.get("cycles", 0))
-        closed.to_parquet(
-            os.path.join(self.closed_dir, f"closed-{cycle:05d}.parquet"), index=False
-        )
+        out = os.path.join(self.closed_dir, f"closed-{cycle:05d}.parquet")
+        _clear_output(out)
+        write_parquet_atomic(closed, out)
+        fsync_dirs(self.closed_dir)
         open_fname = self.cp.stage_open_sessions(closed.iloc[0:0], cycle)
         state["open_sessions_file"] = open_fname
         state["cycles"] = cycle + 1
         self.cp.save(state)
         self.cp.gc_open_sessions(keep=open_fname)
         return closed
-
-    def _process_batch(self, batch: pd.DataFrame, cycle: int) -> None:
-        """Hook for subclasses (in-process cycles); the base job only
-        sessionizes. Hash-exchange cycles use
-        :meth:`_make_grouped_cycle_work` instead."""
 
     def closed_sessions(self) -> pd.DataFrame:
         files = sorted(
@@ -902,28 +882,9 @@ class StreamingFlagshipJob(StreamingSessionJob):
             num_buckets=self.num_buckets,
         )
 
-    def _process_batch(self, batch: pd.DataFrame, cycle: int) -> None:
-        if len(batch) == 0:
-            return
-        import ray as _ray
-        import ray.data as _rd
-
-        # from_pandas(df) yields ONE block — split the cycle into
-        # CPU-count chunks so the chain stage actually parallelizes
-        batch = batch.reset_index(drop=True)
-        n_chunks = max(1, min(
-            int(_ray.cluster_resources().get("CPU", 8)) * 2,
-            len(batch) // 8192 + 1,
-        ))
-        chunks = np.array_split(batch, n_chunks)
-        ds = _rd.from_pandas([c.reset_index(drop=True) for c in chunks]).map_batches(
-            self._make_proc(), batch_format="pandas"
-        )
-        self._cycle_sink(cycle).write(ds)
-
     def _cycle_bucket_count(self) -> int:
         # ONE bucket key serves both the sink partitions and the
-        # sessionize groups in the hash exchange
+        # sessionize groups, in both placements
         return self.num_buckets
 
     def _make_grouped_cycle_work(self, cycle: int):

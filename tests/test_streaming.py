@@ -289,10 +289,14 @@ class TestDatasetNativeCycle:
     sessionize). The two paths must produce byte-identical sink output
     and identical session/late accounting, at two buckets and at one."""
 
-    def test_paths_byte_identical(self, ray_session, tmp_path):
+    def test_paths_byte_identical(self, ray_session, tmp_path, monkeypatch):
+        import ray
+        import ray.data
+
         from imagor_ray.pipelines.streaming import (
             StreamingFlagshipJob, StreamingSessionJob,
         )
+        from imagor_ray.state.sink import ExactlyOnceSink
 
         batches = [
             [("a", "2024-01-01 00:00:00"), ("b", "2024-01-01 00:05:00"),
@@ -303,11 +307,28 @@ class TestDatasetNativeCycle:
         ]
         s = write_stream(tmp_path, batches)
 
+        ray_calls = []
+
+        def spy(name, fn):
+            def call(*a, **kw):
+                ray_calls.append(name)
+                return fn(*a, **kw)
+            return call
+
         for nb in (2, 1):
-            jp = StreamingFlagshipJob(s, str(tmp_path / f"pd{nb}"),
-                                      gap_s=1800, num_buckets=nb)
-            rp = jp.run_all()
-            jp.flush()
+            # small cycles start no Ray work: the in-process run calls
+            # the per-bucket body on the driver
+            with monkeypatch.context() as m:
+                for mod, attr in ((ray.data, "from_pandas"),
+                                  (ray.data, "read_parquet"),
+                                  (ExactlyOnceSink, "write"),
+                                  (ray, "cluster_resources")):
+                    m.setattr(mod, attr, spy(attr, getattr(mod, attr)))
+                jp = StreamingFlagshipJob(s, str(tmp_path / f"pd{nb}"),
+                                          gap_s=1800, num_buckets=nb)
+                rp = jp.run_all()
+                jp.flush()
+            assert ray_calls == []
 
             old = StreamingSessionJob.RAY_CYCLE_THRESHOLD
             try:
@@ -364,6 +385,131 @@ class TestDatasetNativeCycle:
             assert j3.processed_sha1() == want
         finally:
             StreamingSessionJob.RAY_CYCLE_THRESHOLD = old
+
+
+@pytest.mark.parametrize("first,replay", [(10**9, 0), (0, 10**9)],
+                         ids=["in_process_then_exchange",
+                              "exchange_then_in_process"])
+def test_replay_after_threshold_change(ray_session, tmp_path, first, replay):
+    """A cycle that routed a late row and closed a session loses its
+    commit; a fresh job replays it under the OTHER placement (the
+    threshold changed between runs). The replay replaces the single
+    file / directory the first placement left at the late and closed
+    paths, and converges on the uncrashed run's sessions."""
+    batches = [
+        [("a", "2024-01-01 00:00:00"), ("c", "2024-01-01 01:00:00")],
+        [("a", "2024-01-01 02:00:00"), ("b", "2023-12-31 00:00:00")],
+        [("d", "2024-01-02 00:00:00")],
+    ]
+    s = write_stream(tmp_path, batches)
+    ref = StreamingSessionJob(s, str(tmp_path / "ref"), gap_s=1800)
+    ref.run_all()
+    ref.flush()
+
+    sd = str(tmp_path / "crashed")
+    job = StreamingSessionJob(s, sd, gap_s=1800, ray_cycle_threshold=first)
+    job.run_cycle()
+
+    def lost_commit(state):
+        raise OSError("commit lost")
+
+    job.cp.save = lost_commit
+    with pytest.raises(OSError, match="commit lost"):
+        job.run_cycle()
+    late_path = os.path.join(job.late_dir, "late-batch-00001.parquet")
+    closed_path = os.path.join(job.closed_dir, "closed-00001.parquet")
+    # the lost cycle's outputs sit in the first placement's layout
+    assert os.path.isdir(late_path) == os.path.isdir(closed_path) == (
+        first == 0)
+
+    again = StreamingSessionJob(s, sd, gap_s=1800,
+                                ray_cycle_threshold=replay)
+    again.run_all()
+    again.flush()
+    assert os.path.isdir(late_path) == os.path.isdir(closed_path) == (
+        replay == 0)
+    assert pd.read_parquet(late_path)["conv_id"].tolist() == ["b"]
+    key = ["conv_id", "session_start"]
+    pd.testing.assert_frame_equal(
+        again.closed_sessions().sort_values(key).reset_index(drop=True),
+        ref.closed_sessions().sort_values(key).reset_index(drop=True))
+
+
+def _session_job(tmp_path):
+    batches = [
+        [("a", "2024-01-01 00:00:00"), ("b", "2024-01-01 00:05:00")],
+        [("a", "2024-01-01 02:00:00"), ("c", "2024-01-01 03:00:00"),
+         ("zz", "2023-12-31 00:00:00")],  # late row in cycle 1
+        [("d", "2024-01-02 00:00:00")],
+    ]
+    job = StreamingSessionJob(write_stream(tmp_path, batches),
+                              str(tmp_path / "state"), gap_s=1800)
+    job.run_all()
+    job.flush()
+
+
+def _join_job(tmp_path, **kw):
+    from imagor_ray.pipelines.stream_join import StreamingJoinJob
+    from tests.test_keyed_stream import _stage
+
+    job = StreamingJoinJob(_stage(str(tmp_path), "in"),
+                           str(tmp_path / "state"), allowed_lateness_s=7200,
+                           **kw)
+    job.run_all()
+    job.finalize()
+
+
+@pytest.mark.parametrize("run", [
+    _session_job,
+    lambda p: _join_job(p, ray_cycle_threshold=10**9),
+    lambda p: _join_job(p, ray_cycle_threshold=0, num_buckets=4),
+], ids=["session_in_process", "join_in_process", "join_bucketed"])
+def test_outputs_durable_before_commit(tmp_path, monkeypatch, run):
+    """Power-loss durability of the stream jobs' single-file writer:
+    every output file is fsynced before its rename, and every directory
+    a cycle renamed into is fsynced exactly once before the checkpoint
+    commit that makes the cycle visible."""
+    from imagor_ray.state.checkpoint import Checkpoint
+    from imagor_ray.state.storage import LocalStorage
+
+    events = []
+
+    def spy(kind, fn, arg):
+        def call(*a):
+            events.append((kind, arg(*a)))
+            return fn(*a)
+        return call
+
+    monkeypatch.setattr(os, "replace", spy(
+        "replace", os.replace, lambda src, dst: (src, dst)))
+    monkeypatch.setattr(LocalStorage, "fsync_file", spy(
+        "fsync_file", LocalStorage.fsync_file, lambda self, f: f.name))
+    monkeypatch.setattr(LocalStorage, "fsync_dir", spy(
+        "fsync_dir", LocalStorage.fsync_dir, lambda self, d: d))
+    monkeypatch.setattr(Checkpoint, "save", spy(
+        "save", Checkpoint.save, lambda self, state: self.path))
+    run(tmp_path)
+
+    state_dir = str(tmp_path / "state")
+    emitted, fsynced, unsynced_dirs, synced_dirs = set(), set(), set(), []
+    for kind, arg in events:
+        if kind == "fsync_file":
+            fsynced.add(arg)
+        elif kind == "replace" and os.path.dirname(arg[1]) != state_dir:
+            assert arg[0] in fsynced, f"renamed before fsync: {arg[1]}"
+            emitted.add(arg[1])
+            unsynced_dirs.add(os.path.dirname(arg[1]))
+        elif kind == "fsync_dir":
+            assert arg not in synced_dirs, f"{arg} fsynced twice in a cycle"
+            synced_dirs.append(arg)
+            unsynced_dirs.discard(arg)
+        elif kind == "save":
+            assert not unsynced_dirs, f"commit before dir fsync: {unsynced_dirs}"
+            synced_dirs = []
+    assert not unsynced_dirs
+    outputs = {os.path.join(dp, f) for dp, _, fs in os.walk(state_dir)
+               for f in fs if dp != state_dir}
+    assert outputs and outputs == emitted
 
 
 class TestCrashPointSweep:
