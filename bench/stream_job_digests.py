@@ -6,13 +6,15 @@
 changelog, broadcast rules) over ``_random_batches(41)`` from
 ``tests/test_state_rescale.py`` — split click / non-click for the
 two-source join — with lateness 0 and 7200 s, on the in-process
-executor (``ray_cycle_threshold=10**9``) and the bucketed one
-(``0``, 4 buckets), plus ``finalize()`` where the job has one. The
-keyed jobs run their buckets in a driver loop whatever CPUS is; CPUS
-sizes the session jobs' hash exchange below, and the Ray tasks that
-older checkouts ran the keyed buckets on — so dumps of an old and a new
-checkout at CPUS=4 compare the old Ray placement with the driver
-loop.
+layout (``ray_cycle_threshold=10**9``) and the bucketed one (``0``)
+at 4 and at 16 buckets, plus ``finalize()`` where the job has one. The
+stream has only 6 users, so at 16 buckets the user-keyed jobs write 6
+buckets' files per cycle while the ``event_id``-keyed broadcast rules
+write 12 to 14: that pins which buckets get a file. The keyed jobs
+start no Ray work whatever CPUS is; CPUS sizes the session jobs' hash
+exchange below, and the Ray tasks that older checkouts ran the keyed
+buckets on — so dumps of an old and a new checkout at CPUS=4 compare
+the old Ray placement with the driver.
 
 It runs ``StreamingChangelogJob`` (update, complete and append modes)
 and ``TopKChangelogJob`` (k=2) over two streams — the same
@@ -28,7 +30,7 @@ and an edge stream of four files (one on-time file, one empty file, one
 all-late file, then one file that advances the watermark) — crossed
 with lateness 0 and 86 400 s, ``RAY_CYCLE_THRESHOLD`` 10**9
 (in-process) and 0 (hash exchange), and ``PIPELINE_DEPTH`` 1 and 2:
-112 cases in all.
+128 cases in all.
 
 For every case it writes the sha1 of every file under the state dir
 except ``checkpoint.json``, the checkpoint itself and the ``run_all``
@@ -127,8 +129,11 @@ def _run_cases(tmp: str) -> dict:
         "session": lambda s, **kw: SessionChangelogJob(ind, s, **kw),
         "rules": lambda s, **kw: BroadcastRulesJob(ind, s, **kw),
     }
+    # 16 buckets over the stream's 6 users leave user-keyed jobs with
+    # 10 absent buckets; event_id-keyed broadcast rules fill 12 to 14
     executors = {"local": dict(ray_cycle_threshold=10**9),
-                 "bucketed": dict(ray_cycle_threshold=0, num_buckets=4)}
+                 "bucketed": dict(ray_cycle_threshold=0, num_buckets=4),
+                 "bucketed16": dict(ray_cycle_threshold=0, num_buckets=16)}
     res = {}
     for name, make in jobs.items():
         for late in (0, 7200):

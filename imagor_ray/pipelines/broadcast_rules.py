@@ -29,13 +29,12 @@ rule side is NEVER bucketed. Each cycle extracts the file's
 rule rows through a driver-side predicate+column-pushdown read
 (bounded by the control stream's volume — the pattern's defining
 assumption), and the merged global rule table is built once per cycle
-as presorted numpy columns (the broadcast small side) that every
-bucket's scoring run shares. Only probe rows are bucketed, by
-``event_id % num_buckets``, and that bucketing exists purely so each
-bucket's run writes a DETERMINISTIC per-bucket emission file; no state
-co-location is required at all. Below
-``RAY_CYCLE_THRESHOLD`` footer rows the keyed-stream runtime runs the
-same scoring kernel once in-process.
+as presorted numpy columns (the broadcast small side) that the
+keyed-stream runtime's one scoring-kernel call per cycle uses. Only
+probe rows carry a bucket key, ``event_id``: above
+``RAY_CYCLE_THRESHOLD`` footer rows the scored probes and late rows
+are split by ``event_id % num_buckets`` into DETERMINISTIC per-bucket
+files at write time; no state co-location is required at all.
 
 Exactly-once rides the house discipline: per-cycle emission files are
 sorted by probe event_id and written BEFORE the single checkpoint
@@ -132,8 +131,8 @@ def _evict_rules(rules: pd.DataFrame, wm: int) -> pd.DataFrame:
 
 def _score_kernel(st: pd.DataFrame, new: pd.DataFrame, wm: int,
                   new_wm: int, cycle: int, rules) -> tuple:
-    """Per-bucket kernel: score every pending/new probe the watermark
-    made final against the broadcast rule table (a dict of presorted
+    """Cycle kernel: score every pending/new probe the watermark made
+    final against the broadcast rule table (a dict of presorted
     arrays); the rest keep waiting."""
     pr = pd.concat([st, new[["event_id", "ts_us"]]], ignore_index=True)
     ready = pr["ts_us"].to_numpy(dtype="int64") < new_wm
@@ -147,7 +146,7 @@ class BroadcastRulesJob(KeyedStreamJob):
     probe emission (module docstring has the full semantics)."""
 
     READ_COLS = ["event_id", "ts", "event_type", "value"]
-    # probes bucket on event_id purely for deterministic per-bucket
+    # probe files split on event_id purely for deterministic per-bucket
     # files — the rule side is global, no co-location is needed
     KEY = "event_id"
     FINALIZED_MSG = "broadcast-rules job already finalized"
@@ -198,14 +197,14 @@ class BroadcastRulesJob(KeyedStreamJob):
 
     def _execute(self, inputs: list, wm: int, new_wm: int, cycle: int,
                  st: pd.DataFrame, kernel=None):
-        """The broadcast cycle body: rule rows come from a driver-side
-        predicate+column-pushdown read, NOT a Ray Data execution — the
-        control stream is small by the pattern's own assumption (if
-        the "rules" were stream-sized, broadcast state is the wrong
-        operator), and row-group/type pushdown keeps it bounded even
-        when the cycle file is huge. The merged rule table is built
-        once per cycle and only the probes run through the runtime's
-        layouts."""
+        """The broadcast cycle body: rule rows come from a
+        predicate+column-pushdown read — the control stream is small
+        by the pattern's own assumption (if the "rules" were
+        stream-sized, broadcast state is the wrong operator), and
+        row-group/type pushdown keeps it bounded even when the cycle
+        file is huge. The merged rule table is built once per cycle
+        and only the probes run through the runtime's one kernel
+        pass and its file layouts."""
         import pyarrow.parquet as pq
 
         (path, _, _), = inputs

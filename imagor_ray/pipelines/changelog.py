@@ -549,18 +549,15 @@ class SessionChangelogJob(KeyedStreamJob):
     changelog files commit before the checkpoint; crash replay
     overwrites identical bytes.
 
-    Scale shape: the keyed-stream runtime runs the ONE kernel
-    in-process below RAY_CYCLE_THRESHOLD footer rows and per user
-    bucket above it, in a driver loop (each bucket's run writes its
-    changelog file and returns its state rows).
+    Scale shape: the keyed-stream runtime calls the ONE kernel once
+    per cycle; above RAY_CYCLE_THRESHOLD footer rows the changelog and
+    late rows are split into per-user-bucket files at write time.
     """
 
     OUTPUTS = ("changelog",)
     COUNTERS = ("changelog_rows", "late")
     READ_COLS = ["event_id", "ts", "user_id"]
     STATE_ORDER = ["user_id", "start_us"]
-    FILL = {"event_id": -1, "ts_us": -1, "start_us": -1, "end_us": -1,
-            "n": -1}
     TRACK_LATE_ROWS = True
 
     def __init__(self, input_dir: str, state_dir: str,

@@ -8,11 +8,11 @@ specific to it:
   (``_empty_state``/``_load_state``, and pack/unpack helpers where the
   frame holds several row kinds);
 - a map-side ``_tag(batch, wm)`` turning input rows into keyed rows
-  that carry ``ts_us`` (plus ``FILL`` sentinels for columns only the
-  state or only the tagged rows have);
-- ONE pure per-bucket kernel
+  that carry ``ts_us``;
+- ONE pure cycle kernel
   ``_cycle_kernel(state, on_time_new, wm, new_wm, cycle) →
-  (emissions, next_state, counters)``;
+  (emissions, next_state, counters)``, every emission frame carrying
+  the bucket key column ``KEY``;
 - an optional driver-side ``_post_gather`` (eviction, timeouts) and a
   finalize kernel.
 
@@ -26,17 +26,20 @@ the single commit (output directories fsynced → ``stage_open_sessions``
 → ``save`` → ``gc_open_sessions``),
 the ``cycle_metrics`` entry, ``run_all`` totals and output read-back.
 
-One kernel, two layouts. ``RAY_CYCLE_THRESHOLD`` footer rows pick the
-layout: at or below it the kernel runs ONCE in-process over
-``state ∪ tag(file)`` and its files carry no bucket suffix; above it
-the SAME kernel runs once per bucket (``key % num_buckets``) over that
-bucket's tagged ∪ state rows, in ascending bucket order in a driver
-loop, and writes the bucket's ``-{bucket}`` files itself. A job with
-no bucket key (``KEY = None``) always takes the in-process layout.
-Neither layout starts Ray work: on ``stream_join`` the driver loop beat
-the raw hash exchange at 4 Ray CPUs as well as at 1 (BENCH.md, note
-after finding 26). The price is that a cycle's tagged rows and the
-state sit in driver memory together (:meth:`KeyedStreamJob._is_big`).
+One pass, two file layouts. Every cycle tags its inputs, splits off
+the late rows and runs the kernel ONCE, in the driver, over
+``state ∪ on-time rows``. ``RAY_CYCLE_THRESHOLD`` footer rows pick only
+how the outputs are written: at or below it each output is one file
+with no bucket suffix; above it each output frame is split by
+``KEY % num_buckets`` into one ``-{bucket}`` file per bucket present in
+the cycle's tagged ∪ state rows (a present bucket with no rows of that
+output still gets its empty file). A job with no bucket key
+(``KEY = None``) always writes unsuffixed files. No layout starts Ray
+work; the buckets do no work of their own, so the kernel's pandas
+fixed cost is paid once per cycle, not once per bucket (BENCH.md, notes
+after finding 26). The price is that a cycle's tagged rows, the state
+and the cycle's emissions sit in driver memory together
+(:meth:`KeyedStreamJob._is_big`).
 Crash replay reruns the cycle against the committed pre-cycle state
 and overwrites identical bytes: kernels sort every emission and
 snapshots are canonically ordered.
@@ -44,8 +47,8 @@ snapshots are canonically ordered.
 
 from __future__ import annotations
 
+import functools
 import os
-from collections import Counter
 
 import numpy as np
 import pandas as pd
@@ -109,7 +112,7 @@ class KeyedStreamJob:
     has the contract). Subclasses set the class attributes below and
     implement ``_empty_state``, ``_tag`` and ``_cycle_kernel``."""
 
-    #: above this many footer rows a cycle runs per bucket
+    #: above this many footer rows a cycle writes per-bucket files
     RAY_CYCLE_THRESHOLD = 150_000
     #: input columns each cycle reads
     READ_COLS = ["event_id", "ts", "user_id", "event_type"]
@@ -119,12 +122,11 @@ class KeyedStreamJob:
     OUTPUTS: tuple = ("emitted",)
     #: cycle counters, in result order (also the run_all totals)
     COUNTERS: tuple = ("emitted", "late")
-    #: bucket key (``key % num_buckets``); ``None``: no key, so every
-    #: cycle is the one in-process unit
+    #: bucket key (``key % num_buckets``) of the per-bucket files, a
+    #: column of the tagged rows, the state and every emission;
+    #: ``None``: no key, so every cycle writes unsuffixed files
     KEY = "user_id"
-    #: sentinel for a column only one of (state, tagged rows) carries
-    FILL: dict = {}
-    #: canonical snapshot row order (byte-stable across executors)
+    #: canonical snapshot row order (byte-stable across layouts)
     STATE_ORDER: list = []
     #: also accumulate the checkpoint's ``late_rows`` total
     TRACK_LATE_ROWS = False
@@ -136,6 +138,8 @@ class KeyedStreamJob:
         self.input_dir = input_dir
         self.cp = Checkpoint(state_dir)
         self.lateness_us = allowed_lateness_s * 1_000_000
+        if num_buckets < 1:
+            raise ValueError(f"num_buckets must be >= 1, got {num_buckets}")
         self.num_buckets = num_buckets
         if ray_cycle_threshold is not None:
             self.RAY_CYCLE_THRESHOLD = ray_cycle_threshold
@@ -274,89 +278,72 @@ class KeyedStreamJob:
         return os.path.join(getattr(self, f"{name}_dir"),
                             f"{name}-final.parquet")
 
-    # -- one kernel, two executors -------------------------------------
-
-    def _step(self, st: pd.DataFrame, new: pd.DataFrame, wm: int,
-              new_wm: int, cycle: int, ub: int | None, kernel):
-        """Late split + kernel + file writes for one execution unit
-        (the whole cycle, or one bucket ``ub``)."""
-        sfx = "" if ub is None else f"-{ub:02d}"
-        us = new["ts_us"].to_numpy(dtype="int64")
-        late = us < wm
-        lrows = pd.DataFrame({
-            c: (pd.Series(us[late]).astype("datetime64[us]") if c == "ts"
-                else new[c].to_numpy(dtype="int64")[late])
-            for c in self.LATE_COLS
-        }).sort_values("event_id", kind="mergesort").reset_index(drop=True)
-        write_parquet_atomic(lrows, os.path.join(
-            self.late_dir, f"late-{cycle:05d}{sfx}.parquet"))
-        emits, nxt, counts = kernel(st, new[~late], wm, new_wm, cycle)
-        for name, df in emits.items():
-            self._write_emission(name, df, os.path.join(
-                getattr(self, f"{name}_dir"),
-                f"{name}-{cycle:05d}{sfx}.parquet"))
-        return nxt, {**counts, "late": int(late.sum())}
+    # -- one kernel pass, two file layouts ------------------------------
 
     def _is_big(self, inputs: list) -> bool:
         """Layout choice from the parquet footers only (never reads
-        data to decide): above ``RAY_CYCLE_THRESHOLD`` rows the cycle
-        runs per bucket. Either layout holds the whole cycle's tagged
-        rows plus the state in driver memory, so a cycle file must fit
-        there; the bucketed layout briefly holds them twice (the marked
-        parts and their concat). A job without a bucket key always
-        runs in-process."""
+        data to decide): above ``RAY_CYCLE_THRESHOLD`` rows each output
+        is split into per-bucket files at write time. Either layout
+        holds the cycle's tagged rows, the state and the cycle's
+        emissions in driver memory once, so a cycle file must fit
+        there. A job without a bucket key always writes unsuffixed
+        files."""
         import pyarrow.dataset as pads
 
         return self.KEY is not None and (
             sum(pads.dataset(p).count_rows() for p, _, _ in inputs)
             > self.RAY_CYCLE_THRESHOLD)
 
+    def _bucket_of(self, df: pd.DataFrame, what: str) -> np.ndarray:
+        """``KEY % num_buckets`` per row of ``df``."""
+        if self.KEY not in df.columns:
+            raise ValueError(
+                f"{what} has no bucket key column {self.KEY!r} (the "
+                f"tagged rows, the state and every emission carry it)")
+        return df[self.KEY].to_numpy(dtype="int64") % self.num_buckets
+
     def _execute(self, inputs: list, wm: int, new_wm: int, cycle: int,
                  st: pd.DataFrame, kernel=None):
-        """Run ``kernel`` (default :meth:`_cycle_kernel`) over
-        ``state ∪ tagged inputs``; returns ``(next state, counters)``."""
+        """Tag the inputs, split off the late rows and run ``kernel``
+        (default :meth:`_cycle_kernel`) ONCE over ``state ∪ on-time
+        rows``; returns ``(next state, counters)``. Above the
+        threshold every output is then written as one
+        ``-{bucket}`` file per bucket of the tagged ∪ state rows (the
+        late rows take their bucket from the tagged rows, since
+        ``LATE_COLS`` need not carry the key); at or below it as one
+        unsuffixed file."""
         kernel = kernel or self._cycle_kernel
-        if self._is_big(inputs):
-            return self._execute_bucketed(inputs, wm, new_wm, cycle, st,
-                                          kernel)
         new = pd.concat([tag(pd.read_parquet(p, columns=cols), wm)
                          for p, cols, tag in inputs], ignore_index=True)
-        return self._step(st, new, wm, new_wm, cycle, None, kernel)
+        us = new["ts_us"].to_numpy(dtype="int64")
+        late = us < wm
+        lrows = pd.DataFrame({
+            c: (pd.Series(us[late]).astype("datetime64[us]") if c == "ts"
+                else new[c].to_numpy(dtype="int64")[late])
+            for c in self.LATE_COLS
+        }).sort_values("event_id", kind="mergesort")
+        emits, nxt, counts = kernel(st, new[~late], wm, new_wm, cycle)
 
-    def _execute_bucketed(self, inputs: list, wm: int, new_wm: int,
-                          cycle: int, st: pd.DataFrame, kernel):
-        nb, key, fill = self.num_buckets, self.KEY, self.FILL
-        state_cols = list(st.columns)
-        cols = state_cols + [c for c in fill if c not in state_cols]
-
-        def mark(df: pd.DataFrame, new: int) -> pd.DataFrame:
-            for c, v in fill.items():
-                if c not in df.columns:
-                    df[c] = v
-            if list(df.columns) != cols:
-                df = df.reindex(columns=cols)
-            df["_new"] = np.int8(new)
-            df["_ub"] = (df[key].to_numpy(dtype="int64") % nb).astype(np.int32)
-            return df
-
-        parts = [mark(tag(pd.read_parquet(p, columns=rcols), wm), 1)
-                 for p, rcols, tag in inputs]
-        if len(st):
-            parts.append(mark(st.copy(), 0))
-        rows = pd.concat(parts, ignore_index=True)
-        del parts
-        nxts, counts = [], Counter()
-        for ub, g in rows.groupby("_ub", sort=True):
-            g = g.reset_index(drop=True)
-            is_new = g["_new"].to_numpy() == 1
-            nxt, c = self._step(
-                g[~is_new][state_cols].reset_index(drop=True), g[is_new],
-                wm, new_wm, cycle, int(ub), kernel)
-            nxts.append(nxt[state_cols])
-            counts.update(c)
-        if not nxts:
-            return st.iloc[:0].reset_index(drop=True), {}
-        return pd.concat(nxts, ignore_index=True), dict(counts)
+        buckets = None
+        if self._is_big(inputs):
+            new_b = self._bucket_of(new, "the tagged rows")
+            buckets = np.unique(np.concatenate(
+                [new_b, self._bucket_of(st, "the state")]))
+            # lrows' index holds each late row's position before the sort
+            late_b = new_b[late][lrows.index.to_numpy()]
+        for name, df in {"late": lrows, **emits}.items():
+            write = (write_parquet_atomic if name == "late"
+                     else functools.partial(self._write_emission, name))
+            stem = os.path.join(getattr(self, f"{name}_dir"),
+                                f"{name}-{cycle:05d}")
+            if buckets is None:
+                write(df, stem + ".parquet")
+                continue
+            ub = (late_b if name == "late"
+                  else self._bucket_of(df, f"emission {name!r}"))
+            for b in buckets:
+                write(df[ub == b], f"{stem}-{b:02d}.parquet")
+        return nxt, {**counts, "late": int(late.sum())}
 
 
 def side_counts(snap: pd.DataFrame, **names: int) -> dict:

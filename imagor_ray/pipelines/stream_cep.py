@@ -48,12 +48,11 @@ State is watermark-bounded: O(users) closed-form registers (the
 ``temporal_join`` family's accepted domain-sized state) plus an event
 buffer of one cycle + lateness horizon — never the stream.
 
-Scale shape: ONE kernel run by the keyed-stream runtime — in-process
-below ``RAY_CYCLE_THRESHOLD`` footer rows, above it per user bucket
-over tagged new ∪ state rows (buckets are user-complete, so NFA state
-and buffer co-locate with their events); each bucket's run writes its
-emission file itself. The bucketed rows are fixed-width columns
-only (user_id, event_id, ts, type-code, registers) — no text.
+Scale shape: ONE kernel call per cycle by the keyed-stream runtime
+over tagged new ∪ state rows; above ``RAY_CYCLE_THRESHOLD`` footer
+rows the emissions are split into per-user-bucket files at write
+time. The tagged rows are fixed-width columns only (user_id,
+event_id, ts, type-code, registers) — no text.
 """
 
 from __future__ import annotations

@@ -27,12 +27,11 @@ carry matters when lateness lets arrival days lag event days), and the
 emitted set equals the batch ``row_number() OVER (PARTITION BY key
 ORDER BY ts, event_id) = 1`` — the DuckDB oracle.
 
-Scale shape: ONE kernel run by the keyed-stream runtime — in-process
-below ``RAY_CYCLE_THRESHOLD`` footer rows, above it per user bucket
-over tagged new rows ∪ state rows: each bucket's run dedupes its
-bucket (keys contain user_id, so buckets are key-complete), writes its
-emission file itself, and returns only its state rows; eviction runs
-on the gathered state.
+Scale shape: ONE kernel call per cycle by the keyed-stream runtime
+over tagged new rows ∪ state rows; above ``RAY_CYCLE_THRESHOLD``
+footer rows the emissions are split into per-user-bucket files at
+write time (keys contain user_id, so no key spans two files).
+Eviction runs on the next state.
 """
 
 from __future__ import annotations
@@ -98,7 +97,6 @@ class StreamingDedupJob(KeyedStreamJob):
 
     COUNTERS = ("emitted", "dups", "late")
     STATE_ORDER = ["user_id", "event_type", "day_us"]
-    FILL = {"event_id": -1, "ts_us": -1, "day_us": -1}
 
     def _empty_state(self) -> pd.DataFrame:
         return _empty_state()

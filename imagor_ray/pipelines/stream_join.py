@@ -29,8 +29,8 @@ other half) — both emissions happen DURING the stream the moment the
 watermark proves no future match, byte-stably, before the commit;
 ``finalize()`` flushes both tails for bounded runs.
 
-Exactly-once: matched pairs land in per-cycle (per-bucket, on the
-bucketed executor) parquet files written BEFORE the checkpoint commits;
+Exactly-once: matched pairs land in per-cycle (per-bucket, in the
+bucketed layout) parquet files written BEFORE the checkpoint commits;
 a crash between the write and the commit replays the cycle against the
 committed pre-cycle state and overwrites the same files with identical
 bytes (rows are sorted (req_id, resp_id) before write, and the cycle's
@@ -39,13 +39,12 @@ snapshot rides the same single-commit-point discipline as the session
 job (``Checkpoint.stage_open_sessions`` + ``save``).
 
 Scale shape: the per-cycle match is the (user, new×state) band join,
-ONE kernel run by the keyed-stream runtime (:mod:`.keyed_stream`):
-in-process below ``RAY_CYCLE_THRESHOLD`` rows (Ray per-stage overhead
-dominates tiny cycles), above it per user bucket over the cycle's
-tagged rows ∪ the (small, watermark-bounded) state rows, in a driver
-loop. Matched pairs are written per bucket by the bucket's own run,
-which returns only its next-cycle state rows. Eviction and the timeout
-writes run once on the gathered state.
+ONE kernel call per cycle by the keyed-stream runtime
+(:mod:`.keyed_stream`) over the cycle's tagged rows ∪ the (small,
+watermark-bounded) state rows. Above ``RAY_CYCLE_THRESHOLD`` rows the
+matched pairs and late rows are split into per-user-bucket files at
+write time; at or below it each is one file. Eviction and the timeout
+writes run once on the next state.
 """
 
 from __future__ import annotations

@@ -30,11 +30,10 @@ touch state. Per-cycle op files commit BEFORE the single checkpoint
 save (crash replay overwrites identical bytes); snapshots are
 bucket-agnostic (the rescaling guarantee).
 
-Scale shape: ONE kernel run by the keyed-stream runtime — in-process
-below ``RAY_CYCLE_THRESHOLD`` footer rows, above it per user bucket
-over (registers ∪ buffer ∪ new): registers and buffers are user-keyed,
-so buckets are version-complete; each bucket's run writes its op +
-late files itself and returns its state rows only.
+Scale shape: ONE kernel call per cycle by the keyed-stream runtime
+over (registers ∪ buffer ∪ new); above ``RAY_CYCLE_THRESHOLD`` footer
+rows the op and late rows are split into per-user-bucket files at
+write time (ops are user-keyed, so a user's versions share one file).
 
 Reference semantics: the result-storage freshness/overwrite contract
 (``imagor.go:605-652``) generalized to versioned dimension rows;

@@ -26,9 +26,9 @@ commit; crash replay reruns the cycle against the committed pre-cycle
 state and overwrites identical bytes.
 
 Scale shape: ONE as-of kernel (``pd.merge_asof`` by user over the
-ts-sorted frames) run by the keyed-stream runtime — in-process below
-``RAY_CYCLE_THRESHOLD`` footer rows, per user bucket above it (each
-bucket's run writes that bucket's emission file).
+ts-sorted frames), called once per cycle by the keyed-stream runtime;
+above ``RAY_CYCLE_THRESHOLD`` footer rows the emissions are split into
+per-user-bucket files at write time.
 """
 
 from __future__ import annotations

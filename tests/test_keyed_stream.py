@@ -1,10 +1,11 @@
 """Crash replay for every job on the keyed-stream runtime, in BOTH
-layouts: the in-process one and the per-bucket driver loop (each
-bucket writes its own ``-{bucket}`` files). The windowed and top-k
-changelog jobs have no bucket key, so they run in-process only. A
-commit lost in cycle 1 (``cp.save`` raises after every emission file
-was written) must replay from the committed cycle-0 state and
-overwrite the same bytes, and neither layout may start Ray work."""
+file layouts: unsuffixed files and per-bucket ``-{bucket}`` files
+split at write time. The windowed and top-k changelog jobs have no
+bucket key, so they write unsuffixed files only. A commit lost in
+cycle 1 (``cp.save`` raises after every emission file was written)
+must replay from the committed cycle-0 state and overwrite the same
+bytes, and neither layout may start Ray work. Both layouts run the
+cycle kernel once per cycle, and the bucket count is validated."""
 
 from __future__ import annotations
 
@@ -146,3 +147,80 @@ def test_lost_commit_replays_identical_bytes(ray_session, tmp_path,
     _drain(_make(name, root, ref, **kw))
     assert after == _digests(ref)
     assert [a for a, spy in spies.items() if spy.called] == []
+
+
+@pytest.mark.parametrize("num_buckets", [0, -3])
+def test_bucket_count_below_one_is_rejected(tmp_path, num_buckets):
+    from imagor_ray.pipelines.stream_join import StreamingJoinJob
+
+    ind = _stage(str(tmp_path), "in")
+    for thr in (0, 10**9):
+        with pytest.raises(ValueError, match="num_buckets"):
+            StreamingJoinJob(ind, str(tmp_path / f"s{thr}"),
+                             num_buckets=num_buckets,
+                             ray_cycle_threshold=thr)
+
+
+def test_bucketed_layout_runs_the_kernel_once_per_cycle(tmp_path,
+                                                        monkeypatch):
+    from imagor_ray.pipelines.stream_join import StreamingJoinJob
+
+    calls = []
+    kernel = StreamingJoinJob._cycle_kernel
+
+    def spy(self, st, new, wm, new_wm, cycle):
+        calls.append(cycle)
+        return kernel(self, st, new, wm, new_wm, cycle)
+
+    monkeypatch.setattr(StreamingJoinJob, "_cycle_kernel", spy)
+    ind = _stage(str(tmp_path), "in")
+    sd = str(tmp_path / "state")
+    job = StreamingJoinJob(ind, sd, allowed_lateness_s=7200, num_buckets=4,
+                           ray_cycle_threshold=0)
+    totals = job.run_all()
+    assert calls == list(range(totals["cycles"]))
+    # the outputs are still split into per-bucket files
+    assert sorted(os.listdir(os.path.join(sd, "matched")))[:4] == [
+        f"matched-00000-{b:02d}.parquet" for b in range(4)]
+
+
+def test_bucketed_emission_without_the_key_is_an_error(tmp_path):
+    from imagor_ray.pipelines.stream_join import StreamingJoinJob
+
+    class KeylessPairs(StreamingJoinJob):
+        def _cycle_kernel(self, st, new, wm, new_wm, cycle):
+            emits, nxt, counts = super()._cycle_kernel(st, new, wm, new_wm,
+                                                       cycle)
+            return ({n: df.drop(columns=[self.KEY])
+                     for n, df in emits.items()}, nxt, counts)
+
+    ind = _stage(str(tmp_path), "in")
+    job = KeylessPairs(ind, str(tmp_path / "state"), num_buckets=4,
+                       ray_cycle_threshold=0)
+    with pytest.raises(ValueError, match="'matched'.*'user_id'"):
+        job.run_cycle()
+
+
+def test_bucketed_files_cover_exactly_the_present_buckets(tmp_path):
+    """Every user is in every input file, so at 16 buckets each cycle
+    writes each output for buckets 00-05 only; a present bucket with
+    no rows of an output still gets its (empty) file, and every row
+    sits in its own bucket's file."""
+    from imagor_ray.pipelines.stream_join import StreamingJoinJob
+
+    ind = _stage(str(tmp_path), "in")
+    sd = str(tmp_path / "state")
+    job = StreamingJoinJob(ind, sd, allowed_lateness_s=7200, num_buckets=16,
+                           ray_cycle_threshold=0)
+    cycles = job.run_all()["cycles"]
+    sizes = []
+    for name, key in (("matched", "user_id"), ("late", "user_id")):
+        d = os.path.join(sd, name)
+        assert sorted(os.listdir(d)) == [
+            f"{name}-{c:05d}-{b:02d}.parquet"
+            for c in range(cycles) for b in range(6)]
+        for f in os.listdir(d):
+            df = pd.read_parquet(os.path.join(d, f))
+            assert (df[key] % 16 == int(f[-10:-8])).all()
+            sizes.append(len(df))
+    assert 0 in sizes and sum(sizes) > 0
