@@ -24,7 +24,6 @@ from __future__ import annotations
 import base64
 import binascii
 import hashlib
-import hmac as _hmac
 import posixpath
 import re
 import urllib.parse
@@ -491,21 +490,50 @@ class HMACSigner:
     == 'zb6uWXQxwJDOe_zOgxkuj96Etrsz'``
     """
 
-    __slots__ = ("alg", "truncate", "secret")
+    __slots__ = ("alg", "truncate", "secret", "_inner", "_outer")
 
     def __init__(self, alg: str = "sha1", truncate: int = 0, secret: str = ""):
         self.alg = alg
         self.truncate = truncate
         self.secret = secret.encode("utf-8")
+        self._prekey()
+
+    def _prekey(self) -> None:
+        """Hash states already keyed with ``K ^ ipad`` and ``K ^ opad``
+        (RFC 2104, the construction ``hmac.new`` runs on every call), so
+        each ``sign`` only copies them instead of re-padding and
+        re-hashing the key."""
+        key = self.secret
+        block = hashlib.new(self.alg).block_size
+        if len(key) > block:
+            key = hashlib.new(self.alg, key).digest()
+        key = key.ljust(block, b"\0")
+        self._inner = hashlib.new(self.alg, key.translate(_IPAD))
+        self._outer = hashlib.new(self.alg, key.translate(_OPAD))
+
+    def __getstate__(self):
+        # hash states do not pickle; Ray ships signers inside closures
+        return self.alg, self.truncate, self.secret
+
+    def __setstate__(self, state) -> None:
+        self.alg, self.truncate, self.secret = state
+        self._prekey()
 
     def sign(self, path: str) -> str:
-        digest = _hmac.new(
-            self.secret, path.encode("utf-8", errors="surrogateescape"), self.alg
-        ).digest()
-        sig = base64.urlsafe_b64encode(digest).decode("ascii")
+        inner = self._inner.copy()
+        inner.update(path.encode("utf-8", errors="surrogateescape"))
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        sig = (binascii.b2a_base64(outer.digest(), newline=False)
+               .translate(_URLSAFE).decode("ascii"))
         if 0 < self.truncate < len(sig):
             return sig[: self.truncate]
         return sig
+
+
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+_URLSAFE = bytes.maketrans(b"+/", b"-_")
 
 
 def new_default_signer(secret: str) -> HMACSigner:

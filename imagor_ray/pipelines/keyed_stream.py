@@ -12,7 +12,8 @@ specific to it:
 - ONE pure cycle kernel
   ``_cycle_kernel(state, on_time_new, wm, new_wm, cycle) →
   (emissions, next_state, counters)``, every emission frame carrying
-  the bucket key column ``KEY``;
+  the bucket key column ``KEY``, and optionally the order an emission
+  is written in (``EMIT_ORDER``);
 - an optional driver-side ``_post_gather`` (eviction, timeouts) and a
   finalize kernel.
 
@@ -37,21 +38,29 @@ output still gets its empty file). A job with no bucket key
 (``KEY = None``) always writes unsuffixed files. No layout starts Ray
 work; the buckets do no work of their own, so the kernel's pandas
 fixed cost is paid once per cycle, not once per bucket (BENCH.md, notes
-after finding 26). The price is that a cycle's tagged rows, the state
-and the cycle's emissions sit in driver memory together
-(:meth:`KeyedStreamJob._is_big`).
+after finding 26), and so is each output's conversion: the frame is
+ordered once (``EMIT_ORDER``), stable-partitioned by bucket and
+converted to Arrow once, and each bucket's file is a zero-copy slice
+of that table — the bytes ``df[ub == b].to_parquet(index=False)``
+would write. A frame with an ``object`` (or other non-numpy) column
+is still converted per bucket, because pandas infers an object
+column's Arrow type from the values it is given. The price is that a
+cycle's tagged rows, the state and the cycle's emissions sit in
+driver memory together (:meth:`KeyedStreamJob._is_big`).
 Crash replay reruns the cycle against the committed pre-cycle state
-and overwrites identical bytes: kernels sort every emission and
+and overwrites identical bytes: every emission is written in a
+deterministic order (the kernel's, or its ``EMIT_ORDER``) and
 snapshots are canonically ordered.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 
 from ..state.checkpoint import Checkpoint
 from ..state.storage import LocalStorage
@@ -60,14 +69,19 @@ __all__ = ["KeyedStreamJob", "file_max_ts", "fsync_dirs", "pending_inputs",
            "side_counts", "write_parquet_atomic"]
 
 
-def write_parquet_atomic(df: pd.DataFrame, path: str) -> None:
+def write_parquet_atomic(data: pd.DataFrame | pa.Table, path: str) -> None:
     """THE single-file writer of the stream jobs: tmp file, fsync, atomic
     rename, so a reader (or a replay) never observes a torn file, a
     rewrite is an overwrite, and once the caller has fsynced the
     directory (:func:`fsync_dirs`, before its checkpoint commit) the file
-    survives a power loss."""
+    survives a power loss. ``data`` is a DataFrame
+    (``to_parquet(index=False)``) or an Arrow table, written with the
+    same snappy ``pq.write_table`` that call ends in."""
     tmp = path + ".tmp"
-    df.to_parquet(tmp, index=False)
+    if isinstance(data, pd.DataFrame):
+        data.to_parquet(tmp, index=False)
+    else:
+        pq.write_table(data, tmp, compression="snappy")
     with open(tmp, "rb") as f:
         LocalStorage().fsync_file(f)
     os.replace(tmp, path)
@@ -128,6 +142,9 @@ class KeyedStreamJob:
     KEY = "user_id"
     #: canonical snapshot row order (byte-stable across layouts)
     STATE_ORDER: list = []
+    #: ``{output: columns}``: stable row order an emission is written
+    #: in (outputs not named are written in kernel order)
+    EMIT_ORDER: dict = {}
     #: also accumulate the checkpoint's ``late_rows`` total
     TRACK_LATE_ROWS = False
     FINALIZED_MSG = "stream already finalized"
@@ -176,10 +193,6 @@ class KeyedStreamJob:
     def _load_state(self, state: dict) -> pd.DataFrame:
         st = self.cp.load_open_sessions(state)
         return self._empty_state() if st is None or not len(st) else st
-
-    def _write_emission(self, name: str, df: pd.DataFrame,
-                        path: str) -> None:
-        write_parquet_atomic(df, path)
 
     # -- plumbing ------------------------------------------------------
 
@@ -306,12 +319,13 @@ class KeyedStreamJob:
                  st: pd.DataFrame, kernel=None):
         """Tag the inputs, split off the late rows and run ``kernel``
         (default :meth:`_cycle_kernel`) ONCE over ``state ∪ on-time
-        rows``; returns ``(next state, counters)``. Above the
-        threshold every output is then written as one
-        ``-{bucket}`` file per bucket of the tagged ∪ state rows (the
-        late rows take their bucket from the tagged rows, since
-        ``LATE_COLS`` need not carry the key); at or below it as one
-        unsuffixed file."""
+        rows``; returns ``(next state, counters)``. Each output is
+        ordered by its ``EMIT_ORDER`` columns, if it has any. Above the
+        threshold it is then written as one ``-{bucket}`` file per
+        bucket of the tagged ∪ state rows from ONE Arrow conversion
+        (:func:`_write_split`; the late rows take their bucket from
+        the tagged rows, since ``LATE_COLS`` need not carry the key);
+        at or below it as one unsuffixed file."""
         kernel = kernel or self._cycle_kernel
         new = pd.concat([tag(pd.read_parquet(p, columns=cols), wm)
                          for p, cols, tag in inputs], ignore_index=True)
@@ -332,18 +346,43 @@ class KeyedStreamJob:
             # lrows' index holds each late row's position before the sort
             late_b = new_b[late][lrows.index.to_numpy()]
         for name, df in {"late": lrows, **emits}.items():
-            write = (write_parquet_atomic if name == "late"
-                     else functools.partial(self._write_emission, name))
+            if name in self.EMIT_ORDER:
+                df = df.sort_values(self.EMIT_ORDER[name], kind="mergesort")
             stem = os.path.join(getattr(self, f"{name}_dir"),
                                 f"{name}-{cycle:05d}")
             if buckets is None:
-                write(df, stem + ".parquet")
-                continue
-            ub = (late_b if name == "late"
-                  else self._bucket_of(df, f"emission {name!r}"))
-            for b in buckets:
-                write(df[ub == b], f"{stem}-{b:02d}.parquet")
+                write_parquet_atomic(df, stem + ".parquet")
+            else:
+                _write_split(df, late_b if name == "late" else
+                             self._bucket_of(df, f"emission {name!r}"),
+                             buckets, stem)
         return nxt, {**counts, "late": int(late.sum())}
+
+
+def _write_split(df: pd.DataFrame, ub: np.ndarray, buckets: np.ndarray,
+                 stem: str) -> None:
+    """Write ``df`` as one ``{stem}-{b:02d}.parquet`` per bucket ``b`` of
+    ``buckets`` (``ub``: each row's bucket), each file holding that
+    bucket's rows in ``df`` order, as ``df[ub == b]`` would. The frame
+    is stable-partitioned by bucket and converted to Arrow ONCE; each
+    file, that of a present bucket with no rows too, is a zero-copy
+    slice of that table. A frame with a non-numpy or ``object`` column
+    keeps one conversion per bucket: pandas infers an object column's
+    Arrow type from the values it is given (an all-null subset becomes
+    ``null``-typed), so a slice of the whole-frame table would not hold
+    the same bytes."""
+    paths = [f"{stem}-{b:02d}.parquet" for b in buckets]
+    if not all(isinstance(dt, np.dtype) and dt.kind in "biufmM"
+               for dt in df.dtypes):
+        for b, path in zip(buckets, paths):
+            write_parquet_atomic(df[ub == b], path)
+        return
+    perm = np.argsort(ub, kind="stable")
+    table = pa.Table.from_pandas(df.take(perm), preserve_index=False)
+    ub = ub[perm]
+    for path, lo, hi in zip(paths, np.searchsorted(ub, buckets, "left"),
+                            np.searchsorted(ub, buckets, "right")):
+        write_parquet_atomic(table.slice(lo, hi - lo), path)
 
 
 def side_counts(snap: pd.DataFrame, **names: int) -> dict:

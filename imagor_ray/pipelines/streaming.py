@@ -274,8 +274,9 @@ class StreamingSessionJob:
         checkpoint (output directories fsynced first). Mutates ``state``
         in place so a pipelined caller can keep committing against its
         own loaded copy."""
-        fsync_dirs(self.late_dir, self.closed_dir, os.path.join(
-            self.closed_dir, f"closed-{cycle:05d}.parquet"))
+        fsync_dirs(self.late_dir, os.path.join(self.late_dir, f"late-{fname}"),
+                   self.closed_dir, os.path.join(
+                       self.closed_dir, f"closed-{cycle:05d}.parquet"))
         open_fname = self.cp.stage_open_sessions(still_open, cycle)
         state["open_sessions_file"] = open_fname
         state["watermark_us"] = new_watermark
@@ -427,7 +428,10 @@ class StreamingSessionJob:
         are scanned, and a stats-less file falls back to ONE
         distributed partials pass — BENCH.md finding 19: the fixed
         per-cycle execution count is what bounds streaming scaling
-        efficiency), and write the late rows out (rare). Returns ``(raw, late_count, new_watermark)``."""
+        efficiency), and write the late rows out (rare: gathered on the
+        driver and written as ``late-{fname}/part-00000.parquet`` by the
+        fsyncing :func:`write_parquet_atomic`). Returns ``(raw,
+        late_count, new_watermark)``."""
         import ray
         import ray.data as _rd
         import pyarrow as pa
@@ -470,11 +474,18 @@ class StreamingSessionJob:
             # replay idempotency: a crashed run's late output (either
             # placement's) is replaced wholesale
             _clear_output(late_path)
-            raw.map_batches(
+            os.makedirs(late_path)
+            # the (rare) late rows come to the driver and go through the
+            # fsyncing writer; _commit_cycle fsyncs late_path
+            late = ray.get(raw.map_batches(
                 lambda t: t.filter(
                     pc.less(_arrow_ts_us(t), pa.scalar(wm, pa.int64()))),
                 batch_format="pyarrow",
-            ).write_parquet(late_path)
+            ).to_arrow_refs())
+            # (blocks with no late row may come back schema-less)
+            write_parquet_atomic(
+                pa.concat_tables([t for t in late if t.num_rows]),
+                os.path.join(late_path, "part-00000.parquet"))
         return raw, late_count, new_watermark
 
     @staticmethod

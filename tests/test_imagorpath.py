@@ -458,6 +458,30 @@ def test_hmac_signer():
     assert signer.sign("assfasf") == "zb6uWXQxwJDOe_zOgxkuj96Etrsz"
 
 
+@pytest.mark.parametrize("alg", ["sha1", "sha256", "sha512"])
+@pytest.mark.parametrize("secret", ["", "abcd", "k" * 200],
+                         ids=["empty_key", "short_key", "key_over_block"])
+def test_hmac_signer_matches_stdlib_hmac(alg, secret):
+    """The pre-keyed signer equals ``hmac.new`` + base64url for every
+    algorithm, an empty key and a key longer than the hash block (which
+    RFC 2104 hashes first), also after a pickle round trip."""
+    import base64
+    import hmac
+    import pickle
+
+    paths = ["", "assfasf", "fit-in/100x0/filters:blur(2)/a b.png",
+             "caf\udce9/\U0001f600.png"]   # surrogate-escaped byte
+    for signer in (HMACSigner(alg, 0, secret),
+                   pickle.loads(pickle.dumps(HMACSigner(alg, 0, secret)))):
+        for p in paths:
+            want = base64.urlsafe_b64encode(hmac.new(
+                secret.encode(), p.encode("utf-8", "surrogateescape"),
+                alg).digest()).decode()
+            assert signer.sign(p) == want
+            assert HMACSigner(alg, 10, secret).sign(p) == want[:10]
+            assert HMACSigner(alg, 999, secret).sign(p) == want
+
+
 SPLIT_ARGS_CASES = [
     ("empty", "", []),
     ("single arg", "arg1", ["arg1"]),

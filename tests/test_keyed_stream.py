@@ -224,3 +224,108 @@ def test_bucketed_files_cover_exactly_the_present_buckets(tmp_path):
             assert (df[key] % 16 == int(f[-10:-8])).all()
             sizes.append(len(df))
     assert 0 in sizes and sum(sizes) > 0
+
+
+def test_bucketed_outputs_convert_to_arrow_once_per_cycle(tmp_path,
+                                                          monkeypatch):
+    """At 16 buckets each cycle writes 6 per-bucket files of each
+    bucketed output (late, matched), empty ones included, but converts
+    each output frame to Arrow once: the ``pa.Table.from_pandas`` count
+    per cycle does not grow with the number of present buckets."""
+    import pyarrow.pandas_compat as pdc
+
+    from imagor_ray.pipelines.keyed_stream import KeyedStreamJob
+    from imagor_ray.pipelines.stream_join import StreamingJoinJob
+
+    calls, per_cycle = [], []
+    convert = pdc.dataframe_to_arrays   # the body of Table.from_pandas
+
+    def spy(*a, **kw):
+        calls.append(1)
+        return convert(*a, **kw)
+
+    execute = KeyedStreamJob._execute
+
+    def counted(self, *a, **kw):
+        calls.clear()
+        out = execute(self, *a, **kw)
+        per_cycle.append(len(calls))
+        return out
+
+    monkeypatch.setattr(pdc, "dataframe_to_arrays", spy)
+    monkeypatch.setattr(KeyedStreamJob, "_execute", counted)
+    ind = _stage(str(tmp_path), "in")
+    sd = str(tmp_path / "state")
+    job = StreamingJoinJob(ind, sd, allowed_lateness_s=7200, num_buckets=16,
+                           ray_cycle_threshold=0)
+    cycles = job.run_all()["cycles"]
+    assert len(per_cycle) == cycles > 1
+    for name in ("late", "matched"):
+        assert len(os.listdir(os.path.join(sd, name))) == 6 * cycles
+    assert per_cycle == [2] * cycles
+
+
+def test_bucket_split_writes_the_bytes_of_a_per_bucket_conversion(tmp_path):
+    """Each ``-{bucket}`` file equals ``df[ub == b].to_parquet(index=False)``
+    byte for byte, for an int/datetime emission (one Arrow conversion,
+    sliced) and an int/datetime/object one (converted per bucket,
+    because an all-null object bucket becomes a ``null``-typed column),
+    including a present bucket with no rows."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from imagor_ray.pipelines.keyed_stream import KeyedStreamJob
+
+    class Tiny(KeyedStreamJob):
+        OUTPUTS = ("numeric", "mixed")
+        STATE_ORDER = ["user_id"]
+
+        def _empty_state(self):
+            return pd.DataFrame({"user_id": pd.Series([], dtype="int64")})
+
+        def _tag(self, b, wm):
+            return pd.DataFrame({
+                "event_id": b["event_id"].to_numpy(dtype="int64"),
+                "user_id": b["user_id"].to_numpy(dtype="int64"),
+                "ts_us": b["ts"].astype("datetime64[us]").astype("int64")
+                .to_numpy()})
+
+        def _cycle_kernel(self, st, new, wm, new_wm, cycle):
+            new = new[new["user_id"] != 3]      # bucket 3: no rows
+            numeric = pd.DataFrame({
+                "user_id": new["user_id"].to_numpy(),
+                "event_id": new["event_id"].to_numpy(),
+                "ts": pd.Series(new["ts_us"].to_numpy())
+                .astype("datetime64[us]")})
+            mixed = numeric.assign(label=[            # bucket 2: all null
+                None if u == 2 else f"u{u}" for u in numeric["user_id"]])
+            self.emitted = {"numeric": numeric, "mixed": mixed}
+            return self.emitted, st, {}
+
+    ind = os.path.join(str(tmp_path), "in")
+    os.makedirs(ind)
+    uid = np.arange(30) % 6
+    pd.DataFrame({
+        "event_id": np.arange(30, 0, -1), "user_id": uid,
+        "event_type": "click",
+        "ts": pd.to_datetime(1_700_000_000 + 60 * np.arange(30), unit="s"),
+    }).to_parquet(os.path.join(ind, "batch-000.parquet"), index=False)
+    sd = str(tmp_path / "state")
+    job = Tiny(ind, sd, num_buckets=4, ray_cycle_threshold=0)
+    job.run_all()
+
+    ref = str(tmp_path / "ref.parquet")
+    for name, df in job.emitted.items():
+        ub = df["user_id"].to_numpy() % 4
+        files = sorted(os.listdir(os.path.join(sd, name)))
+        assert files == [f"{name}-00000-{b:02d}.parquet" for b in range(4)]
+        for b, f in enumerate(files):
+            df[ub == b].to_parquet(ref, index=False)
+            with open(ref, "rb") as want, \
+                    open(os.path.join(sd, name, f), "rb") as got:
+                assert got.read() == want.read(), f
+    label = [pq.read_schema(os.path.join(sd, "mixed", f"mixed-00000-{b:02d}"
+                                         ".parquet")).field("label").type
+             for b in range(4)]
+    assert label == [pa.string(), pa.string(), pa.null(), pa.null()]

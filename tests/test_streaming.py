@@ -512,6 +512,52 @@ def test_outputs_durable_before_commit(tmp_path, monkeypatch, run):
     assert outputs and outputs == emitted
 
 
+def test_exchange_late_output_durable_before_commit(ray_session, tmp_path,
+                                                    monkeypatch):
+    """A hash-exchange session cycle (threshold 0) that routes a late row
+    writes it from the driver as ``late-{file}/part-00000.parquet``:
+    fsynced before its rename, and its directory fsynced before the
+    checkpoint commit of that cycle."""
+    from imagor_ray.state.checkpoint import Checkpoint
+    from imagor_ray.state.storage import LocalStorage
+
+    events = []
+
+    def spy(kind, fn, arg):
+        def call(*a):
+            events.append((kind, arg(*a)))
+            return fn(*a)
+        return call
+
+    monkeypatch.setattr(os, "replace", spy(
+        "replace", os.replace, lambda src, dst: (src, dst)))
+    monkeypatch.setattr(LocalStorage, "fsync_file", spy(
+        "fsync_file", LocalStorage.fsync_file, lambda self, f: f.name))
+    monkeypatch.setattr(LocalStorage, "fsync_dir", spy(
+        "fsync_dir", LocalStorage.fsync_dir, lambda self, d: d))
+    monkeypatch.setattr(Checkpoint, "save", spy(
+        "save", Checkpoint.save, lambda self, state: state["cycles"]))
+    stream = write_stream(tmp_path, [
+        [("a", "2024-01-01 00:00:00"), ("b", "2024-01-01 00:05:00")],
+        [("a", "2024-01-01 02:00:00"), ("zz", "2023-12-31 00:00:00")],
+    ])
+    job = StreamingSessionJob(stream, str(tmp_path / "state"), gap_s=1800,
+                              ray_cycle_threshold=0)
+    job.run_all()
+
+    late_dir = os.path.join(job.late_dir, "late-batch-00001.parquet")
+    late_file = os.path.join(late_dir, "part-00000.parquet")
+    assert os.listdir(late_dir) == ["part-00000.parquet"]
+    assert pd.read_parquet(late_file)["conv_id"].tolist() == ["zz"]
+    renamed = next(i for i, (k, a) in enumerate(events)
+                   if k == "replace" and a[1] == late_file)
+    assert ("fsync_file", events[renamed][1][0]) in events[:renamed]
+    dir_synced = events.index(("fsync_dir", late_dir))
+    assert dir_synced > renamed
+    # the commit that makes cycle 1 visible comes after the dir fsync
+    assert events.index(("save", 2)) > dir_synced
+
+
 class TestCrashPointSweep:
     """Exhaustive kill-point coverage: for EVERY cycle k, run the
     flagship streaming job, crash it at cycle k's checkpoint commit,
