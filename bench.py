@@ -466,7 +466,7 @@ def run_stream_leg(flag: str) -> dict:
 
     job_cls = getattr(importlib.import_module(
         f"imagor_ray.pipelines.{module}"), cls)
-    job = job_cls(input_dir, os.path.join(root, "state"), num_buckets=64)
+    job = job_cls(input_dir, os.path.join(root, "state"))
     t0 = time.perf_counter()
     totals = job.run_all()
     if finalize:

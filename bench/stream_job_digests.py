@@ -4,17 +4,14 @@
 (default 1) and runs every keyed-stream job of the checkout at ROOT
 (stream and two-source joins, temporal join, SCD2, CEP, dedup, session
 changelog, broadcast rules) over ``_random_batches(41)`` from
-``tests/test_state_rescale.py`` — split click / non-click for the
-two-source join — with lateness 0 and 7200 s, on the in-process
-layout (``ray_cycle_threshold=10**9``) and the bucketed one (``0``)
-at 4 and at 16 buckets, plus ``finalize()`` where the job has one. The
-stream has only 6 users, so at 16 buckets the user-keyed jobs write 6
-buckets' files per cycle while the ``event_id``-keyed broadcast rules
-write 12 to 14: that pins which buckets get a file. The keyed jobs
-start no Ray work whatever CPUS is; CPUS sizes the session jobs' hash
-exchange below, and the Ray tasks that older checkouts ran the keyed
-buckets on — so dumps of an old and a new checkout at CPUS=4 compare
-the old Ray placement with the driver.
+``tests/test_keyed_stream.py`` — split click / non-click for the
+two-source join — with lateness 0 and 7200 s and default constructor
+arguments, plus ``finalize()`` where the job has one. Each cycle of a
+keyed job writes one file per output; a checkout that still has a
+per-bucket layout writes these small streams unsuffixed too (they are
+far below its row threshold), so its dump compares with this layout.
+The keyed jobs start no Ray work whatever CPUS is; CPUS sizes the
+session jobs' hash exchange below.
 
 It runs ``StreamingChangelogJob`` (update, complete and append modes)
 and ``TopKChangelogJob`` (k=2) over two streams — the same
@@ -30,7 +27,7 @@ and an edge stream of four files (one on-time file, one empty file, one
 all-late file, then one file that advances the watermark) — crossed
 with lateness 0 and 86 400 s, ``RAY_CYCLE_THRESHOLD`` 10**9
 (in-process) and 0 (hash exchange), and ``PIPELINE_DEPTH`` 1 and 2:
-128 cases in all.
+96 cases in all.
 
 For every case it writes the sha1 of every file under the state dir
 except ``checkpoint.json``, the checkpoint itself and the ``run_all``
@@ -86,7 +83,7 @@ def _run_cases(tmp: str) -> dict:
     import pandas as pd
     import pyarrow.parquet as pq
 
-    from test_state_rescale import _random_batches
+    from test_keyed_stream import _random_batches
     from imagor_ray.pipelines.broadcast_rules import BroadcastRulesJob
     from imagor_ray.pipelines.changelog import (SessionChangelogJob,
                                                 StreamingChangelogJob,
@@ -129,21 +126,15 @@ def _run_cases(tmp: str) -> dict:
         "session": lambda s, **kw: SessionChangelogJob(ind, s, **kw),
         "rules": lambda s, **kw: BroadcastRulesJob(ind, s, **kw),
     }
-    # 16 buckets over the stream's 6 users leave user-keyed jobs with
-    # 10 absent buckets; event_id-keyed broadcast rules fill 12 to 14
-    executors = {"local": dict(ray_cycle_threshold=10**9),
-                 "bucketed": dict(ray_cycle_threshold=0, num_buckets=4),
-                 "bucketed16": dict(ray_cycle_threshold=0, num_buckets=16)}
     res = {}
     for name, make in jobs.items():
         for late in (0, 7200):
-            for ex, kw in executors.items():
-                sd = os.path.join(tmp, f"{name}-{late}-{ex}")
-                job = make(sd, allowed_lateness_s=late, **kw)
-                totals = job.run_all()
-                if hasattr(job, "finalize"):
-                    job.finalize()
-                res[f"{name}-{late}-{ex}"] = _digest_state(sd, totals)
+            sd = os.path.join(tmp, f"{name}-{late}-local")
+            job = make(sd, allowed_lateness_s=late)
+            totals = job.run_all()
+            if hasattr(job, "finalize"):
+                job.finalize()
+            res[f"{name}-{late}-local"] = _digest_state(sd, totals)
 
     days = os.path.join(tmp, "days")
     os.makedirs(days)

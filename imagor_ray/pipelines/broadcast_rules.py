@@ -25,16 +25,14 @@ O(rules-in-horizon), independent of both the stream length and the
 key cardinality.
 
 Scale shape — what distinguishes this job from the temporal join: the
-rule side is NEVER bucketed. Each cycle extracts the file's
+rule side is global, never keyed. Each cycle extracts the file's
 rule rows through a driver-side predicate+column-pushdown read
 (bounded by the control stream's volume — the pattern's defining
 assumption), and the merged global rule table is built once per cycle
 as presorted numpy columns (the broadcast small side) that the
-keyed-stream runtime's one scoring-kernel call per cycle uses. Only
-probe rows carry a bucket key, ``event_id``: above
-``RAY_CYCLE_THRESHOLD`` footer rows the scored probes and late rows
-are split by ``event_id % num_buckets`` into DETERMINISTIC per-bucket
-files at write time; no state co-location is required at all.
+keyed-stream runtime's one scoring-kernel call per cycle uses. The
+scored probes and the late rows are each written as one file per
+cycle; no state co-location is required at all.
 
 Exactly-once rides the house discipline: per-cycle emission files are
 sorted by probe event_id and written BEFORE the single checkpoint
@@ -146,17 +144,12 @@ class BroadcastRulesJob(KeyedStreamJob):
     probe emission (module docstring has the full semantics)."""
 
     READ_COLS = ["event_id", "ts", "event_type", "value"]
-    # probe files split on event_id purely for deterministic per-bucket
-    # files — the rule side is global, no co-location is needed
-    KEY = "event_id"
     FINALIZED_MSG = "broadcast-rules job already finalized"
 
     def __init__(self, input_dir: str, state_dir: str,
                  rule_type: str = "purchase", probe_type: str = "click",
-                 allowed_lateness_s: int = 0, num_buckets: int = 32,
-                 ray_cycle_threshold: int | None = None):
-        super().__init__(input_dir, state_dir, allowed_lateness_s,
-                         num_buckets, ray_cycle_threshold)
+                 allowed_lateness_s: int = 0):
+        super().__init__(input_dir, state_dir, allowed_lateness_s)
         self.rule_type = rule_type
         self.probe_type = probe_type
 
@@ -187,7 +180,7 @@ class BroadcastRulesJob(KeyedStreamJob):
 
     def _tag(self, b: pd.DataFrame, wm: int) -> pd.DataFrame:
         """Late rows of any type plus on-time probes; on-time rules
-        are never bucketed."""
+        never enter the tagged rows."""
         us = ts_us(b["ts"])
         keep = (us < wm) | (b["event_type"].to_numpy() == self.probe_type)
         return pd.DataFrame({

@@ -29,11 +29,11 @@ the committed pre-cycle state and overwrites identical bytes.
 
 Scale shape: every job here runs on the keyed-stream runtime
 (``keyed_stream.py``), which owns the zone-map watermark, the late
-split, the atomic writes and the commit. The windowed and top-k jobs
-have no bucket key (their state is sized by the aggregate domain, and
-a ranking spans every key), so each cycle is ONE in-process kernel
-call: it fans sliding windows out, counts the on-time rows, folds the
-counts into the state, evicts closed windows and emits. The price is
+split, the atomic writes and the commit. For the windowed and top-k
+jobs (their state is sized by the aggregate domain, and a ranking
+spans every key) each cycle is ONE in-process kernel call: it fans
+sliding windows out, counts the on-time rows, folds the counts into
+the state, evicts closed windows and emits. The price is
 that a cycle's tagged ``(event_id, ts_us, key)`` rows sit in driver
 memory beside the state; the changelog diff itself is a pandas merge
 over the open-window state — domain-sized, not stream-sized.
@@ -100,18 +100,16 @@ class StreamingChangelogJob(KeyedStreamJob):
     everything downstream (changelog diff, eviction at
     ``win + window > wm``, folding) is window-shape-agnostic.
 
-    Runs on the keyed-stream runtime with no bucket key (``KEY =
-    None``): the state is sized by the aggregate domain, not by a key
-    space, so every cycle is one in-process unit. A cycle's tagged
-    ``(event_id, ts_us, key)`` rows sit in driver memory beside that
-    state. Append emissions land in ``changelog/closed-*``, complete
+    Runs on the keyed-stream runtime: the state is sized by the
+    aggregate domain, not by a key space, and every cycle is one
+    in-process unit. A cycle's tagged ``(event_id, ts_us, key)`` rows
+    sit in driver memory beside that state. Append emissions land in ``changelog/closed-*``, complete
     emissions in ``changelog/complete-*``.
     """
 
     OUTPUTS = ("changelog",)
     COUNTERS = ("changelog_rows", "retractions", "late")
     STATE_ORDER = ["win_us", "key"]
-    KEY = None
 
     def __init__(self, input_dir: str, state_dir: str,
                  key_col: str = "event_type",
@@ -257,7 +255,7 @@ class TopKChangelogJob(StreamingChangelogJob):
     oracle. Only the emission step differs from the update-mode
     parent: the state is the same open-window count table
     (domain-sized, watermark-evicted), and a ranking spans every key,
-    which is why there is no bucket key to split a cycle by."""
+    which is why a cycle is one unit over every key."""
 
     def __init__(self, input_dir: str, state_dir: str,
                  key_col: str = "event_type",
@@ -550,8 +548,8 @@ class SessionChangelogJob(KeyedStreamJob):
     overwrites identical bytes.
 
     Scale shape: the keyed-stream runtime calls the ONE kernel once
-    per cycle; above RAY_CYCLE_THRESHOLD footer rows the changelog and
-    late rows are split into per-user-bucket files at write time.
+    per cycle and writes the changelog and the late rows as one file
+    each.
     """
 
     OUTPUTS = ("changelog",)
@@ -561,9 +559,7 @@ class SessionChangelogJob(KeyedStreamJob):
     TRACK_LATE_ROWS = True
 
     def __init__(self, input_dir: str, state_dir: str,
-                 gap_s: int = 1800, allowed_lateness_s: int = 0,
-                 num_buckets: int = 32,
-                 ray_cycle_threshold: int | None = None):
+                 gap_s: int = 1800, allowed_lateness_s: int = 0):
         # With lateness 0 every on-time event postdates every state
         # session (wm == max_ts), so the ordered kernel's extend-at-
         # the-end fast path applies. With lateness > 0 an on-time
@@ -573,8 +569,7 @@ class SessionChangelogJob(KeyedStreamJob):
         # ordered kernel, which would double-count such an event.
         self._kernel = (_session_cycle_kernel if allowed_lateness_s == 0
                         else _session_cycle_kernel_merge)
-        super().__init__(input_dir, state_dir, allowed_lateness_s,
-                         num_buckets, ray_cycle_threshold)
+        super().__init__(input_dir, state_dir, allowed_lateness_s)
         self.gap_us = gap_s * 1_000_000
 
     def _empty_state(self) -> pd.DataFrame:

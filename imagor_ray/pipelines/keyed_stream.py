@@ -4,16 +4,15 @@ broadcast rules, dedup, CEP, SCD2, the update-mode session changelog
 and the windowed and top-k changelogs). A job declares only what is
 specific to it:
 
-- its state: a packed, bucket-agnostic snapshot frame
+- its state: a packed snapshot frame
   (``_empty_state``/``_load_state``, and pack/unpack helpers where the
   frame holds several row kinds);
 - a map-side ``_tag(batch, wm)`` turning input rows into keyed rows
   that carry ``ts_us``;
 - ONE pure cycle kernel
   ``_cycle_kernel(state, on_time_new, wm, new_wm, cycle) →
-  (emissions, next_state, counters)``, every emission frame carrying
-  the bucket key column ``KEY``, and optionally the order an emission
-  is written in (``EMIT_ORDER``);
+  (emissions, next_state, counters)``, and optionally the order an
+  emission is written in (``EMIT_ORDER``);
 - an optional driver-side ``_post_gather`` (eviction, timeouts) and a
   finalize kernel.
 
@@ -21,32 +20,21 @@ The runtime owns everything else: pending-file discovery, the
 watermark ``max(wm, file_max_ts − lateness)`` from the ONE zone-map
 source (:func:`file_max_ts` — never from rows a tag pruned), the
 ``finalized`` guard, the late split (rows with ``ts_us < wm`` route to
-``late-{cycle}[-{bucket}]`` sorted by ``event_id``), the durable
-atomic parquet writer every emission/late/timeout file goes through,
-the single commit (output directories fsynced → ``stage_open_sessions``
-→ ``save`` → ``gc_open_sessions``),
+``late-{cycle}`` sorted by ``event_id``), the durable atomic parquet
+writer every emission/late/timeout file goes through, the single
+commit (output directories fsynced → ``stage_open_sessions`` →
+``save`` → ``gc_open_sessions``),
 the ``cycle_metrics`` entry, ``run_all`` totals and output read-back.
 
-One pass, two file layouts. Every cycle tags its inputs, splits off
-the late rows and runs the kernel ONCE, in the driver, over
-``state ∪ on-time rows``. ``RAY_CYCLE_THRESHOLD`` footer rows pick only
-how the outputs are written: at or below it each output is one file
-with no bucket suffix; above it each output frame is split by
-``KEY % num_buckets`` into one ``-{bucket}`` file per bucket present in
-the cycle's tagged ∪ state rows (a present bucket with no rows of that
-output still gets its empty file). A job with no bucket key
-(``KEY = None``) always writes unsuffixed files. No layout starts Ray
-work; the buckets do no work of their own, so the kernel's pandas
-fixed cost is paid once per cycle, not once per bucket (BENCH.md, notes
-after finding 26), and so is each output's conversion: the frame is
-ordered once (``EMIT_ORDER``), stable-partitioned by bucket and
-converted to Arrow once, and each bucket's file is a zero-copy slice
-of that table — the bytes ``df[ub == b].to_parquet(index=False)``
-would write. A frame with an ``object`` (or other non-numpy) column
-is still converted per bucket, because pandas infers an object
-column's Arrow type from the values it is given. The price is that a
-cycle's tagged rows, the state and the cycle's emissions sit in
-driver memory together (:meth:`KeyedStreamJob._is_big`).
+One pass, one file layout. Every cycle tags its inputs, splits off the
+late rows and runs the kernel ONCE, in the driver, over ``state ∪
+on-time rows``, and writes each output (late and every emission) as
+ONE ``{name}-{cycle:05d}.parquet`` file, whatever the cycle's size.
+No cycle starts Ray work, so the kernel's pandas fixed cost and each
+output's conversion and fsync are paid once per cycle (BENCH.md, notes
+after finding 26). The price is that a cycle's tagged rows, the state
+and the cycle's emissions sit in driver memory together, so a cycle
+file must fit there.
 Crash replay reruns the cycle against the committed pre-cycle state
 and overwrites identical bytes: every emission is written in a
 deterministic order (the kernel's, or its ``EMIT_ORDER``) and
@@ -57,7 +45,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -126,8 +113,6 @@ class KeyedStreamJob:
     has the contract). Subclasses set the class attributes below and
     implement ``_empty_state``, ``_tag`` and ``_cycle_kernel``."""
 
-    #: above this many footer rows a cycle writes per-bucket files
-    RAY_CYCLE_THRESHOLD = 150_000
     #: input columns each cycle reads
     READ_COLS = ["event_id", "ts", "user_id", "event_type"]
     #: late-file columns (``ts`` is rebuilt from the tagged ``ts_us``)
@@ -136,11 +121,7 @@ class KeyedStreamJob:
     OUTPUTS: tuple = ("emitted",)
     #: cycle counters, in result order (also the run_all totals)
     COUNTERS: tuple = ("emitted", "late")
-    #: bucket key (``key % num_buckets``) of the per-bucket files, a
-    #: column of the tagged rows, the state and every emission;
-    #: ``None``: no key, so every cycle writes unsuffixed files
-    KEY = "user_id"
-    #: canonical snapshot row order (byte-stable across layouts)
+    #: canonical snapshot row order (byte-stable across replays)
     STATE_ORDER: list = []
     #: ``{output: columns}``: stable row order an emission is written
     #: in (outputs not named are written in kernel order)
@@ -150,16 +131,10 @@ class KeyedStreamJob:
     FINALIZED_MSG = "stream already finalized"
 
     def __init__(self, input_dir: str, state_dir: str,
-                 allowed_lateness_s: int = 0, num_buckets: int = 32,
-                 ray_cycle_threshold: int | None = None):
+                 allowed_lateness_s: int = 0):
         self.input_dir = input_dir
         self.cp = Checkpoint(state_dir)
         self.lateness_us = allowed_lateness_s * 1_000_000
-        if num_buckets < 1:
-            raise ValueError(f"num_buckets must be >= 1, got {num_buckets}")
-        self.num_buckets = num_buckets
-        if ray_cycle_threshold is not None:
-            self.RAY_CYCLE_THRESHOLD = ray_cycle_threshold
         for name in (*self.OUTPUTS, "late"):
             d = os.path.join(state_dir, name)
             os.makedirs(d, exist_ok=True)
@@ -291,41 +266,15 @@ class KeyedStreamJob:
         return os.path.join(getattr(self, f"{name}_dir"),
                             f"{name}-final.parquet")
 
-    # -- one kernel pass, two file layouts ------------------------------
-
-    def _is_big(self, inputs: list) -> bool:
-        """Layout choice from the parquet footers only (never reads
-        data to decide): above ``RAY_CYCLE_THRESHOLD`` rows each output
-        is split into per-bucket files at write time. Either layout
-        holds the cycle's tagged rows, the state and the cycle's
-        emissions in driver memory once, so a cycle file must fit
-        there. A job without a bucket key always writes unsuffixed
-        files."""
-        import pyarrow.dataset as pads
-
-        return self.KEY is not None and (
-            sum(pads.dataset(p).count_rows() for p, _, _ in inputs)
-            > self.RAY_CYCLE_THRESHOLD)
-
-    def _bucket_of(self, df: pd.DataFrame, what: str) -> np.ndarray:
-        """``KEY % num_buckets`` per row of ``df``."""
-        if self.KEY not in df.columns:
-            raise ValueError(
-                f"{what} has no bucket key column {self.KEY!r} (the "
-                f"tagged rows, the state and every emission carry it)")
-        return df[self.KEY].to_numpy(dtype="int64") % self.num_buckets
+    # -- one kernel pass, one file per output ------------------------
 
     def _execute(self, inputs: list, wm: int, new_wm: int, cycle: int,
                  st: pd.DataFrame, kernel=None):
         """Tag the inputs, split off the late rows and run ``kernel``
         (default :meth:`_cycle_kernel`) ONCE over ``state ∪ on-time
         rows``; returns ``(next state, counters)``. Each output is
-        ordered by its ``EMIT_ORDER`` columns, if it has any. Above the
-        threshold it is then written as one ``-{bucket}`` file per
-        bucket of the tagged ∪ state rows from ONE Arrow conversion
-        (:func:`_write_split`; the late rows take their bucket from
-        the tagged rows, since ``LATE_COLS`` need not carry the key);
-        at or below it as one unsuffixed file."""
+        ordered by its ``EMIT_ORDER`` columns, if it has any, and
+        written as one ``{name}-{cycle:05d}.parquet`` file."""
         kernel = kernel or self._cycle_kernel
         new = pd.concat([tag(pd.read_parquet(p, columns=cols), wm)
                          for p, cols, tag in inputs], ignore_index=True)
@@ -338,51 +287,12 @@ class KeyedStreamJob:
         }).sort_values("event_id", kind="mergesort")
         emits, nxt, counts = kernel(st, new[~late], wm, new_wm, cycle)
 
-        buckets = None
-        if self._is_big(inputs):
-            new_b = self._bucket_of(new, "the tagged rows")
-            buckets = np.unique(np.concatenate(
-                [new_b, self._bucket_of(st, "the state")]))
-            # lrows' index holds each late row's position before the sort
-            late_b = new_b[late][lrows.index.to_numpy()]
         for name, df in {"late": lrows, **emits}.items():
             if name in self.EMIT_ORDER:
                 df = df.sort_values(self.EMIT_ORDER[name], kind="mergesort")
-            stem = os.path.join(getattr(self, f"{name}_dir"),
-                                f"{name}-{cycle:05d}")
-            if buckets is None:
-                write_parquet_atomic(df, stem + ".parquet")
-            else:
-                _write_split(df, late_b if name == "late" else
-                             self._bucket_of(df, f"emission {name!r}"),
-                             buckets, stem)
+            write_parquet_atomic(df, os.path.join(
+                getattr(self, f"{name}_dir"), f"{name}-{cycle:05d}.parquet"))
         return nxt, {**counts, "late": int(late.sum())}
-
-
-def _write_split(df: pd.DataFrame, ub: np.ndarray, buckets: np.ndarray,
-                 stem: str) -> None:
-    """Write ``df`` as one ``{stem}-{b:02d}.parquet`` per bucket ``b`` of
-    ``buckets`` (``ub``: each row's bucket), each file holding that
-    bucket's rows in ``df`` order, as ``df[ub == b]`` would. The frame
-    is stable-partitioned by bucket and converted to Arrow ONCE; each
-    file, that of a present bucket with no rows too, is a zero-copy
-    slice of that table. A frame with a non-numpy or ``object`` column
-    keeps one conversion per bucket: pandas infers an object column's
-    Arrow type from the values it is given (an all-null subset becomes
-    ``null``-typed), so a slice of the whole-frame table would not hold
-    the same bytes."""
-    paths = [f"{stem}-{b:02d}.parquet" for b in buckets]
-    if not all(isinstance(dt, np.dtype) and dt.kind in "biufmM"
-               for dt in df.dtypes):
-        for b, path in zip(buckets, paths):
-            write_parquet_atomic(df[ub == b], path)
-        return
-    perm = np.argsort(ub, kind="stable")
-    table = pa.Table.from_pandas(df.take(perm), preserve_index=False)
-    ub = ub[perm]
-    for path, lo, hi in zip(paths, np.searchsorted(ub, buckets, "left"),
-                            np.searchsorted(ub, buckets, "right")):
-        write_parquet_atomic(table.slice(lo, hi - lo), path)
 
 
 def side_counts(snap: pd.DataFrame, **names: int) -> dict:

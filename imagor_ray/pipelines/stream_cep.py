@@ -49,9 +49,8 @@ State is watermark-bounded: O(users) closed-form registers (the
 buffer of one cycle + lateness horizon — never the stream.
 
 Scale shape: ONE kernel call per cycle by the keyed-stream runtime
-over tagged new ∪ state rows; above ``RAY_CYCLE_THRESHOLD`` footer
-rows the emissions are split into per-user-bucket files at write
-time. The tagged rows are fixed-width columns only (user_id,
+over tagged new ∪ state rows, whose emissions it writes as one file
+per cycle. The tagged rows are fixed-width columns only (user_id,
 event_id, ts, type-code, registers) — no text.
 """
 
@@ -227,11 +226,8 @@ class StreamingCepJob(KeyedStreamJob):
     FINALIZED_MSG = "streaming CEP job already finalized"
 
     def __init__(self, input_dir: str, state_dir: str,
-                 window_s: int = 21600, allowed_lateness_s: int = 0,
-                 num_buckets: int = 32,
-                 ray_cycle_threshold: int | None = None):
-        super().__init__(input_dir, state_dir, allowed_lateness_s,
-                         num_buckets, ray_cycle_threshold)
+                 window_s: int = 21600, allowed_lateness_s: int = 0):
+        super().__init__(input_dir, state_dir, allowed_lateness_s)
         self.window_us = window_s * 1_000_000
 
     # -- state packing ------------------------------------------------
@@ -275,7 +271,7 @@ class StreamingCepJob(KeyedStreamJob):
 
     def _tag(self, b: pd.DataFrame, wm: int) -> pd.DataFrame:
         """New events as buffer rows (side 1) of 4 fixed-width columns
-        — no text is bucketed."""
+        — no text."""
         n = len(b)
         return pd.DataFrame({
             "side": np.full(n, 1, dtype=np.int8),

@@ -28,10 +28,8 @@ emitted set equals the batch ``row_number() OVER (PARTITION BY key
 ORDER BY ts, event_id) = 1`` — the DuckDB oracle.
 
 Scale shape: ONE kernel call per cycle by the keyed-stream runtime
-over tagged new rows ∪ state rows; above ``RAY_CYCLE_THRESHOLD``
-footer rows the emissions are split into per-user-bucket files at
-write time (keys contain user_id, so no key spans two files).
-Eviction runs on the next state.
+over tagged new rows ∪ state rows, whose emissions it writes as one
+file per cycle. Eviction runs on the next state.
 """
 
 from __future__ import annotations

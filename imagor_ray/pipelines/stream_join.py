@@ -29,8 +29,8 @@ other half) — both emissions happen DURING the stream the moment the
 watermark proves no future match, byte-stably, before the commit;
 ``finalize()`` flushes both tails for bounded runs.
 
-Exactly-once: matched pairs land in per-cycle (per-bucket, in the
-bucketed layout) parquet files written BEFORE the checkpoint commits;
+Exactly-once: matched pairs land in one parquet file per cycle,
+written BEFORE the checkpoint commits;
 a crash between the write and the commit replays the cycle against the
 committed pre-cycle state and overwrites the same files with identical
 bytes (rows are sorted (req_id, resp_id) before write, and the cycle's
@@ -41,9 +41,8 @@ job (``Checkpoint.stage_open_sessions`` + ``save``).
 Scale shape: the per-cycle match is the (user, new×state) band join,
 ONE kernel call per cycle by the keyed-stream runtime
 (:mod:`.keyed_stream`) over the cycle's tagged rows ∪ the (small,
-watermark-bounded) state rows. Above ``RAY_CYCLE_THRESHOLD`` rows the
-matched pairs and late rows are split into per-user-bucket files at
-write time; at or below it each is one file. Eviction and the timeout
+watermark-bounded) state rows; the matched pairs and the late rows
+are each written as one file per cycle. Eviction and the timeout
 writes run once on the next state.
 """
 
@@ -94,7 +93,7 @@ def _match(l_uid: np.ndarray, l_us: np.ndarray, l_id: np.ndarray,
     user with ``l.ts < r.ts <= l.ts + window``. The shared rank-dense
     :func:`band_probe` positions every left row against the
     (user-rank, ts-rank) sorted right side (products bounded by
-    bucket_rows², never users × µs-span); the repeat/arange
+    cycle_rows², never users × µs-span); the repeat/arange
     construction expands [lo, hi) spans into pair rows — no Python
     loop, no per-user groupby."""
     if not len(l_uid) or not len(r_uid):
@@ -169,10 +168,13 @@ class StreamingJoinJob(KeyedStreamJob):
     def __init__(self, input_dir: str, state_dir: str,
                  left_type: str = "click", right_type: str = "purchase",
                  window_s: int = 21600, allowed_lateness_s: int = 0,
-                 num_buckets: int = 32,
+                 num_buckets: int | None = None,
                  ray_cycle_threshold: int | None = None):
-        super().__init__(input_dir, state_dir, allowed_lateness_s,
-                         num_buckets, ray_cycle_threshold)
+        # ``num_buckets`` and ``ray_cycle_threshold`` are accepted and
+        # ignored: a benchmark shim for perfbench's ``stream_join``
+        # workload, which still passes them (every cycle writes one
+        # file per output whatever they say)
+        super().__init__(input_dir, state_dir, allowed_lateness_s)
         self.left_type = left_type
         self.right_type = right_type
         self.window_us = window_s * 1_000_000
@@ -220,12 +222,13 @@ class StreamingJoinJob(KeyedStreamJob):
         any type; other on-time event types never enter the cycle."""
         us = ts_us(b["ts"])
         t = b["event_type"].to_numpy()
-        keep = (t == self.left_type) | (t == self.right_type) | (us < wm)
+        is_l = t == self.left_type
+        keep = is_l | (t == self.right_type) | (us < wm)
         return pd.DataFrame({
             "event_id": b["event_id"].to_numpy(dtype="int64")[keep],
             "user_id": b["user_id"].to_numpy(dtype="int64")[keep],
             "ts_us": us[keep],
-            "side": np.where(t[keep] == self.left_type, 0, 1).astype(np.int8),
+            "side": (~is_l[keep]).astype(np.int8),
             "matched": np.zeros(int(keep.sum()), dtype=np.int8),
         })
 
@@ -362,13 +365,9 @@ class TwoSourceJoinJob(StreamingJoinJob):
 
     def __init__(self, left_dir: str, right_dir: str, state_dir: str,
                  window_s: int = 21600, allowed_lateness_s: int = 0,
-                 num_buckets: int = 32,
-                 ray_cycle_threshold: int | None = None,
                  idle_cycles: int = 0):
         super().__init__(left_dir, state_dir, window_s=window_s,
-                         allowed_lateness_s=allowed_lateness_s,
-                         num_buckets=num_buckets,
-                         ray_cycle_threshold=ray_cycle_threshold)
+                         allowed_lateness_s=allowed_lateness_s)
         self.right_dir = right_dir
         self.idle_cycles = idle_cycles
 

@@ -27,13 +27,11 @@ State per user is ONE register row (version, attr, valid_from) plus
 the watermark buffer — aggregate-domain-sized, never stream-sized.
 Late rows (``ts < wm`` at arrival) route to the late output and never
 touch state. Per-cycle op files commit BEFORE the single checkpoint
-save (crash replay overwrites identical bytes); snapshots are
-bucket-agnostic (the rescaling guarantee).
+save (crash replay overwrites identical bytes).
 
 Scale shape: ONE kernel call per cycle by the keyed-stream runtime
-over (registers ∪ buffer ∪ new); above ``RAY_CYCLE_THRESHOLD`` footer
-rows the op and late rows are split into per-user-bucket files at
-write time (ops are user-keyed, so a user's versions share one file).
+over (registers ∪ buffer ∪ new); the op and late rows are each
+written as one file per cycle.
 
 Reference semantics: the result-storage freshness/overwrite contract
 (``imagor.go:605-652``) generalized to versioned dimension rows;

@@ -26,9 +26,8 @@ commit; crash replay reruns the cycle against the committed pre-cycle
 state and overwrites identical bytes.
 
 Scale shape: ONE as-of kernel (``pd.merge_asof`` by user over the
-ts-sorted frames), called once per cycle by the keyed-stream runtime;
-above ``RAY_CYCLE_THRESHOLD`` footer rows the emissions are split into
-per-user-bucket files at write time.
+ts-sorted frames), called once per cycle by the keyed-stream runtime,
+which writes the cycle's emissions as one file.
 """
 
 from __future__ import annotations
@@ -120,10 +119,8 @@ class TemporalJoinJob(KeyedStreamJob):
     def __init__(self, input_dir: str, state_dir: str,
                  version_type: str = "purchase",
                  probe_type: str = "click",
-                 allowed_lateness_s: int = 0, num_buckets: int = 32,
-                 ray_cycle_threshold: int | None = None):
-        super().__init__(input_dir, state_dir, allowed_lateness_s,
-                         num_buckets, ray_cycle_threshold)
+                 allowed_lateness_s: int = 0):
+        super().__init__(input_dir, state_dir, allowed_lateness_s)
         self.version_type = version_type
         self.probe_type = probe_type
 

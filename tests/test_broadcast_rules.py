@@ -157,29 +157,6 @@ class TestBroadcastRules:
         fresh.run_all()
         assert _sha(fresh) == crashed
 
-    def test_dataset_path_matches_pandas(self, ray_session, tmp_path):
-        rng = np.random.RandomState(31)
-        batches, eid = [], 0
-        for c in range(4):
-            rows = []
-            for _ in range(70):
-                rows.append((eid, c * 24 * HOUR + int(
-                    rng.randint(0, 24) * HOUR) + eid,
-                    int(rng.randint(0, 6)),
-                    str(rng.choice(["click", "purchase", "view"])),
-                    float(rng.randint(0, 100))))
-                eid += 1
-            batches.append(rows)
-        ia = _stage(tmp_path / "a", batches)
-        ib = _stage(tmp_path / "b", batches)
-        jp = _job(tmp_path, ia, "bp", ray_cycle_threshold=10**9)
-        jd = _job(tmp_path, ib, "bd", ray_cycle_threshold=0,
-                  num_buckets=4)
-        tp = jp.run_all(); jp.finalize()
-        td = jd.run_all(); jd.finalize()
-        assert tp["emitted"] == td["emitted"]
-        pd.testing.assert_frame_equal(jp.emitted(), jd.emitted())
-
     def test_matches_batch_asof_random(self, ray_session, tmp_path):
         # full-run equality vs the batch global as-of on random data
         rng = np.random.RandomState(37)

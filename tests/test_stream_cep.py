@@ -193,45 +193,32 @@ class TestJob:
         input_dir = _stage_days(df, tmp_path)
         batch = _batch_matches(df)
         assert len(batch) > 0
-        digests = []
-        for thresh in (10**9, 0):  # pandas path, dataset path
-            job = StreamingCepJob(
-                input_dir, str(tmp_path / f"st_{thresh}"),
-                ray_cycle_threshold=thresh, num_buckets=4)
-            job.run_all()
-            job.finalize()
-            got = job.matches()
-            pd.testing.assert_frame_equal(got, batch)
-            digests.append(job.cp.load()["cycle_metrics"])
-        # cross-engine metric equality (matches + late per cycle)
-        for a, b in zip(*digests):
-            assert a["matches"] == b["matches"]
-            assert a["late"] == b["late"]
+        job = StreamingCepJob(input_dir, str(tmp_path / "st"))
+        job.run_all()
+        job.finalize()
+        pd.testing.assert_frame_equal(job.matches(), batch)
 
     def test_out_of_order_equals_batch(self, tmp_path, ray_session):
         df = _mkcorpus(seed=11)
         input_dir = _stage_days(df, tmp_path, jitter=True)
         batch = _batch_matches(df)
         assert len(batch) > 0
-        for thresh in (10**9, 0):
-            job = StreamingCepJob(
-                input_dir, str(tmp_path / f"stj_{thresh}"),
-                allowed_lateness_s=2 * 86_400,
-                ray_cycle_threshold=thresh, num_buckets=4)
-            tot = job.run_all()
-            assert tot["late"] == 0  # 2-day horizon keeps everything
-            job.finalize()
-            pd.testing.assert_frame_equal(job.matches(), batch)
+        job = StreamingCepJob(input_dir, str(tmp_path / "stj"),
+                              allowed_lateness_s=2 * 86_400)
+        tot = job.run_all()
+        assert tot["late"] == 0  # 2-day horizon keeps everything
+        job.finalize()
+        pd.testing.assert_frame_equal(job.matches(), batch)
 
     def test_crash_replay_byte_identity(self, tmp_path):
         df = _mkcorpus(seed=5)
         input_dir = _stage_days(df, tmp_path)
         sdir = str(tmp_path / "st_crash")
-        job = StreamingCepJob(input_dir, sdir, ray_cycle_threshold=10**9)
+        job = StreamingCepJob(input_dir, sdir)
         job.run_cycle()
         job.run_cycle()
         # crash: second job resumes from the checkpoint and re-runs
-        job2 = StreamingCepJob(input_dir, sdir, ray_cycle_threshold=10**9)
+        job2 = StreamingCepJob(input_dir, sdir)
         # replay cycle 2 by wiping its processed mark
         st = job2.cp.load()
         st["processed"] = st["processed"][:1]
@@ -252,8 +239,7 @@ class TestJob:
         input_dir = _stage_days(df, tmp_path, jitter=True)
         # lateness 0: jittered arrivals fall behind the watermark and
         # must route late, not corrupt the match set
-        job = StreamingCepJob(input_dir, str(tmp_path / "st_late"),
-                              ray_cycle_threshold=10**9)
+        job = StreamingCepJob(input_dir, str(tmp_path / "st_late"))
         tot = job.run_all()
         assert tot["late"] > 0
         job.finalize()

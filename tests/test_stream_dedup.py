@@ -107,30 +107,6 @@ class TestStreamingDedup:
         fresh.run_all()
         assert _sha(fresh) == crashed
 
-    def test_dataset_path_matches_pandas(self, ray_session, tmp_path):
-        rng = np.random.RandomState(19)
-        batches, eid = [], 0
-        for c in range(4):
-            rows = []
-            for _ in range(80):
-                rows.append((eid, c * 12 * HOUR + int(
-                    rng.randint(0, 12) * HOUR),
-                    int(rng.randint(0, 6)),
-                    str(rng.choice(["click", "buy", "view"]))))
-                eid += 1
-            batches.append(rows)
-        ia = _stage(tmp_path / "a", batches)
-        ib = _stage(tmp_path / "b", batches)
-        jp = _job(tmp_path, ia, "dp", ray_cycle_threshold=10**9)
-        jd = _job(tmp_path, ib, "dd", ray_cycle_threshold=0,
-                  num_buckets=4)
-        tp = jp.run_all()
-        td = jd.run_all()
-        assert tp == td
-        pd.testing.assert_frame_equal(jp.emitted(), jd.emitted())
-        pd.testing.assert_frame_equal(jp.cp.load_open_sessions(),
-                                      jd.cp.load_open_sessions())
-
     def test_emitted_equals_batch_first_per_key(self, ray_session,
                                                 tmp_path):
         rng = np.random.RandomState(23)

@@ -482,29 +482,6 @@ class TestTwoSources:
         r = fresh.run_cycle()
         assert r["watermark_us"] == 6 * W              # min(6W, 7W)
 
-    def test_two_source_dataset_path_matches_pandas(self, ray_session,
-                                                    tmp_path):
-        batches = TestResumeAndEngines._batches(TestResumeAndEngines())
-        lb, rb = [], []
-        for b in batches:
-            lb.append([(e, ts, u) for e, ts, u, t in b if t == "click"])
-            rb.append([(e, ts, u) for e, ts, u, t in b if t == "purchase"])
-        la, ra = self._stage2(tmp_path / "a", lb, rb)
-        lb2, rb2 = self._stage2(tmp_path / "b", lb, rb)
-        from imagor_ray.pipelines.stream_join import TwoSourceJoinJob
-        jp = TwoSourceJoinJob(la, ra, str(tmp_path / "tsp"), window_s=100,
-                              ray_cycle_threshold=10**9)      # pandas
-        jd = TwoSourceJoinJob(lb2, rb2, str(tmp_path / "tsd"),
-                              window_s=100, ray_cycle_threshold=0,
-                              num_buckets=4)                  # dataset
-        tp, td = jp.run_all(), jd.run_all()
-        assert (tp["matched"], tp["late"], tp["timeout"], tp["rtimeout"]) \
-            == (td["matched"], td["late"], td["timeout"], td["rtimeout"])
-        pd.testing.assert_frame_equal(_matched(jp), _matched(jd))
-        # committed state snapshots agree byte-for-byte (canonical order)
-        pd.testing.assert_frame_equal(jp.cp.load_open_sessions(),
-                                      jd.cp.load_open_sessions())
-
     def test_left_era_snapshot_resume_never_duplicates_rights(
             self, ray_session, tmp_path):
         """Review finding: snapshots from the LEFT-outer release carry

@@ -195,38 +195,26 @@ class TestJob:
         input_dir = _stage_days(df, tmp_path)
         batch = _batch_ops(df)
         assert len(batch) > 0
-        metrics = []
-        for thresh in (10**9, 0):  # pandas path, dataset path
-            job = StreamingScd2Job(
-                input_dir, str(tmp_path / f"st_{thresh}"),
-                ray_cycle_threshold=thresh, num_buckets=4)
-            job.run_all()
-            job.finalize()
-            pd.testing.assert_frame_equal(job.ops(), batch)
-            metrics.append(job.cp.load()["cycle_metrics"])
-        for a, b in zip(*metrics):
-            assert a["ops"] == b["ops"]
-            assert a["late"] == b["late"]
+        job = StreamingScd2Job(input_dir, str(tmp_path / "st"))
+        job.run_all()
+        job.finalize()
+        pd.testing.assert_frame_equal(job.ops(), batch)
 
     def test_out_of_order_equals_batch(self, tmp_path, ray_session):
         df = _mkcorpus(seed=11)
         input_dir = _stage_days(df, tmp_path, jitter=True)
         batch = _batch_ops(df)
-        for thresh in (10**9, 0):
-            job = StreamingScd2Job(
-                input_dir, str(tmp_path / f"stj_{thresh}"),
-                allowed_lateness_s=2 * 86_400,
-                ray_cycle_threshold=thresh, num_buckets=4)
-            tot = job.run_all()
-            assert tot["late"] == 0
-            job.finalize()
-            pd.testing.assert_frame_equal(job.ops(), batch)
+        job = StreamingScd2Job(input_dir, str(tmp_path / "stj"),
+                               allowed_lateness_s=2 * 86_400)
+        tot = job.run_all()
+        assert tot["late"] == 0
+        job.finalize()
+        pd.testing.assert_frame_equal(job.ops(), batch)
 
     def test_folded_equals_batch_dimension(self, tmp_path):
         df = _mkcorpus(seed=5)
         input_dir = _stage_days(df, tmp_path)
-        job = StreamingScd2Job(input_dir, str(tmp_path / "st_fold"),
-                               ray_cycle_threshold=10**9)
+        job = StreamingScd2Job(input_dir, str(tmp_path / "st_fold"))
         job.run_all()
         job.finalize()
         folded = job.folded()
@@ -258,7 +246,7 @@ class TestJob:
         df = _mkcorpus(seed=5)
         input_dir = _stage_days(df, tmp_path)
         sdir = str(tmp_path / "st_crash")
-        job = StreamingScd2Job(input_dir, sdir, ray_cycle_threshold=10**9)
+        job = StreamingScd2Job(input_dir, sdir)
         job.run_cycle()
         orig_save = job.cp.save
         job.cp.save = lambda state: (_ for _ in ()).throw(
@@ -268,7 +256,7 @@ class TestJob:
         sha_crashed = _ops_bytes(job)
         job.cp.save = orig_save
 
-        job2 = StreamingScd2Job(input_dir, sdir, ray_cycle_threshold=10**9)
+        job2 = StreamingScd2Job(input_dir, sdir)
         assert len(job2.cp.load()["processed"]) == 1   # commit was lost
         job2.run_cycle()                               # replays cycle 1
         assert _ops_bytes(job2) == sha_crashed
@@ -279,8 +267,7 @@ class TestJob:
     def test_finalize_terminal_and_late_routing(self, tmp_path):
         df = _mkcorpus(seed=9)
         input_dir = _stage_days(df, tmp_path, jitter=True)
-        job = StreamingScd2Job(input_dir, str(tmp_path / "st_late"),
-                               ray_cycle_threshold=10**9)
+        job = StreamingScd2Job(input_dir, str(tmp_path / "st_late"))
         tot = job.run_all()
         assert tot["late"] > 0
         job.finalize()

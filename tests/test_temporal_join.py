@@ -125,29 +125,6 @@ class TestTemporalJoin:
         fresh.run_all()
         assert _sha(fresh) == crashed
 
-    def test_dataset_path_matches_pandas(self, ray_session, tmp_path):
-        rng = np.random.RandomState(29)
-        batches, eid = [], 0
-        for c in range(4):
-            rows = []
-            for _ in range(70):
-                rows.append((eid, c * 24 * HOUR + int(
-                    rng.randint(0, 24) * HOUR) + eid,
-                    int(rng.randint(0, 6)),
-                    str(rng.choice(["click", "purchase", "view"])),
-                    float(rng.randint(0, 100))))
-                eid += 1
-            batches.append(rows)
-        ia = _stage(tmp_path / "a", batches)
-        ib = _stage(tmp_path / "b", batches)
-        jp = _job(tmp_path, ia, "tp", ray_cycle_threshold=10**9)
-        jd = _job(tmp_path, ib, "td", ray_cycle_threshold=0,
-                  num_buckets=4)
-        tp = jp.run_all(); jp.finalize()
-        td = jd.run_all(); jd.finalize()
-        assert tp["emitted"] == td["emitted"]
-        pd.testing.assert_frame_equal(jp.emitted(), jd.emitted())
-
     def test_finalize_is_terminal(self, ray_session, tmp_path):
         inp = _stage(tmp_path, [[(1, 1 * HOUR, 7, "click", 0.0)]])
         job = _job(tmp_path, inp, "t6")
