@@ -1,4 +1,4 @@
-"""Byte-identity check for the keyed-stream jobs across two checkouts.
+"""Byte-identity check for the stream jobs across two checkouts.
 
 ``dump ROOT OUT.json [CPUS]`` starts a Ray session of CPUS CPUs
 (default 1) and runs every keyed-stream job of the checkout at ROOT
@@ -26,15 +26,23 @@ and the jittered stream of ``test_jittered_closed_equals_batch_three_engines``)
 and an edge stream of four files (one on-time file, one empty file, one
 all-late file, then one file that advances the watermark) — crossed
 with lateness 0 and 86 400 s, ``RAY_CYCLE_THRESHOLD`` 10**9
-(in-process) and 0 (hash exchange), and ``PIPELINE_DEPTH`` 1 and 2:
-96 cases in all.
+(in-process) and 0 (hash exchange), and ``PIPELINE_DEPTH`` 1 and 2.
+
+Stats-less copies: the edge stream, the keyed jobs' input (``in``,
+``left``, ``right``) and the changelog day files are rewritten without
+parquet statistics, in row groups of two rows, so every watermark and
+late count comes from the zone-map reader's ts scan rather than from
+footer min/max. The edge copy runs through both session jobs as above
+(``…-edgenostats-…``), the keyed copy through every keyed job
+(``…-nostats``) and the day copy through every changelog shape
+(``chlog-daysnostats-…``): 144 cases in all.
 
 For every case it writes the sha1 of every file under the state dir
 except ``checkpoint.json``, the checkpoint itself and the ``run_all``
-totals. A late-row directory written by Ray Data (``late/late-*/``)
-has random file names, so it gets one digest of its sorted rows; a
-sink manifest (``_manifest/*.json``) is digested without its wall-clock
-timings (``write_ms`` and ``*_ms`` stage metrics).
+totals. A sink manifest (``_manifest/*.json``) is digested without its
+wall-clock timings (``write_ms`` and ``*_ms`` stage metrics). Every
+other file, the large-cycle late file ``late/late-{file}/part-00000.parquet``
+included, is digested byte for byte.
 
 ``compare A.json B.json`` prints one line per case and exits non-zero
 unless every file digest and the totals match and B's checkpoints lose
@@ -113,28 +121,34 @@ def _run_cases(tmp: str) -> dict:
                           index=False)
         return d
 
+    def jobs(ind, left, right):
+        return {
+            "join": lambda s, **kw: StreamingJoinJob(ind, s, **kw),
+            "two": lambda s, **kw: TwoSourceJoinJob(left, right, s, **kw),
+            "temporal": lambda s, **kw: TemporalJoinJob(ind, s, **kw),
+            "scd2": lambda s, **kw: StreamingScd2Job(ind, s, **kw),
+            "cep": lambda s, **kw: StreamingCepJob(ind, s, **kw),
+            "dedup": lambda s, **kw: StreamingDedupJob(ind, s, **kw),
+            "session": lambda s, **kw: SessionChangelogJob(ind, s, **kw),
+            "rules": lambda s, **kw: BroadcastRulesJob(ind, s, **kw),
+        }
+
     ind = stage("in")
     left = stage("left", lambda d: d["event_type"] == "click")
     right = stage("right", lambda d: d["event_type"] != "click")
-    jobs = {
-        "join": lambda s, **kw: StreamingJoinJob(ind, s, **kw),
-        "two": lambda s, **kw: TwoSourceJoinJob(left, right, s, **kw),
-        "temporal": lambda s, **kw: TemporalJoinJob(ind, s, **kw),
-        "scd2": lambda s, **kw: StreamingScd2Job(ind, s, **kw),
-        "cep": lambda s, **kw: StreamingCepJob(ind, s, **kw),
-        "dedup": lambda s, **kw: StreamingDedupJob(ind, s, **kw),
-        "session": lambda s, **kw: SessionChangelogJob(ind, s, **kw),
-        "rules": lambda s, **kw: BroadcastRulesJob(ind, s, **kw),
-    }
+    keyed = {"local": jobs(ind, left, right),
+             "nostats": jobs(*[_statless_copy(d) for d in (ind, left, right)])}
     res = {}
-    for name, make in jobs.items():
-        for late in (0, 7200):
-            sd = os.path.join(tmp, f"{name}-{late}-local")
-            job = make(sd, allowed_lateness_s=late)
-            totals = job.run_all()
-            if hasattr(job, "finalize"):
-                job.finalize()
-            res[f"{name}-{late}-local"] = _digest_state(sd, totals)
+    for suffix, by_name in keyed.items():
+        for name, make in by_name.items():
+            for late in (0, 7200):
+                case = f"{name}-{late}-{suffix}"
+                sd = os.path.join(tmp, case)
+                job = make(sd, allowed_lateness_s=late)
+                totals = job.run_all()
+                if hasattr(job, "finalize"):
+                    job.finalize()
+                res[case] = _digest_state(sd, totals)
 
     days = os.path.join(tmp, "days")
     os.makedirs(days)
@@ -148,7 +162,8 @@ def _run_cases(tmp: str) -> dict:
     }
     shapes = {"tumbling": {},
               "sliding": dict(window_s=3 * 86_400, slide_s=86_400)}
-    for sname, stream in (("random", ind), ("days", days)):
+    for sname, stream in (("random", ind), ("days", days),
+                          ("daysnostats", _statless_copy(days))):
         for late in (0, 2 * 86_400):
             for shape, wkw in shapes.items():
                 for mode, (cls, mkw) in modes.items():
@@ -165,6 +180,7 @@ def _run_cases(tmp: str) -> dict:
                                _jittered_batches()),
         "edge": write_stream(pathlib.Path(tmp, "edge"), _edge_batches()),
     }
+    streams["edgenostats"] = _statless_copy(streams["edge"])
     session_jobs = {"sessionjob": StreamingSessionJob,
                     "flagship": lambda i, s, **kw: StreamingFlagshipJob(
                         i, s, num_buckets=2, **kw)}
@@ -184,6 +200,20 @@ def _run_cases(tmp: str) -> dict:
                         job.flush()
                         res[case] = _digest_state(sd, totals)
     return res
+
+
+def _statless_copy(d: str) -> str:
+    """A copy of input directory ``d`` (same rows, same file names)
+    written without parquet statistics, in row groups of two rows."""
+    import pyarrow.parquet as pq
+
+    out = d.rstrip(os.sep) + "-nostats"
+    os.makedirs(out)
+    for f in sorted(os.listdir(d)):
+        pq.write_table(pq.read_table(os.path.join(d, f)),
+                       os.path.join(out, f), row_group_size=2,
+                       write_statistics=False)
+    return out
 
 
 def _changelog_days() -> list:
@@ -249,18 +279,8 @@ def _edge_batches() -> list:
 
 
 def _digest_state(sd: str, totals) -> dict:
-    import pandas as pd
-
     files = {}
     for dp, _, fs in os.walk(sd):
-        rel_dir = os.path.relpath(dp, sd)
-        if rel_dir.startswith("late" + os.sep) and fs:
-            rows = pd.concat([pd.read_parquet(os.path.join(dp, f))
-                              for f in fs], ignore_index=True)
-            rows = rows.sort_values(list(rows.columns)).reset_index(drop=True)
-            files[rel_dir] = hashlib.sha1(
-                rows.to_csv(index=False).encode()).hexdigest()
-            continue
         for f in fs:
             p = os.path.join(dp, f)
             rel = os.path.relpath(p, sd)

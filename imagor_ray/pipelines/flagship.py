@@ -36,7 +36,7 @@ import ray.data as rd
 from ..sources.transcripts import (
     TOOL_META, derive_transcripts, enrich_tool_columns, tool_kind_cost_maps,
 )
-from ..stages.chain import FilterChainStage, filter_chain_batch
+from ..stages.chain import filter_chain_batch
 from ..stages.parse_sign import DEFAULT_SECRET, parse_sign_batch
 from ..stages.windows import session_windows, tumbling_tool_stats
 from ..state.sink import ExactlyOnceSink
@@ -52,69 +52,32 @@ def snippet_dim() -> dict[str, str]:
 def processed_turns(
     sf_dir: str,
     secret: str = DEFAULT_SECRET,
-    chain_concurrency=None,
     batch_size: int = 8192,
     replicas: int = 1,
-    arrow_stages: bool = False,
 ) -> rd.Dataset:
     """Transcripts through parse→sign→filter-chain→enrich; per-turn rows.
 
     Output columns: conv_id, turn_idx, role, text (processed), tool, ts,
     path, signature, tool_kind, tool_cost.
 
-    ``arrow_stages=True`` runs parse/sign and enrich as zero-copy
-    ``pa.Table`` transforms (round-4 verdict item 7 — measured
-    comparison in BENCH.md / bench/bench_arrow_stages.py; the chain
-    stage stays pandas, where its per-template vectorized string kernels
-    live).
-
-    The chain actor pool autoscales (1, cluster CPUs) — a fixed cap would
-    serialize the chain at higher cluster sizes (the pool is the analogue
-    of imagor's ProcessConcurrency semaphore, imagor.go:134-137, but
-    sized to the cluster, not a constant).
+    Every stage is a stateless pandas task with a per-process cache
+    (the chain's compiled-chain cache is the analogue of imagor's
+    processor replicas, cache.go:14-163): same amortization as an actor
+    pool, no actor startup or autoscale latency, and it fuses with the
+    shuffle reduce.
     """
-    from ..stages.parse_sign import parse_sign_batch_arrow
-
     ds = derive_transcripts(sf_dir, replicas=replicas)
-    if arrow_stages:
-        ds = ds.map_batches(
-            parse_sign_batch_arrow, fn_kwargs={"secret": secret},
-            batch_format="pyarrow", batch_size=batch_size,
-        )
-    else:
-        ds = ds.map_batches(
-            parse_sign_batch, fn_kwargs={"secret": secret},
-            batch_format="pandas", batch_size=batch_size,
-        )
+    ds = ds.map_batches(
+        parse_sign_batch, fn_kwargs={"secret": secret},
+        batch_format="pandas", batch_size=batch_size,
+    )
     dim_ref = ray.put(snippet_dim())
-    if chain_concurrency is not None:
-        # explicit actor pool (heavy per-actor state path)
-        ds = ds.map_batches(
-            FilterChainStage,
-            fn_constructor_kwargs={"dim_ref": dim_ref, "path_col": "chain_path"},
-            batch_format="pandas", batch_size=batch_size,
-            concurrency=chain_concurrency,
-        )
-    else:
-        # stateless tasks + per-process chain cache: same amortization,
-        # no actor startup/autoscale latency, fuses with the shuffle reduce
-        ds = ds.map_batches(
-            filter_chain_batch,
-            fn_kwargs={"dim_ref": dim_ref, "path_col": "chain_path"},
-            batch_format="pandas", batch_size=batch_size,
-        )
+    ds = ds.map_batches(
+        filter_chain_batch,
+        fn_kwargs={"dim_ref": dim_ref, "path_col": "chain_path"},
+        batch_format="pandas", batch_size=batch_size,
+    )
     kind_map, cost_map = tool_kind_cost_maps()
-
-    if arrow_stages:
-        from ..sources.transcripts import enrich_tool_columns_arrow
-
-        def enrich_a(t: pa.Table) -> pa.Table:
-            t = enrich_tool_columns_arrow(t, kind_map, cost_map)
-            drop = [c for c in ("chain_path", "sig_ok") if c in t.column_names]
-            return t.drop_columns(drop) if drop else t
-
-        return ds.map_batches(enrich_a, batch_format="pyarrow",
-                              batch_size=batch_size)
 
     def enrich(b: pd.DataFrame) -> pd.DataFrame:
         b = enrich_tool_columns(b, kind_map, cost_map)

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -52,8 +53,8 @@ import pyarrow.parquet as pq
 from ..state.checkpoint import Checkpoint
 from ..state.storage import LocalStorage
 
-__all__ = ["KeyedStreamJob", "file_max_ts", "fsync_dirs", "pending_inputs",
-           "side_counts", "write_parquet_atomic"]
+__all__ = ["KeyedStreamJob", "file_max_ts", "footer_late_stats", "fsync_dirs",
+           "pending_inputs", "side_counts", "write_parquet_atomic"]
 
 
 def write_parquet_atomic(data: pd.DataFrame | pa.Table, path: str) -> None:
@@ -90,22 +91,75 @@ def pending_inputs(d: str, done) -> list[str]:
             if f.endswith(".parquet") and f not in done]
 
 
-def file_max_ts(path: str) -> int:
-    """Max event time of the whole file: parquet row-group zone maps
-    (the session job's exact-footer pattern) with a ts-only column
-    scan as the stats-less fallback; -1 for an empty file."""
-    from .streaming import StreamingSessionJob
-
-    _, total, max_us = StreamingSessionJob._footer_late_stats(path, 0)
-    if max_us is not None:
-        return int(max_us)
-    import pyarrow.dataset as pads
-    t = pads.dataset(path).to_table(columns=["ts"])
-    if t.num_rows == 0:
-        return -1
-    import pyarrow.compute as pc
-    v = pc.max(t.column("ts")).as_py()
+def _stat_us(v) -> int:
+    """A ts zone-map bound as int64 µs."""
+    if isinstance(v, (int, np.integer)):
+        return int(v)
     return int(pd.Timestamp(v).value // 1000)
+
+
+def _column_us(col) -> np.ndarray:
+    """An Arrow timestamp column as int64 µs (integer division — no
+    float precision loss)."""
+    unit = col.type.unit
+    ts_i = col.cast(pa.int64()).to_numpy()
+    if unit == "ns":
+        return ts_i // 1000
+    if unit == "ms":
+        return ts_i * 1000
+    if unit == "s":
+        return ts_i * 1_000_000
+    return ts_i
+
+
+def footer_late_stats(path: str, wm: int) -> tuple[int, int, int | None]:
+    """Exact ``(late_count, total_rows, max_us)`` of a parquet file (or
+    directory) against watermark ``wm``, from its row-group zone maps.
+    A group with ``min_ts >= wm`` has zero late rows and one with
+    ``max_ts < wm`` is entirely late, so neither is read. Only a group
+    straddling the watermark, or one without ts statistics, is read on
+    the driver (ts column only), and its late count and max come from
+    that column — never guessed. ``max_us`` is None for an empty file.
+    A footer that cannot be read raises."""
+    import pyarrow.dataset as pads
+
+    total = late = 0
+    max_us = None
+    for frag in pads.dataset(path).get_fragments():
+        md = frag.metadata
+        ts_idx = [md.schema.column(i).path
+                  for i in range(md.num_columns)].index("ts")
+        suspects = []
+        for rg in range(md.num_row_groups):
+            g = md.row_group(rg)
+            total += g.num_rows
+            stats = g.column(ts_idx).statistics
+            if stats is None or not stats.has_min_max:
+                if g.num_rows:
+                    suspects.append(rg)
+                continue
+            lo, hi = _stat_us(stats.min), _stat_us(stats.max)
+            max_us = hi if max_us is None else max(max_us, hi)
+            if hi < wm:
+                late += g.num_rows
+            elif lo < wm:
+                suspects.append(rg)
+        if suspects:
+            pf = pq.ParquetFile(frag.path)
+            for rg in suspects:
+                us = _column_us(pf.read_row_group(rg, columns=["ts"])["ts"])
+                late += int((us < wm).sum())
+                hi = int(us.max())
+                max_us = hi if max_us is None else max(max_us, hi)
+    return late, total, max_us
+
+
+def file_max_ts(path: str) -> int:
+    """Max event time of the whole file from :func:`footer_late_stats`
+    (row-group zone maps, a ts-only scan of any group without them);
+    -1 for an empty file."""
+    max_us = footer_late_stats(path, 0)[2]
+    return -1 if max_us is None else max_us
 
 
 class KeyedStreamJob:

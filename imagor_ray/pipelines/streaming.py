@@ -22,17 +22,20 @@ workloads), so progress lives in the driver + checkpoint (SURVEY §7.4.2):
   checkpoint with byte-identical emitted output (asserted in tests);
 - a cycle runs ONE per-bucket body, :func:`_bucket_cycle` (chain→sink
   partition write, sessionize, close split), in one of two placements.
-  Cycles above ``RAY_CYCLE_THRESHOLD`` rows run it on a raw two-stage
-  hash exchange: one Arrow read pinned via ``materialize()``, map tasks
-  that split each block into conv-bucket shards, and one reduce task
-  per bucket — only still-open summaries + the watermark return to the
-  driver. Smaller cycles run it in-process, starting no Ray work (Ray
-  per-task overhead dominates them); both placements are
-  byte-equivalent (BENCH.md finding 20 and its 2026-10-17 note).
+  Cycles above ``RAY_CYCLE_THRESHOLD`` rows run it on the engine's one
+  raw two-stage hash exchange (``pipelines/exchange.py``): one Arrow
+  read pinned via ``materialize()``, split tasks that drop the late
+  rows and cut each block into conv-bucket shards, and one reduce task
+  per bucket — only still-open summaries return to the driver, and the
+  late count and watermark come from parquet zone maps. Smaller
+  cycles run it in-process, starting no Ray work (Ray per-task
+  overhead dominates them); both placements are byte-equivalent
+  (BENCH.md finding 20 and its 2026-10-17 note).
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import shutil
 
@@ -42,8 +45,14 @@ import pandas as pd
 from ..functions.hashing import crc32_bucket
 from ..stages.windows import ts_us
 from ..state.checkpoint import Checkpoint
-from .exchange import bucket_split, shard_refs
-from .keyed_stream import fsync_dirs, pending_inputs, write_parquet_atomic
+# ``_exchange_fns`` (the exchange's split/reduce remote functions) is
+# imported under this name only because perfbench/trace.py wraps them
+# through it
+from .exchange import _fns as _exchange_fns  # noqa: F401
+from .exchange import exchange_refs
+from .keyed_stream import (
+    footer_late_stats, fsync_dirs, pending_inputs, write_parquet_atomic,
+)
 
 __all__ = ["StreamingSessionJob", "StreamingFlagshipJob"]
 
@@ -128,58 +137,31 @@ def _bucket_cycle(bucket: int, final_wm: int, gap_s: int, work, prev_open,
     return closed, sessions[~closed_mask]
 
 
-_EXCHANGE_FNS = None
+def _ontime_conv_key(wm: int, nb: int, tbl):
+    """The session exchange's map-side key: drop the late rows
+    (``ts < wm``) and bucket the rest by ``crc32(conv_id) % nb`` — the
+    partitioning that keeps every conversation in one bucket."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    t = tbl.filter(
+        pc.greater_equal(_arrow_ts_us(tbl), pa.scalar(wm, pa.int64())))
+    return t, crc32_bucket(t["conv_id"].to_numpy(zero_copy_only=False), nb)
 
 
-def _exchange_fns():
-    """Remote functions of the large-cycle hash exchange (decorated
-    lazily so importing this module never touches ray eagerly).
-
-    Map tasks split each pinned raw block into per-bucket sub-tables
-    (``num_returns=nb`` object refs — only O(blocks × buckets) refs
-    cross the driver, never rows), reduce tasks concat their bucket's
-    shards, run :func:`_bucket_cycle` (the body in-process cycles run
-    too) and write the bucket's ``part-{bucket}`` file. The body
-    converts ``prev_open`` summaries itself, so the pipelined loop
-    chains reducer (N, b)'s ObjectRef straight into (N+1, b). Skipping
-    Ray Data's sort-based shuffle removes the per-execution fixed cost (quantile sampling +
-    boundary exchange + executor planning) that dominates sub-second
-    streaming cycles — the measured bound on small-cycle scaling
-    efficiency (BENCH.md findings 19/20). Partitioning assumption:
-    conversations are hash-bucket-complete by ``crc32(conv_id) % nb``."""
-    global _EXCHANGE_FNS
-    if _EXCHANGE_FNS is not None:
-        return _EXCHANGE_FNS
-    import ray
-
-    @ray.remote
-    def split_by_bucket(tbl, wm: int, nb: int):
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
-        t = tbl.filter(
-            pc.greater_equal(_arrow_ts_us(tbl), pa.scalar(wm, pa.int64())))
-        conv = t["conv_id"].to_numpy(zero_copy_only=False)
-        return bucket_split(t, crc32_bucket(conv, nb), nb)
-
-    @ray.remote
-    def reduce_bucket(bucket: int, final_wm: int, gap_s: int,
-                      closed_dir: str, work, prev_open, *parts):
-        import pyarrow as pa
-
-        parts = [p for p in parts if p.num_rows]
-        turns = pa.concat_tables(parts).to_pandas() if parts else None
-        closed, still_open = _bucket_cycle(bucket, final_wm, gap_s, work,
-                                           prev_open, turns)
-        if len(closed):
-            # deterministic per-bucket file: a replay overwrites it with
-            # identical bytes
-            write_parquet_atomic(closed, os.path.join(
-                closed_dir, f"part-{bucket:05d}.parquet"))
-        return still_open
-
-    _EXCHANGE_FNS = (split_by_bucket, reduce_bucket)
-    return _EXCHANGE_FNS
+def _reduce_cycle(bucket: int, final_wm: int, gap_s: int, closed_dir: str,
+                  work, prev_open, turns) -> pd.DataFrame:
+    """The session exchange's reducer: :func:`_bucket_cycle` over the
+    bucket's on-time ``turns`` (None when empty), its closed sessions
+    written as ``part-{bucket}``. Returns the still-open summaries."""
+    closed, still_open = _bucket_cycle(bucket, final_wm, gap_s, work,
+                                       prev_open, turns)
+    if len(closed):
+        # deterministic per-bucket file: a replay overwrites it with
+        # identical bytes
+        write_parquet_atomic(closed, os.path.join(
+            closed_dir, f"part-{bucket:05d}.parquet"))
+    return still_open
 
 
 class StreamingSessionJob:
@@ -358,80 +340,19 @@ class StreamingSessionJob:
         share ONE bucketing."""
         return None
 
-    @staticmethod
-    def _footer_late_stats(path, wm: int):
-        """Exact ``(late_count, total_rows, max_us)`` from parquet
-        row-group zone maps — no data pass in the common case. A group
-        with ``min_ts >= wm`` has zero late rows, one with
-        ``max_ts < wm`` is entirely late; only groups straddling the
-        watermark are scanned (ts column only, driver-side, bounded by
-        how localized the late data is). Returns ``(None, 0, None)``
-        when any group lacks ts statistics — the caller falls back to a
-        distributed partials pass. ``max_us`` is None for an empty file.
-        """
-        import pyarrow as pa
-        import pyarrow.dataset as pads
-        import pyarrow.parquet as pq
-
-        def stat_us(v) -> int:
-            if isinstance(v, (int, np.integer)):
-                return int(v)
-            return int(pd.Timestamp(v).value // 1000)
-
-        total = 0
-        late = 0
-        max_us = None
-        try:
-            suspects: list[tuple[str, int]] = []
-            for frag in pads.dataset(path).get_fragments():
-                md = frag.metadata
-                names = [md.schema.column(i).path
-                         for i in range(md.num_columns)]
-                ts_idx = names.index("ts")
-                for rg in range(md.num_row_groups):
-                    g = md.row_group(rg)
-                    stats = g.column(ts_idx).statistics
-                    if stats is None or not stats.has_min_max:
-                        return None, 0, None
-                    lo, hi = stat_us(stats.min), stat_us(stats.max)
-                    total += g.num_rows
-                    max_us = hi if max_us is None else max(max_us, hi)
-                    if lo >= wm:
-                        continue
-                    if hi < wm:
-                        late += g.num_rows
-                    else:
-                        suspects.append((frag.path, rg))
-            for fpath, rg in suspects:
-                col = pq.ParquetFile(fpath).read_row_group(
-                    rg, columns=["ts"])["ts"]
-                unit = col.type.unit
-                ts_i = col.cast(pa.int64()).to_numpy()
-                if unit == "ns":
-                    ts_i = ts_i // 1000  # integer div — no float precision loss
-                elif unit == "ms":
-                    ts_i = ts_i * 1000
-                elif unit == "s":
-                    ts_i = ts_i * 1_000_000
-                late += int((ts_i < wm).sum())
-        except Exception:
-            return None, 0, None
-        return late, total, max_us
-
     def _cycle_prelude(self, path, fname, wm):
         """Pre-exchange work of a large cycle: pin the raw Arrow blocks
         (prefetched during the previous cycle, normally), resolve the
-        late count + watermark advance WITHOUT a data pass (parquet
-        row-group zone maps — a group with ``min_ts >= watermark`` has
-        zero late rows, so the no-late common case runs ZERO
-        pre-exchange executions; only groups straddling the watermark
-        are scanned, and a stats-less file falls back to ONE
-        distributed partials pass — BENCH.md finding 19: the fixed
-        per-cycle execution count is what bounds streaming scaling
-        efficiency), and write the late rows out (rare: gathered on the
-        driver and written as ``late-{fname}/part-00000.parquet`` by the
-        fsyncing :func:`write_parquet_atomic`). Returns ``(raw,
-        late_count, new_watermark)``."""
+        late count + watermark advance WITHOUT a Ray execution
+        (:func:`footer_late_stats`: parquet row-group zone maps, so the
+        no-late common case reads no data and only groups straddling
+        the watermark, or without ts statistics, are scanned on the
+        driver — BENCH.md finding 19: the fixed per-cycle execution
+        count is what bounds streaming scaling efficiency), and write
+        the late rows out (rare: gathered on the driver and written as
+        ``late-{fname}/part-00000.parquet`` by the fsyncing
+        :func:`write_parquet_atomic`). Returns ``(raw, late_count,
+        new_watermark)``."""
         import ray
         import ray.data as _rd
         import pyarrow as pa
@@ -440,35 +361,17 @@ class StreamingSessionJob:
         raw = self._take_prefetched(fname)
         if raw is None:
             read_blocks = max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
-            # pin once: the stats pass, the (rare) late write and the
-            # exchange all read the same blocks
+            # pin once: the (rare) late write and the exchange read the
+            # same blocks
             raw = _rd.read_parquet(
                 path, override_num_blocks=read_blocks).materialize()
 
-        late_count, total_rows, max_us = self._footer_late_stats(path, wm)
-        if late_count is None:
-            def stats_partial(t: pa.Table) -> pa.Table:
-                ts_i = _arrow_ts_us(t)
-                late = pc.sum(pc.less(ts_i, pa.scalar(wm, pa.int64())))
-                return pa.table({
-                    "n": pa.array([t.num_rows], pa.int64()),
-                    "late": pa.array([late.as_py() or 0], pa.int64()),
-                    "max_us": pa.array([pc.max(ts_i).as_py()], pa.int64()),
-                })
-
-            stats = raw.map_batches(
-                stats_partial, batch_format="pyarrow").to_pandas()
-            late_count = int(stats["late"].sum())
-            total_rows = int(stats["n"].sum())
-            max_us = (int(stats["max_us"].max())
-                      if late_count < total_rows else None)
+        late_count, total_rows, max_us = footer_late_stats(path, wm)
         # watermark advance before the exchange; max over all rows == max
         # over on-time rows for watermark purposes (late ts < old
         # watermark by definition)
-        new_watermark = (
-            max(wm, max_us - self.lateness_us)
-            if (max_us is not None and late_count < total_rows) else wm
-        )
+        new_watermark = (max(wm, max_us - self.lateness_us)
+                         if late_count < total_rows else wm)
         if late_count:
             late_path = os.path.join(self.late_dir, f"late-{fname}")
             # replay idempotency: a crashed run's late output (either
@@ -523,20 +426,17 @@ class StreamingSessionJob:
         pipelined loop chain reducer (N, b) into (N+1, b) with no driver
         hop. Returns ``(open_refs, closed_dir, late_count,
         new_watermark)``."""
-        split_fn, reduce_fn = _exchange_fns()
         raw, late_count, new_wm = self._cycle_prelude(path, fname, wm)
-        shards = [shard_refs(split_fn, nb, r, wm, nb)
-                  for r in raw.to_arrow_refs()]
         work = self._make_grouped_cycle_work(cycle)
         closed_dir = os.path.join(
             self.closed_dir, f"closed-{cycle:05d}.parquet")
         _clear_output(closed_dir)
         os.makedirs(closed_dir)
-        open_refs = [
-            reduce_fn.remote(b, new_wm, self.gap_s, closed_dir, work,
-                             prev[b], *[s[b] for s in shards])
-            for b in range(nb)
-        ]
+        open_refs = exchange_refs(
+            raw.to_arrow_refs(), nb,
+            functools.partial(_ontime_conv_key, wm, nb), _reduce_cycle,
+            [(b, new_wm, self.gap_s, closed_dir, work, prev[b])
+             for b in range(nb)])
         return open_refs, closed_dir, late_count, new_wm
 
     def _cycle_tasks(

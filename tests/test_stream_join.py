@@ -13,7 +13,7 @@ import pandas as pd
 import pytest
 
 
-def _stage(tmp_path, batches):
+def _stage(tmp_path, batches, **parquet_kw):
     """Write a list of event-row lists as ordered micro-batch files.
     Rows: (event_id, ts_us, user_id, event_type)."""
     d = tmp_path / "in"
@@ -22,7 +22,8 @@ def _stage(tmp_path, batches):
         df = pd.DataFrame(rows, columns=[
             "event_id", "ts", "user_id", "event_type"])
         df["ts"] = pd.to_datetime(df["ts"], unit="us")
-        df.to_parquet(d / f"batch-{i:03d}.parquet", index=False)
+        df.to_parquet(d / f"batch-{i:03d}.parquet", index=False,
+                      **parquet_kw)
     return str(d)
 
 
@@ -309,6 +310,37 @@ class TestReviewFixes:
                     for f in sorted(os.listdir(j.late_dir))]
             return sorted(pd.concat(rows, ignore_index=True)["event_id"])
         assert late_ids(ja) == late_ids(jb)
+
+    def test_statless_inputs_match_stats_inputs(self, ray_session,
+                                                tmp_path):
+        """Inputs written without parquet statistics advance the
+        watermark from the zone-map reader's ts scan: every output
+        file, the state snapshots and the checkpoint (watermarks,
+        counts) equal those of the same rows written with them."""
+        import pyarrow.parquet as pq
+
+        from tests.test_keyed_stream import _digests
+
+        batches = TestResumeAndEngines._batches(TestResumeAndEngines())
+        batches[3].append((9999, 1_000, 0, "purchase"))  # late
+
+        def run(name, **parquet_kw):
+            inp = _stage(tmp_path / name, batches, row_group_size=16,
+                         **parquet_kw)
+            job = _job(tmp_path, inp, f"state-{name}")
+            totals = job.run_all()
+            job.finalize()
+            return (inp, totals, job.cp.load(),
+                    _digests(str(tmp_path / f"state-{name}")))
+
+        _, t_stats, cp_stats, f_stats = run("stats")
+        inp, t_none, cp_none, f_none = run("none", write_statistics=False)
+        md = pq.ParquetFile(os.path.join(inp, "batch-003.parquet")).metadata
+        assert md.num_row_groups > 1
+        assert md.row_group(0).column(1).statistics is None
+        assert t_none == t_stats and t_stats["late"] == 1
+        assert cp_none == cp_stats
+        assert f_none == f_stats and f_stats
 
     def test_finalize_is_terminal(self, ray_session, tmp_path):
         inp = _stage(tmp_path, [[(1, 0, 7, "click")]])

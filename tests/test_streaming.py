@@ -15,8 +15,9 @@ import pytest
 from imagor_ray.pipelines.streaming import StreamingSessionJob
 
 
-def write_stream(tmp_path, batches):
-    """batches: list of list[(conv, ts_str)]; one parquet file per batch."""
+def write_stream(tmp_path, batches, **parquet_kw):
+    """batches: list of list[(conv, ts_str)]; one parquet file per batch
+    (``parquet_kw`` goes to the parquet writer)."""
     d = str(tmp_path / "stream")
     os.makedirs(d, exist_ok=True)
     for i, rows in enumerate(batches):
@@ -28,7 +29,8 @@ def write_stream(tmp_path, batches):
             "tool": "click",
             "ts": pd.to_datetime([r[1] for r in rows]).astype("datetime64[us]"),
         })
-        df.to_parquet(os.path.join(d, f"batch-{i:05d}.parquet"), index=False)
+        df.to_parquet(os.path.join(d, f"batch-{i:05d}.parquet"), index=False,
+                      **parquet_kw)
     return d
 
 
@@ -281,6 +283,47 @@ def test_open_snapshot_byte_stable_across_runs(tmp_path, ray_session):
     finally:
         StreamingSessionJob.RAY_CYCLE_THRESHOLD = old
     assert shas[0] == shas[1]
+
+
+def test_statless_stream_matches_stats_stream(ray_session, tmp_path):
+    """A session stream written without parquet statistics runs its
+    exchange cycles (threshold 0) on the zone-map reader's ts scan:
+    its closed, late and open output and every watermark equal those
+    of the same rows written with statistics. Row groups of two put an
+    on-time, an all-late and a straddling group in cycle 1."""
+    import pyarrow.parquet as pq
+
+    from tests.test_keyed_stream import _digests
+
+    batches = [
+        [(f"c{i % 5}", f"2024-01-01 00:{3 * i:02d}:00") for i in range(12)],
+        [("c1", "2024-01-01 02:00:00"), ("c2", "2024-01-01 02:10:00"),
+         ("zz", "2023-12-31 00:00:00"), ("yy", "2023-12-31 00:05:00"),
+         ("xx", "2023-12-31 00:10:00"), ("c3", "2024-01-01 02:20:00")],
+        [("d", "2024-01-02 00:00:00"), ("c4", "2024-01-02 00:10:00")],
+    ]
+
+    def run(name, **parquet_kw):
+        stream = write_stream(tmp_path / name, batches, row_group_size=2,
+                              **parquet_kw)
+        state_dir = str(tmp_path / name / "state")
+        job = StreamingSessionJob(stream, state_dir, gap_s=1800,
+                                  ray_cycle_threshold=0)
+        results = job.run_all()
+        return stream, results, job.cp.load(), _digests(state_dir)
+
+    _, r_stats, cp_stats, f_stats = run("stats")
+    stream, r_none, cp_none, f_none = run("none", write_statistics=False)
+    md = pq.ParquetFile(os.path.join(stream, "batch-00001.parquet")).metadata
+    assert md.num_row_groups == 3
+    assert all(md.row_group(i).column(5).statistics is None
+               for i in range(3))
+    assert r_none == r_stats
+    assert [r["late"] for r in r_stats] == [0, 3, 0]
+    assert r_stats[-1]["open"] > 0 and sum(r["closed"] for r in r_stats) > 0
+    assert cp_none == cp_stats
+    assert f_none == f_stats
+    assert any(k.startswith("late") for k in f_stats)
 
 
 class TestDatasetNativeCycle:
