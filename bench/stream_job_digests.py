@@ -41,12 +41,19 @@ For every case it writes the sha1 of every file under the state dir
 except ``checkpoint.json``, the checkpoint itself and the ``run_all``
 totals. A sink manifest (``_manifest/*.json``) is digested without its
 wall-clock timings (``write_ms`` and ``*_ms`` stage metrics). Every
-other file, the large-cycle late file ``late/late-{file}/part-00000.parquet``
-included, is digested byte for byte.
+other file is digested byte for byte, the session jobs' single-file
+outputs (``late/late-{file}`` and ``closed/closed-{cycle:05d}.parquet``)
+included.
 
 ``compare A.json B.json`` prints one line per case and exits non-zero
 unless every file digest and the totals match and B's checkpoints lose
 no key and change no value of A's.
+
+``placements OUT.json`` compares, within one dump, every ``-exchange``
+session case with its ``-local`` twin (the same case at threshold
+10**9) and exits non-zero unless all of them have the same files,
+checkpoint and totals: the threshold must choose where a cycle runs,
+never what it writes.
 
 Run ``dump`` with ``PYTHONPATH=ROOT`` so Ray workers import the same
 checkout::
@@ -54,6 +61,7 @@ checkout::
     PYTHONPATH=$OLD python bench/stream_job_digests.py dump $OLD old.json
     PYTHONPATH=$NEW python bench/stream_job_digests.py dump $NEW new.json
     python bench/stream_job_digests.py compare old.json new.json
+    python bench/stream_job_digests.py placements new.json
 
 ROOT need not be the checkout this file comes from, so one copy of this
 file can dump an older checkout at any CPU count.
@@ -327,10 +335,36 @@ def compare(a_path: str, b_path: str) -> int:
     return 1 if bad else 0
 
 
+def placements(path: str) -> int:
+    """Every ``-exchange`` session case of one dump against its
+    ``-local`` twin: same files, checkpoint and totals."""
+    with open(path) as fh:
+        res = json.load(fh)
+    bad = n = 0
+    for case in sorted(res):
+        if "-exchange-" not in case:
+            continue
+        n += 1
+        twin = case.replace("-exchange-", "-local-")
+        a, b = res[case], res.get(twin)
+        diff = (["MISSING TWIN"] if b is None else sorted(
+            k for k in set(a["files"]) | set(b["files"])
+            if a["files"].get(k) != b["files"].get(k)))
+        ok = b is not None and not diff and all(
+            a[k] == b[k] for k in ("checkpoint", "totals"))
+        bad += not ok
+        print(f"{case:40s} {'OK' if ok else diff[:6] or 'checkpoint/totals'}")
+    print(f"{n - bad} of {n} exchange cases equal their local twin"
+          if n else "no exchange cases")
+    return 1 if bad or not n else 0
+
+
 if __name__ == "__main__":
     if sys.argv[1:2] == ["dump"] and len(sys.argv) in (4, 5):
         dump(sys.argv[2], sys.argv[3], *map(int, sys.argv[4:]))
     elif sys.argv[1:2] == ["compare"] and len(sys.argv) == 4:
         sys.exit(compare(sys.argv[2], sys.argv[3]))
+    elif sys.argv[1:2] == ["placements"] and len(sys.argv) == 3:
+        sys.exit(placements(sys.argv[2]))
     else:
         sys.exit(__doc__)

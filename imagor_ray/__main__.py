@@ -140,8 +140,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--gap-s", type=int, default=1800)
     p.add_argument("--lateness-s", type=int, default=0)
     p.add_argument("--buckets", type=int, default=None)
-    p.add_argument("--cycle-threshold", type=int, default=None,
-                   help="rows/cycle above which cycles run on the hash exchange")
     p.add_argument("--flush", action="store_true", help="close open sessions at end")
 
     args = ap.parse_args(argv)
@@ -281,15 +279,11 @@ def main(argv: list[str] | None = None) -> int:
     elif args.cmd == "stream":
         from imagor_ray.pipelines.streaming import StreamingFlagshipJob
 
-        cfg = cfg.with_overrides(
-            num_buckets=args.buckets,
-            stream_cycle_threshold=args.cycle_threshold,
-        )
+        cfg = cfg.with_overrides(num_buckets=args.buckets)
         job = StreamingFlagshipJob(
             args.input, args.state, gap_s=args.gap_s,
             allowed_lateness_s=args.lateness_s,
             num_buckets=cfg.num_buckets,
-            ray_cycle_threshold=cfg.stream_cycle_threshold,
         )
         results = job.run_all()
         if args.flush:

@@ -46,9 +46,6 @@ class EngineConfig:
     window_s: int = 3600
     allowed_lateness_s: int = 0
     salt_bucket_s: int = 0              # 0 = unsalted
-    # rows per cycle above which the streaming driver runs the cycle on
-    # the hash exchange (0 = always the exchange)
-    stream_cycle_threshold: int = 150_000
 
     # filter chain (vipsconfig: disabled filters, MaxFilterOps, caches)
     max_filter_ops: int = 64

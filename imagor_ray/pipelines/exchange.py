@@ -77,17 +77,21 @@ def bucket_split(t, b: np.ndarray, nb: int):
     return shards if nb > 1 else shards[0]
 
 
-def exchange_refs(blocks, nb: int, key, fn, bucket_args) -> list:
+def exchange_refs(blocks, nb: int, key, fn, bucket_args,
+                  num_returns: int = 1) -> list:
     """Launch the exchange without waiting: one split task per Arrow
     block ref of ``blocks`` (map-side ``key``), then one reduce task per
     bucket calling ``fn(*bucket_args[b], rows)``. Returns the ``nb``
-    reduce refs."""
+    reduce refs — each a list of ``num_returns`` refs when ``fn``
+    returns that many values, so a caller can fetch one and chain
+    another."""
     split_block, reduce_bucket = _fns()
     split = split_block.options(num_returns=nb)
     shards = [split.remote(r, key, nb) for r in blocks]
     if nb == 1:  # Ray hands back a bare ref, not a list, for one return
         shards = [[s] for s in shards]
-    return [reduce_bucket.remote(fn, len(a), *a, *[s[b] for s in shards])
+    reduce = reduce_bucket.options(num_returns=num_returns)
+    return [reduce.remote(fn, len(a), *a, *[s[b] for s in shards])
             for b, a in enumerate(bucket_args)]
 
 

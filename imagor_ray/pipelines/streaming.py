@@ -26,21 +26,26 @@ workloads), so progress lives in the driver + checkpoint (SURVEY §7.4.2):
   raw two-stage hash exchange (``pipelines/exchange.py``): one Arrow
   read pinned via ``materialize()``, split tasks that drop the late
   rows and cut each block into conv-bucket shards, and one reduce task
-  per bucket — only still-open summaries return to the driver, and the
-  late count and watermark come from parquet zone maps. Smaller
+  per bucket — only session summaries return to the driver. Smaller
   cycles run it in-process, starting no Ray work (Ray per-task
-  overhead dominates them); both placements are byte-equivalent
-  (BENCH.md finding 20 and its 2026-10-17 note).
+  overhead dominates them) (BENCH.md finding 20 and its 2026-10-17
+  note);
+- both placements write the same files: the late count, the row count
+  and the watermark come from parquet zone maps
+  (:func:`footer_late_stats`), the late rows go to one
+  ``late/late-{file}`` and the closed summaries of a cycle to one
+  ``closed/closed-{cycle:05d}.parquet`` (:meth:`_finish_cycle`), so
+  the threshold never changes an emitted byte.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-import shutil
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from ..functions.hashing import crc32_bucket
 from ..stages.windows import ts_us
@@ -51,26 +56,29 @@ from ..state.checkpoint import Checkpoint
 from .exchange import _fns as _exchange_fns  # noqa: F401
 from .exchange import exchange_refs
 from .keyed_stream import (
-    footer_late_stats, fsync_dirs, pending_inputs, write_parquet_atomic,
+    _column_us, footer_late_stats, fsync_dirs, pending_inputs,
+    write_parquet_atomic,
 )
 
 __all__ = ["StreamingSessionJob", "StreamingFlagshipJob"]
 
 
-def _arrow_ts_us(t) -> "object":
-    """ts column of an Arrow table as int64 microseconds."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
+def _cluster_width() -> int:
+    """``max(8, 2 × cluster CPUs)``: the session job's conv-bucket count
+    and the block count of a large cycle's pinned read."""
+    import ray
 
-    unit = t.schema.field("ts").type.unit
-    ts_i = pc.cast(t["ts"], pa.int64())
-    if unit == "ns":
-        ts_i = pc.divide(ts_i, 1000)
-    elif unit == "s":
-        ts_i = pc.multiply(ts_i, 1_000_000)
-    elif unit == "ms":
-        ts_i = pc.multiply(ts_i, 1000)
-    return ts_i
+    return max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
+
+
+def _pinned_read(path: str):
+    """A large cycle's raw parquet blocks, read by Ray Data and pinned
+    in the object store (``materialize()``), so the late gather and the
+    exchange read the same blocks."""
+    import ray.data as _rd
+
+    return _rd.read_parquet(
+        path, override_num_blocks=_cluster_width()).materialize()
 
 
 def _empty_summaries() -> pd.DataFrame:
@@ -91,21 +99,15 @@ def _sorted_summaries(frames) -> pd.DataFrame:
     return out.sort_values(["conv_id", "session_start"]).reset_index(drop=True)
 
 
-def _clear_output(path: str) -> None:
-    """Remove what a crashed run of this cycle left at ``path`` (either
-    placement's: a single file or a directory) before a replay writes."""
-    if os.path.isdir(path):
-        shutil.rmtree(path)
-    elif os.path.lexists(path):
-        os.remove(path)
-
-
 def _bucket_cycle(bucket: int, final_wm: int, gap_s: int, work, prev_open,
                   turns) -> tuple[pd.DataFrame, pd.DataFrame]:
-    """THE per-bucket cycle body of both placements: the grouped ``work``
-    (the flagship's chain→sink partition write) over the on-time
-    ``turns``, the carried open SUMMARIES as pseudo-turn rows, the
-    sessionize and the close split. Returns ``(closed, still_open)``."""
+    """THE per-bucket cycle body of both placements, and the session
+    exchange's reducer: the grouped ``work`` (the flagship's chain→sink
+    partition write) over the on-time ``turns`` (None for an empty
+    bucket), the carried open SUMMARIES as pseudo-turn rows, the
+    sessionize and the close split. Returns ``(closed, still_open)``;
+    :meth:`StreamingSessionJob._finish_cycle` writes the closed halves
+    of a cycle."""
     sess_frames = []
     if turns is not None and len(turns):
         if work is not None:
@@ -141,27 +143,15 @@ def _ontime_conv_key(wm: int, nb: int, tbl):
     """The session exchange's map-side key: drop the late rows
     (``ts < wm``) and bucket the rest by ``crc32(conv_id) % nb`` — the
     partitioning that keeps every conversation in one bucket."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    t = tbl.filter(
-        pc.greater_equal(_arrow_ts_us(tbl), pa.scalar(wm, pa.int64())))
+    t = tbl.filter(pa.array(_column_us(tbl["ts"]) >= wm))
     return t, crc32_bucket(t["conv_id"].to_numpy(zero_copy_only=False), nb)
 
 
-def _reduce_cycle(bucket: int, final_wm: int, gap_s: int, closed_dir: str,
-                  work, prev_open, turns) -> pd.DataFrame:
-    """The session exchange's reducer: :func:`_bucket_cycle` over the
-    bucket's on-time ``turns`` (None when empty), its closed sessions
-    written as ``part-{bucket}``. Returns the still-open summaries."""
-    closed, still_open = _bucket_cycle(bucket, final_wm, gap_s, work,
-                                       prev_open, turns)
-    if len(closed):
-        # deterministic per-bucket file: a replay overwrites it with
-        # identical bytes
-        write_parquet_atomic(closed, os.path.join(
-            closed_dir, f"part-{bucket:05d}.parquet"))
-    return still_open
+def _late_rows(wm: int, tbl):
+    """The rows of ``tbl`` with ``ts < wm`` — the complement of
+    :func:`_ontime_conv_key`'s filter, on the same flooring converter
+    as the zone-map reader that counted them."""
+    return tbl.filter(pa.array(_column_us(tbl["ts"]) < wm))
 
 
 class StreamingSessionJob:
@@ -191,7 +181,8 @@ class StreamingSessionJob:
             # hash exchange is the only large-cycle path
             raise ValueError(f"unknown cycle_engine: {cycle_engine!r}")
         if ray_cycle_threshold is not None:
-            # instance override of the class default (config-bound knob)
+            # instance override of the class constant: it moves cycles
+            # between the two placements, which write the same files
             self.RAY_CYCLE_THRESHOLD = ray_cycle_threshold
         #: (fname, thread, holder) of an in-flight next-cycle raw read
         self._prefetch: dict = {}
@@ -210,11 +201,11 @@ class StreamingSessionJob:
 
     #: above this many rows the WHOLE cycle runs on the hash exchange
     #: (:meth:`_cycle_tasks`) — pinned read → late split → per-bucket
-    #: :func:`_bucket_cycle` — with only session summaries, the late
-    #: count and the watermark returning to the driver (nothing
-    #: row-scale crosses it). Below it the same body runs in-process
-    #: (:meth:`_cycle_pandas`): Ray per-task overhead dominates tiny
-    #: cycles. Both placements are asserted byte-equivalent in tests.
+    #: :func:`_bucket_cycle` — with only session summaries returning to
+    #: the driver (nothing row-scale crosses it). Below it the same body
+    #: runs in-process (:meth:`_cycle_pandas`): Ray per-task overhead
+    #: dominates tiny cycles. Both placements write the same files, so
+    #: this constant chooses where a cycle runs, never what it emits.
     RAY_CYCLE_THRESHOLD = 150_000
 
     def run_cycle(self) -> dict | None:
@@ -231,18 +222,43 @@ class StreamingSessionJob:
         # read the snapshot COMMITTED by the checkpoint, never a staged one
         open_prev = self.cp.load_open_sessions(state)
 
-        import pyarrow.dataset as pads
-
-        # row count from parquet footers only — picks the execution path
-        # without reading any data
-        nrows = pads.dataset(path).count_rows()
+        late_count, nrows, new_watermark = self._cycle_stats(path, watermark)
         runner = (self._cycle_tasks if nrows > self.RAY_CYCLE_THRESHOLD
                   else self._cycle_pandas)
-        still_open, closed_count, late_count, new_watermark = runner(
-            path, fname, watermark, cycle, open_prev)
+        still_open, closed_count = runner(path, fname, watermark,
+                                          new_watermark, late_count, cycle,
+                                          open_prev)
         return self._commit_cycle(state, fname, cycle, still_open,
                                   closed_count, late_count, new_watermark,
                                   nrows - late_count)
+
+    def _cycle_stats(self, path: str, wm: int) -> tuple[int, int, int]:
+        """``(late_count, total_rows, new_watermark)`` of a cycle file
+        from its parquet zone maps (:func:`footer_late_stats`, exact),
+        for both placements: the row count picks the placement without
+        reading data, and the watermark advances to ``max(ts) −
+        lateness`` (the max over all rows is the max over the on-time
+        rows, since a late ts is below ``wm``), never backwards."""
+        late_count, total_rows, max_us = footer_late_stats(path, wm)
+        new_watermark = (max(wm, max_us - self.lateness_us)
+                         if late_count < total_rows else wm)
+        return late_count, total_rows, new_watermark
+
+    def _late_path(self, fname: str) -> str:
+        return os.path.join(self.late_dir, f"late-{fname}")
+
+    def _finish_cycle(self, cycle: int, closed: list, opens: list
+                      ) -> tuple[pd.DataFrame, int]:
+        """THE cycle tail of both placements: sort the buckets' closed
+        halves into one ``closed-{cycle:05d}.parquet`` (written only when
+        a session closed; a replay overwrites it with the same bytes)
+        and the still-open halves into the carry. Returns
+        ``(still_open, closed_count)``."""
+        closed = _sorted_summaries(closed)
+        if len(closed):
+            write_parquet_atomic(closed, os.path.join(
+                self.closed_dir, f"closed-{cycle:05d}.parquet"))
+        return _sorted_summaries(opens), len(closed)
 
     def _commit_cycle(self, state: dict, fname: str, cycle: int,
                       still_open: pd.DataFrame, closed_count: int,
@@ -256,9 +272,7 @@ class StreamingSessionJob:
         checkpoint (output directories fsynced first). Mutates ``state``
         in place so a pipelined caller can keep committing against its
         own loaded copy."""
-        fsync_dirs(self.late_dir, os.path.join(self.late_dir, f"late-{fname}"),
-                   self.closed_dir, os.path.join(
-                       self.closed_dir, f"closed-{cycle:05d}.parquet"))
+        fsync_dirs(self.late_dir, self.closed_dir)
         open_fname = self.cp.stage_open_sessions(still_open, cycle)
         state["open_sessions_file"] = open_fname
         state["watermark_us"] = new_watermark
@@ -281,31 +295,19 @@ class StreamingSessionJob:
 
     # -- cycle execution paths --------------------------------------------
 
-    def _cycle_pandas(
-        self, path, fname, watermark, cycle, open_prev
-    ) -> tuple[pd.DataFrame, int, int, int]:
+    def _cycle_pandas(self, path, fname, watermark, new_watermark,
+                      late_count, cycle, open_prev
+                      ) -> tuple[pd.DataFrame, int]:
         """In-process cycle for small micro-batches, starting no Ray work:
-        read, late split and watermark, then the reducers' body
-        :func:`_bucket_cycle` once (no grouped work) or per conv bucket
-        in ascending order. Returns ``(still_open, closed_count,
-        late_count, new_watermark)``."""
+        read and late split (against the PRE-advance watermark), then
+        the reducers' body :func:`_bucket_cycle` once (no grouped work)
+        or per conv bucket in ascending order. Returns
+        ``(still_open, closed_count)``."""
         batch = pd.read_parquet(path)
-        us = ts_us(batch["ts"])
-
-        # late-data routing against the PRE-advance watermark
-        late_mask = us < watermark
-        late = batch[late_mask]
-        if len(late):
-            late_path = os.path.join(self.late_dir, f"late-{fname}")
-            _clear_output(late_path)
-            write_parquet_atomic(late, late_path)
-        batch = batch[~late_mask]
-        us = us[~late_mask]
-        # watermark advance: max event time seen − allowed lateness
-        new_watermark = max(
-            watermark,
-            (int(us.max()) - self.lateness_us) if len(us) else watermark,
-        )
+        if late_count:
+            late_mask = ts_us(batch["ts"]) < watermark
+            write_parquet_atomic(batch[late_mask], self._late_path(fname))
+            batch = batch[~late_mask]
 
         work = self._make_grouped_cycle_work(cycle) if len(batch) else None
         if work is None:
@@ -319,18 +321,10 @@ class StreamingSessionJob:
         closed, opens = zip(*[
             _bucket_cycle(b, new_watermark, self.gap_s, work, prev, turns)
             for b, turns, prev in units])
-        closed = _sorted_summaries(closed)
-        if len(closed):
-            out = os.path.join(self.closed_dir, f"closed-{cycle:05d}.parquet")
-            _clear_output(out)
-            write_parquet_atomic(closed, out)
-        return (_sorted_summaries(opens), len(closed), int(late_mask.sum()),
-                new_watermark)
+        return self._finish_cycle(cycle, closed, opens)
 
     def _cycle_bucket_count(self) -> int:
-        import ray
-
-        return max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
+        return _cluster_width()
 
     def _make_grouped_cycle_work(self, cycle: int):
         """The job's one sink hook: a callable :func:`_bucket_cycle` runs
@@ -340,69 +334,31 @@ class StreamingSessionJob:
         share ONE bucketing."""
         return None
 
-    def _cycle_prelude(self, path, fname, wm):
+    def _cycle_prelude(self, path, fname, wm, late_count):
         """Pre-exchange work of a large cycle: pin the raw Arrow blocks
-        (prefetched during the previous cycle, normally), resolve the
-        late count + watermark advance WITHOUT a Ray execution
-        (:func:`footer_late_stats`: parquet row-group zone maps, so the
-        no-late common case reads no data and only groups straddling
-        the watermark, or without ts statistics, are scanned on the
-        driver — BENCH.md finding 19: the fixed per-cycle execution
-        count is what bounds streaming scaling efficiency), and write
-        the late rows out (rare: gathered on the driver and written as
-        ``late-{fname}/part-00000.parquet`` by the fsyncing
-        :func:`write_parquet_atomic`). Returns ``(raw, late_count,
-        new_watermark)``."""
+        (prefetched during the previous cycle, normally) and write the
+        late rows out. The late count comes from the zone maps
+        (:meth:`_cycle_stats`), so the no-late common case starts no Ray
+        execution (BENCH.md finding 19: the fixed per-cycle execution
+        count is what bounds streaming scaling efficiency); the rare
+        late rows are gathered on the driver and written as the one
+        ``late-{fname}`` the in-process placement writes. Returns the
+        pinned dataset."""
         import ray
-        import ray.data as _rd
-        import pyarrow as pa
-        import pyarrow.compute as pc
 
         raw = self._take_prefetched(fname)
         if raw is None:
-            read_blocks = max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
-            # pin once: the (rare) late write and the exchange read the
-            # same blocks
-            raw = _rd.read_parquet(
-                path, override_num_blocks=read_blocks).materialize()
-
-        late_count, total_rows, max_us = footer_late_stats(path, wm)
-        # watermark advance before the exchange; max over all rows == max
-        # over on-time rows for watermark purposes (late ts < old
-        # watermark by definition)
-        new_watermark = (max(wm, max_us - self.lateness_us)
-                         if late_count < total_rows else wm)
+            raw = _pinned_read(path)
         if late_count:
-            late_path = os.path.join(self.late_dir, f"late-{fname}")
-            # replay idempotency: a crashed run's late output (either
-            # placement's) is replaced wholesale
-            _clear_output(late_path)
-            os.makedirs(late_path)
-            # the (rare) late rows come to the driver and go through the
-            # fsyncing writer; _commit_cycle fsyncs late_path
             late = ray.get(raw.map_batches(
-                lambda t: t.filter(
-                    pc.less(_arrow_ts_us(t), pa.scalar(wm, pa.int64()))),
-                batch_format="pyarrow",
-            ).to_arrow_refs())
+                functools.partial(_late_rows, wm),
+                batch_format="pyarrow").to_arrow_refs())
             # (blocks with no late row may come back schema-less)
-            write_parquet_atomic(
-                pa.concat_tables([t for t in late if t.num_rows]),
-                os.path.join(late_path, "part-00000.parquet"))
-        return raw, late_count, new_watermark
-
-    @staticmethod
-    def _finish_open_closed(opens: list, closed_dir: str):
-        """Epilogue of a hash-exchange cycle: concat and stable-sort the
-        reducers' still-open summaries and count the
-        distributedly-written closed rows from footers."""
-        import pyarrow.dataset as pads
-
-        still_open = _sorted_summaries(opens)
-        if not os.listdir(closed_dir):
-            os.rmdir(closed_dir)  # keep closed_sessions() listings clean
-            return still_open, 0
-        return still_open, int(pads.dataset(closed_dir).count_rows())
+            late = pa.concat_tables([t for t in late if t.num_rows])
+            # written from pandas, as the in-process cycle writes it, so
+            # the file's schema metadata and bytes are the same
+            write_parquet_atomic(late.to_pandas(), self._late_path(fname))
+        return raw
 
     @staticmethod
     def _split_summaries(open_prev: pd.DataFrame | None, nb: int) -> list:
@@ -415,50 +371,45 @@ class StreamingSessionJob:
                 prev[int(b)] = open_prev[pb == b].reset_index(drop=True)
         return prev
 
-    def _launch_cycle(self, path, fname, wm, cycle, prev, nb):
+    def _launch_cycle(self, path, fname, wm, new_wm, late_count, cycle,
+                      prev, nb):
         """Start one large cycle on the hash exchange without waiting
-        for it: the prelude (pinned read, zone-map late stats,
-        watermark, late write), one split task per pinned block (refs,
-        not rows, return to the driver) and one reduce task per bucket.
+        for it: the prelude (pinned read, late write), one split task
+        per pinned block (refs, not rows, return to the driver) and one
+        :func:`_bucket_cycle` reduce task per bucket with two returns.
         ``prev[b]`` is bucket ``b``'s carried open-session SUMMARIES —
-        a frame, or the previous cycle's reducer ObjectRef; the reducer
+        a frame, or the previous cycle's still-open ref; the reducer
         converts them to pseudo-turn rows itself, which is what lets the
         pipelined loop chain reducer (N, b) into (N+1, b) with no driver
-        hop. Returns ``(open_refs, closed_dir, late_count,
-        new_watermark)``."""
-        raw, late_count, new_wm = self._cycle_prelude(path, fname, wm)
+        hop, carrying only the open half. Returns ``(closed_refs,
+        open_refs)``."""
+        raw = self._cycle_prelude(path, fname, wm, late_count)
         work = self._make_grouped_cycle_work(cycle)
-        closed_dir = os.path.join(
-            self.closed_dir, f"closed-{cycle:05d}.parquet")
-        _clear_output(closed_dir)
-        os.makedirs(closed_dir)
-        open_refs = exchange_refs(
+        refs = exchange_refs(
             raw.to_arrow_refs(), nb,
-            functools.partial(_ontime_conv_key, wm, nb), _reduce_cycle,
-            [(b, new_wm, self.gap_s, closed_dir, work, prev[b])
-             for b in range(nb)])
-        return open_refs, closed_dir, late_count, new_wm
+            functools.partial(_ontime_conv_key, wm, nb), _bucket_cycle,
+            [(b, new_wm, self.gap_s, work, prev[b]) for b in range(nb)],
+            num_returns=2)
+        return [c for c, _ in refs], [o for _, o in refs]
 
-    def _cycle_tasks(
-        self, path, fname, watermark, cycle, open_prev
-    ) -> tuple[pd.DataFrame, int, int, int]:
+    def _cycle_tasks(self, path, fname, watermark, new_watermark,
+                     late_count, cycle, open_prev
+                     ) -> tuple[pd.DataFrame, int]:
         """One large cycle on the raw two-stage hash exchange, waited
-        on: launch, gather the reducers' still-open summaries, count the
-        closed rows. No sort sampling, no boundary exchange, no
-        per-cycle streaming-executor plan — the fixed cost a sub-second
-        cycle pays under Ray Data's groupby (BENCH.md finding 19/20).
-        Returns ``(still_open, closed_count, late_count,
-        new_watermark)`` like :meth:`_cycle_pandas` (asserted
-        byte-equivalent in tests)."""
+        on: launch, gather the reducers' halves, :meth:`_finish_cycle`.
+        No sort sampling, no boundary exchange, no per-cycle
+        streaming-executor plan — the fixed cost a sub-second cycle
+        pays under Ray Data's groupby (BENCH.md finding 19/20).
+        Returns ``(still_open, closed_count)`` like
+        :meth:`_cycle_pandas`."""
         import ray
 
         nb = self._cycle_bucket_count()
-        open_refs, closed_dir, late_count, new_watermark = self._launch_cycle(
-            path, fname, watermark, cycle,
+        closed_refs, open_refs = self._launch_cycle(
+            path, fname, watermark, new_watermark, late_count, cycle,
             self._split_summaries(open_prev, nb), nb)
-        still_open, closed_count = self._finish_open_closed(
-            ray.get(open_refs), closed_dir)
-        return still_open, closed_count, late_count, new_watermark
+        return self._finish_cycle(cycle, ray.get(closed_refs),
+                                  ray.get(open_refs))
 
     @staticmethod
     def _sessionize_with_start(turns: pd.DataFrame, gap_s: int) -> pd.DataFrame:
@@ -537,13 +488,7 @@ class StreamingSessionJob:
 
         def work():
             try:
-                import ray
-                import ray.data as _rd
-
-                blocks = max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
-                holder["ds"] = _rd.read_parquet(
-                    path, override_num_blocks=blocks
-                ).materialize()
+                holder["ds"] = _pinned_read(path)
             except Exception as e:  # fall back to the inline read
                 holder["err"] = e
 
@@ -610,19 +555,20 @@ class StreamingSessionJob:
         reducer. Here they don't:
 
         - the watermark chain needs only parquet FOOTER stats
-          (``_cycle_prelude``), so cycle N+1's watermark, late routing
+          (:meth:`_cycle_stats`), so cycle N+1's watermark, late routing
           and split tasks launch without any cycle-N reduce result;
-        - reducer (N+1, b) takes reducer (N, b)'s output ObjectRef as
-          its ``prev_open`` directly (the reducer converts summaries to
-          pseudo-turn rows itself) — the open-session carry never
+        - reducer (N+1, b) takes reducer (N, b)'s still-open ObjectRef
+          as its ``prev_open`` directly (the reducer converts summaries
+          to pseudo-turn rows itself) — the open-session carry never
           touches the driver between cycles, and each bucket's chain
           advances independently instead of waiting on the global
           straggler;
         - the CHECKPOINT still commits strictly in cycle order: the
-          oldest in-flight cycle is ``ray.get``-drained and committed
-          before cycle N+PIPELINE_DEPTH launches. A crash loses only
+          oldest in-flight cycle is ``ray.get``-drained, its closed
+          file written (:meth:`_finish_cycle`) and committed before
+          cycle N+PIPELINE_DEPTH launches. A crash loses only
           uncommitted cycles, whose replay is byte-identical (atomic
-          per-bucket renames + committed-bucket sink skip absorb the
+          renames + committed-bucket sink skip absorb the
           partially-written work) — same guarantee, same commit point.
 
         Small cycles (≤ RAY_CYCLE_THRESHOLD) and giant cycles
@@ -632,7 +578,6 @@ class StreamingSessionJob:
         (asserted in tests).
         """
         import ray
-        import pyarrow.dataset as pads
 
         state = self.cp.load()
         wm = int(state.get("watermark_us", 0))
@@ -643,12 +588,13 @@ class StreamingSessionJob:
         nb = prev = None
 
         results: list[dict] = []
-        inflight: list[tuple] = []  # (fname, cycle, open_refs, late, wm, closed_dir, n_ontime)
+        # (fname, cycle, closed_refs, open_refs, late, wm, n_ontime)
+        inflight: list[tuple] = []
 
         def commit_oldest():
-            fn_, cyc_, refs_, late_, wm_, cdir_, n_on = inflight.pop(0)
-            still_open, closed_count = self._finish_open_closed(
-                ray.get(refs_), cdir_)
+            fn_, cyc_, crefs, orefs, late_, wm_, n_on = inflight.pop(0)
+            still_open, closed_count = self._finish_cycle(
+                cyc_, ray.get(crefs), ray.get(orefs))
             results.append(self._commit_cycle(
                 state, fn_, cyc_, still_open, closed_count, late_,
                 wm_, n_on))
@@ -660,7 +606,7 @@ class StreamingSessionJob:
             fname = pending[0]
             done.add(fname)
             path = os.path.join(self.input_dir, fname)
-            nrows = pads.dataset(path).count_rows()
+            late_count, nrows, new_wm = self._cycle_stats(path, wm)
             if (nrows <= self.RAY_CYCLE_THRESHOLD
                     or nrows > self.PIPELINE_ROW_MAX):
                 # small cycle → pandas path needs materialized carry
@@ -685,10 +631,10 @@ class StreamingSessionJob:
                 nb = self._cycle_bucket_count()
                 prev = self._split_summaries(
                     self.cp.load_open_sessions(state), nb)
-            open_refs, closed_dir, late_count, new_wm = self._launch_cycle(
-                path, fname, wm, cycle, prev, nb)
-            inflight.append((fname, cycle, open_refs, late_count, new_wm,
-                             closed_dir, nrows - late_count))
+            closed_refs, open_refs = self._launch_cycle(
+                path, fname, wm, new_wm, late_count, cycle, prev, nb)
+            inflight.append((fname, cycle, closed_refs, open_refs,
+                             late_count, new_wm, nrows - late_count))
             prev = open_refs  # chain per-bucket refs into the next cycle
             wm = new_wm
             cycle += 1
@@ -708,9 +654,8 @@ class StreamingSessionJob:
             return pd.DataFrame()
         closed = open_prev.sort_values(["conv_id", "session_start"]).reset_index(drop=True)
         cycle = int(state.get("cycles", 0))
-        out = os.path.join(self.closed_dir, f"closed-{cycle:05d}.parquet")
-        _clear_output(out)
-        write_parquet_atomic(closed, out)
+        write_parquet_atomic(closed, os.path.join(
+            self.closed_dir, f"closed-{cycle:05d}.parquet"))
         fsync_dirs(self.closed_dir)
         open_fname = self.cp.stage_open_sessions(closed.iloc[0:0], cycle)
         state["open_sessions_file"] = open_fname

@@ -326,11 +326,55 @@ def test_statless_stream_matches_stats_stream(ray_session, tmp_path):
     assert any(k.startswith("late") for k in f_stats)
 
 
+def _output_digests(state_dir: str) -> dict:
+    """sha1 of every file under a stream state dir but the checkpoint,
+    by relative name; a sink manifest (it records wall-clock write
+    timings) by name only."""
+    from tests.test_keyed_stream import _digests
+
+    return {k: None if "_manifest" in k else v
+            for k, v in _digests(state_dir).items()}
+
+
+def test_nanosecond_pre_epoch_row_routes_late_in_both_placements(
+        ray_session, tmp_path):
+    """A ``timestamp[ns]`` stream whose first row sits 500 ns before the
+    epoch: µs conversion floors it to −1 µs, below the initial watermark
+    0, in the zone-map count and in both placements' late filters alike,
+    so the in-process and exchange runs route it late and write the
+    same files."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    stream = tmp_path / "stream"
+    stream.mkdir()
+    pq.write_table(pa.table({
+        "conv_id": ["a", "a", "b"],
+        "turn_idx": pa.array([0, 1, 0], pa.int32()),
+        "role": ["user"] * 3, "text": ["x"] * 3, "tool": ["click"] * 3,
+        "ts": pa.array([-500, 60 * 10**9, 120 * 10**9], pa.timestamp("ns")),
+    }), str(stream / "batch-00000.parquet"))
+
+    runs = []
+    for name, thr in (("local", 10**9), ("exchange", 0)):
+        job = StreamingSessionJob(str(stream), str(tmp_path / name),
+                                  gap_s=30, ray_cycle_threshold=thr)
+        results = job.run_all()
+        job.flush()
+        runs.append((results, _output_digests(job.cp.path)))
+        late = pd.read_parquet(os.path.join(job.late_dir,
+                                            "late-batch-00000.parquet"))
+        assert late["turn_idx"].tolist() == [0]
+    assert runs[0][0][0]["late"] == 1 and runs[0][0][0]["rows"] == 2
+    assert runs[0] == runs[1]
+
+
 class TestDatasetNativeCycle:
     """Above RAY_CYCLE_THRESHOLD a cycle runs on the hash exchange
     end-to-end (pinned read → late split → per-bucket chain→sink +
-    sessionize). The two paths must produce byte-identical sink output
-    and identical session/late accounting, at two buckets and at one."""
+    sessionize). The two paths must write the same files with the same
+    bytes and identical session/late accounting, at two buckets and at
+    one."""
 
     def test_paths_byte_identical(self, ray_session, tmp_path, monkeypatch):
         import ray
@@ -387,6 +431,9 @@ class TestDatasetNativeCycle:
             assert rds == rp
             # byte-identical exactly-once sink output
             assert jd.processed_sha1() == jp.processed_sha1()
+            # one layout: the same files (sink parts, closed, late, open
+            # snapshot) with the same bytes in both placements
+            assert _output_digests(jd.cp.path) == _output_digests(jp.cp.path)
             # identical closed sessions
             key = ["conv_id", "session_start"]
             pd.testing.assert_frame_equal(
@@ -436,9 +483,9 @@ class TestDatasetNativeCycle:
 def test_replay_after_threshold_change(ray_session, tmp_path, first, replay):
     """A cycle that routed a late row and closed a session loses its
     commit; a fresh job replays it under the OTHER placement (the
-    threshold changed between runs). The replay replaces the single
-    file / directory the first placement left at the late and closed
-    paths, and converges on the uncrashed run's sessions."""
+    threshold changed between runs). Both placements write the late and
+    closed outputs as single files, so the replay overwrites the lost
+    cycle's files and converges on the uncrashed run's bytes."""
     batches = [
         [("a", "2024-01-01 00:00:00"), ("c", "2024-01-01 01:00:00")],
         [("a", "2024-01-01 02:00:00"), ("b", "2023-12-31 00:00:00")],
@@ -461,17 +508,16 @@ def test_replay_after_threshold_change(ray_session, tmp_path, first, replay):
         job.run_cycle()
     late_path = os.path.join(job.late_dir, "late-batch-00001.parquet")
     closed_path = os.path.join(job.closed_dir, "closed-00001.parquet")
-    # the lost cycle's outputs sit in the first placement's layout
-    assert os.path.isdir(late_path) == os.path.isdir(closed_path) == (
-        first == 0)
+    # the lost cycle's outputs are single files in either placement
+    assert os.path.isfile(late_path) and os.path.isfile(closed_path)
 
     again = StreamingSessionJob(s, sd, gap_s=1800,
                                 ray_cycle_threshold=replay)
     again.run_all()
     again.flush()
-    assert os.path.isdir(late_path) == os.path.isdir(closed_path) == (
-        replay == 0)
+    assert os.path.isfile(late_path) and os.path.isfile(closed_path)
     assert pd.read_parquet(late_path)["conv_id"].tolist() == ["b"]
+    assert _output_digests(sd) == _output_digests(ref.cp.path)
     key = ["conv_id", "session_start"]
     pd.testing.assert_frame_equal(
         again.closed_sessions().sort_values(key).reset_index(drop=True),
@@ -558,9 +604,9 @@ def test_outputs_durable_before_commit(tmp_path, monkeypatch, run):
 def test_exchange_late_output_durable_before_commit(ray_session, tmp_path,
                                                     monkeypatch):
     """A hash-exchange session cycle (threshold 0) that routes a late row
-    writes it from the driver as ``late-{file}/part-00000.parquet``:
-    fsynced before its rename, and its directory fsynced before the
-    checkpoint commit of that cycle."""
+    writes it from the driver as the single file ``late-{file}`` the
+    in-process placement writes: fsynced before its rename, and
+    ``late_dir`` fsynced before the checkpoint commit of that cycle."""
     from imagor_ray.state.checkpoint import Checkpoint
     from imagor_ray.state.storage import LocalStorage
 
@@ -588,15 +634,15 @@ def test_exchange_late_output_durable_before_commit(ray_session, tmp_path,
                               ray_cycle_threshold=0)
     job.run_all()
 
-    late_dir = os.path.join(job.late_dir, "late-batch-00001.parquet")
-    late_file = os.path.join(late_dir, "part-00000.parquet")
-    assert os.listdir(late_dir) == ["part-00000.parquet"]
+    late_file = os.path.join(job.late_dir, "late-batch-00001.parquet")
+    assert os.listdir(job.late_dir) == ["late-batch-00001.parquet"]
+    assert os.path.isfile(late_file)
     assert pd.read_parquet(late_file)["conv_id"].tolist() == ["zz"]
     renamed = next(i for i, (k, a) in enumerate(events)
                    if k == "replace" and a[1] == late_file)
     assert ("fsync_file", events[renamed][1][0]) in events[:renamed]
-    dir_synced = events.index(("fsync_dir", late_dir))
-    assert dir_synced > renamed
+    # late_dir is fsynced at every commit: find the one after the rename
+    dir_synced = events.index(("fsync_dir", job.late_dir), renamed)
     # the commit that makes cycle 1 visible comes after the dir fsync
     assert events.index(("save", 2)) > dir_synced
 
@@ -654,8 +700,7 @@ class TestCrashPointSweep:
 
 def test_cli_stream_end_to_end(tmp_path):
     """`python -m imagor_ray stream` drives the full streaming job from
-    the command line (cmd/imagor analogue) incl. the config-bound
-    cycle-threshold flag."""
+    the command line (cmd/imagor analogue)."""
     import json
     import subprocess
     import sys
@@ -667,7 +712,7 @@ def test_cli_stream_end_to_end(tmp_path):
     r = subprocess.run(
         [sys.executable, "-m", "imagor_ray", "stream",
          "--input", s, "--state", str(tmp_path / "st"),
-         "--buckets", "2", "--cycle-threshold", "100000", "--flush"],
+         "--buckets", "2", "--flush"],
         capture_output=True, text=True, cwd="/root/repo",
         env={**__import__("os").environ, "RAY_ADDRESS": "local"},
     )
