@@ -1,8 +1,9 @@
 """Keyed-watermark cycle runtime — the ONE driver loop behind the
 micro-batch stream operators (stream-stream and temporal joins,
-broadcast rules, dedup, CEP, SCD2, the update-mode session changelog
-and the windowed and top-k changelogs). A job declares only what is
-specific to it:
+broadcast rules, dedup, CEP, SCD2, the update-mode session changelog,
+the windowed and top-k changelogs, and the append-mode session stream
+and streaming flagship of :mod:`.streaming`). A job declares only what
+is specific to it:
 
 - its state: a packed snapshot frame
   (``_empty_state``/``_load_state``, and pack/unpack helpers where the
@@ -21,20 +22,24 @@ watermark ``max(wm, file_max_ts − lateness)`` from the ONE zone-map
 source (:func:`file_max_ts` — never from rows a tag pruned), the
 ``finalized`` guard, the late split (rows with ``ts_us < wm`` route to
 ``late-{cycle}`` sorted by ``event_id``), the durable atomic parquet
-writer every emission/late/timeout file goes through, the single
-commit (output directories fsynced → ``stage_open_sessions`` →
-``save`` → ``gc_open_sessions``),
-the ``cycle_metrics`` entry, ``run_all`` totals and output read-back.
+writer every emission/late/timeout file goes through, the
+``cycle_metrics`` entry, ``run_all`` totals, output read-back and ONE
+commit (:meth:`KeyedStreamJob._commit`: stage the snapshot → fsync the
+output directories → ``save`` → ``gc_open_sessions``) that every cycle
+and every end-of-stream flush of every job goes through. The session
+stream's cycle is not one driver kernel pass, so it overrides
+``_execute`` (two placements, the hash exchange above a row threshold)
+and its ``run_all`` (pipelined exchange cycles) and keeps the rest.
 
-One pass, one file layout. Every cycle tags its inputs, splits off the
-late rows and runs the kernel ONCE, in the driver, over ``state ∪
-on-time rows``, and writes each output (late and every emission) as
-ONE ``{name}-{cycle:05d}.parquet`` file, whatever the cycle's size.
-No cycle starts Ray work, so the kernel's pandas fixed cost and each
-output's conversion and fsync are paid once per cycle (BENCH.md, notes
-after finding 26). The price is that a cycle's tagged rows, the state
-and the cycle's emissions sit in driver memory together, so a cycle
-file must fit there.
+One pass, one file layout. Every keyed cycle tags its inputs, splits
+off the late rows and runs the kernel ONCE, in the driver, over
+``state ∪ on-time rows``, and writes each output (late and every
+emission) as ONE ``{name}-{cycle:05d}.parquet`` file, whatever the
+cycle's size. No keyed cycle starts Ray work, so the kernel's pandas
+fixed cost and each output's conversion and fsync are paid once per
+cycle (BENCH.md, notes after finding 26). The price is that a cycle's
+tagged rows, the state and the cycle's emissions sit in driver memory
+together, so a cycle file must fit there.
 Crash replay reruns the cycle against the committed pre-cycle state
 and overwrites identical bytes: every emission is written in a
 deterministic order (the kernel's, or its ``EMIT_ORDER``) and
@@ -53,16 +58,16 @@ import pyarrow.parquet as pq
 from ..state.checkpoint import Checkpoint
 from ..state.storage import LocalStorage
 
-__all__ = ["KeyedStreamJob", "file_max_ts", "footer_late_stats", "fsync_dirs",
-           "pending_inputs", "side_counts", "write_parquet_atomic"]
+__all__ = ["KeyedStreamJob", "file_max_ts", "footer_late_stats",
+           "side_counts", "write_parquet_atomic"]
 
 
 def write_parquet_atomic(data: pd.DataFrame | pa.Table, path: str) -> None:
     """THE single-file writer of the stream jobs: tmp file, fsync, atomic
     rename, so a reader (or a replay) never observes a torn file, a
     rewrite is an overwrite, and once the caller has fsynced the
-    directory (:func:`fsync_dirs`, before its checkpoint commit) the file
-    survives a power loss. ``data`` is a DataFrame
+    directory (:meth:`KeyedStreamJob._commit`) the file survives a
+    power loss. ``data`` is a DataFrame
     (``to_parquet(index=False)``) or an Arrow table, written with the
     same snappy ``pq.write_table`` that call ends in."""
     tmp = path + ".tmp"
@@ -73,22 +78,6 @@ def write_parquet_atomic(data: pd.DataFrame | pa.Table, path: str) -> None:
     with open(tmp, "rb") as f:
         LocalStorage().fsync_file(f)
     os.replace(tmp, path)
-
-
-def fsync_dirs(*paths: str) -> None:
-    """fsync each existing directory of ``paths`` once, so the renames a
-    cycle made into it are durable before the checkpoint commit."""
-    st = LocalStorage()
-    for d in paths:
-        if os.path.isdir(d):
-            st.fsync_dir(d)
-
-
-def pending_inputs(d: str, done) -> list[str]:
-    """The ``*.parquet`` files of ``d`` not in ``done``, in name (==
-    arrival) order."""
-    return [f for f in sorted(os.listdir(d))
-            if f.endswith(".parquet") and f not in done]
 
 
 def _stat_us(v) -> int:
@@ -225,11 +214,12 @@ class KeyedStreamJob:
 
     # -- plumbing ------------------------------------------------------
 
-    _pending = staticmethod(pending_inputs)
-
-    def pending_files(self) -> list[str]:
-        return self._pending(self.input_dir,
-                             set(self.cp.load().get("processed", [])))
+    @staticmethod
+    def _pending(d: str, done) -> list[str]:
+        """The ``*.parquet`` files of ``d`` not in ``done``, in name (==
+        arrival) order."""
+        return [f for f in sorted(os.listdir(d))
+                if f.endswith(".parquet") and f not in done]
 
     _file_max_ts = staticmethod(file_max_ts)
 
@@ -238,8 +228,13 @@ class KeyedStreamJob:
             raise RuntimeError(self.FINALIZED_MSG)
 
     def _fsync_outputs(self) -> None:
-        fsync_dirs(*(getattr(self, f"{name}_dir")
-                     for name in (*self.OUTPUTS, "late")))
+        """fsync each output directory once, so the renames a cycle made
+        into it are durable before the checkpoint commit."""
+        st = LocalStorage()
+        for name in (*self.OUTPUTS, "late"):
+            d = getattr(self, f"{name}_dir")
+            if os.path.isdir(d):
+                st.fsync_dir(d)
 
     def _read_back(self, name: str, sort: list | None,
                    empty: pd.DataFrame) -> pd.DataFrame:
@@ -256,12 +251,17 @@ class KeyedStreamJob:
     # -- the cycle -----------------------------------------------------
 
     def run_cycle(self) -> dict | None:
-        pending = self.pending_files()
+        state = self.cp.load()
+        pending = self._pending(self.input_dir,
+                                set(state.get("processed", [])))
         if not pending:
             return None
-        state = self.cp.load()
         self._check_open(state)
-        fname = pending[0]
+        return self._run_file(state, pending[0])
+
+    def _run_file(self, state: dict, fname: str) -> dict:
+        """The cycle of input file ``fname`` against the loaded
+        ``state``."""
         wm = int(state.get("watermark_us", 0))
         path = os.path.join(self.input_dir, fname)
         max_ts = self._file_max_ts(path)
@@ -270,18 +270,26 @@ class KeyedStreamJob:
         return self._cycle(state, [(path, self.READ_COLS, self._tag)],
                            wm, new_wm, fname)
 
-    def _cycle(self, state: dict, inputs: list, wm: int, new_wm: int,
+    def _cycle(self, state: dict, inputs, wm: int, new_wm: int,
                label: str) -> dict:
-        """Execute + post-gather + the single commit. ``inputs`` is a
-        list of ``(path, columns, tag)``."""
-        cycle = int(state.get("cycles", 0))
-        nxt, counts = self._execute(inputs, wm, new_wm, cycle,
+        """Execute + :meth:`_commit_cycle`. ``inputs`` is what the job's
+        ``_execute`` reads: for the runtime's kernel pass, a list of
+        ``(path, columns, tag)``."""
+        nxt, counts = self._execute(inputs, wm, new_wm,
+                                    int(state.get("cycles", 0)),
                                     self._load_state(state))
-        snap, more = self._post_gather(state, nxt, new_wm, cycle)
-        counts.update(more)
+        return self._commit_cycle(state, label, new_wm, nxt, counts)
 
-        open_fname = self.cp.stage_open_sessions(snap, cycle)
-        state["open_sessions_file"] = open_fname
+    def _commit_cycle(self, state: dict, label: str, new_wm: int,
+                      nxt: pd.DataFrame, counts: dict) -> dict:
+        """A cycle's driver tail once its execution is done:
+        post-gather, the state advance, the ``cycle_metrics`` entry and
+        :meth:`_commit`. Mutates ``state`` in place, so a pipelined
+        caller keeps committing against its own loaded copy; returns
+        the cycle's result."""
+        cycle = int(state.get("cycles", 0))
+        snap, more = self._post_gather(state, nxt, new_wm, cycle)
+        counts = {**counts, **more}
         state["watermark_us"] = int(new_wm)
         if self.TRACK_LATE_ROWS:
             state["late_rows"] = (int(state.get("late_rows", 0))
@@ -292,10 +300,24 @@ class KeyedStreamJob:
                   **self._state_metrics(snap)}
         state["cycle_metrics"] = (list(state.get("cycle_metrics", []))
                                   + [result])
+        self._commit(state, snap, cycle)
+        return result
+
+    def _commit(self, state: dict, snap: pd.DataFrame | None = None,
+                cycle: int = 0) -> None:
+        """THE commit of every stream job, cycle or end of stream:
+        stage ``snap`` (the new state, if it changed) as the
+        cycle-versioned snapshot ``state`` records, fsync every output
+        directory, save ``state`` — the single commit point: a crash
+        before it replays against the previous snapshot — and drop the
+        snapshots it no longer references."""
+        if snap is not None:
+            state["open_sessions_file"] = self.cp.stage_open_sessions(
+                snap, cycle)
         self._fsync_outputs()
         self.cp.save(state)
-        self.cp.gc_open_sessions(keep=open_fname)
-        return result
+        if snap is not None:
+            self.cp.gc_open_sessions(keep=state["open_sessions_file"])
 
     def run_all(self) -> dict:
         totals = dict.fromkeys(("cycles", *self.COUNTERS), 0)
@@ -312,8 +334,7 @@ class KeyedStreamJob:
         state = self.cp.load()
         n = flush(self._load_state(state))
         state["finalized"] = True
-        self._fsync_outputs()
-        self.cp.save(state)
+        self._commit(state)
         return n
 
     def _final_path(self, name: str) -> str:

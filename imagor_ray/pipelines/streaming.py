@@ -1,41 +1,45 @@
-"""Micro-batch streaming driver: the event-time loop that turns the batch
-DAG into a structured-streaming job.
+"""Micro-batch session stream: the event-time sessionization job and the
+flagship DAG as one continuous job, on the keyed-watermark runtime
+(:mod:`.keyed_stream`).
 
 Ray Data has no native event-time runtime (ray_guide: streaming-shaped
-workloads), so progress lives in the driver + checkpoint (SURVEY §7.4.2):
+workloads), so progress lives in the driver + checkpoint (SURVEY §7.4.2).
+The runtime owns the ordered input log (parquet micro-batch files, name
+== arrival order), pending-file discovery, the checkpoint's state
+advance, the ONE commit and output read-back; this module declares
+what is specific to sessions:
 
-- the input is an ordered log of parquet micro-batch files (a directory,
-  ordered by name == arrival order);
-- each cycle processes the next unprocessed file through the flagship
-  chain into the exactly-once sink (bucket partitions are keyed per
-  cycle so replays of a cycle are idempotent);
-- the **watermark** advances to ``max(event ts seen) − allowed_lateness``
-  and is persisted in the checkpoint; rows arriving with
-  ``ts < watermark`` are routed to a late/dead-letter output — the
-  event-time analogue of imagor's ``expire()`` rejection
+- the state is the **open sessions** (conversations whose last turn is
+  within the session gap of the watermark) as summaries, carried across
+  cycles in the checkpoint and re-injected, so sessions spanning
+  micro-batches close exactly once, when the watermark passes
+  ``last_ts + gap``; ``closed`` is the one output;
+- the **watermark** advances to ``max(event ts seen) − allowed_lateness``;
+  rows arriving with ``ts < watermark`` are routed to a late/dead-letter
+  output — the event-time analogue of imagor's ``expire()`` rejection
   (``imagor.go:314-322, 991-1003``);
-- **open sessions** (conversations whose last turn is within the session
-  gap of the watermark) are carried across cycles in the checkpoint and
-  re-injected, so sessions spanning micro-batches close exactly once,
-  when the watermark passes ``last_ts + gap``;
-- killing the driver between cycles and restarting resumes from the
-  checkpoint with byte-identical emitted output (asserted in tests);
 - a cycle runs ONE per-bucket body, :func:`_bucket_cycle` (chain→sink
-  partition write, sessionize, close split), in one of two placements.
-  Cycles above ``RAY_CYCLE_THRESHOLD`` rows run it on the engine's one
-  raw two-stage hash exchange (``pipelines/exchange.py``): one Arrow
-  read pinned via ``materialize()``, split tasks that drop the late
-  rows and cut each block into conv-bucket shards, and one reduce task
-  per bucket — only session summaries return to the driver. Smaller
-  cycles run it in-process, starting no Ray work (Ray per-task
-  overhead dominates them) (BENCH.md finding 20 and its 2026-10-17
-  note);
+  partition write, sessionize, close split), in one of two placements
+  (:meth:`StreamingSessionJob._execute`). Cycles above
+  ``RAY_CYCLE_THRESHOLD`` rows run it on the engine's one raw two-stage
+  hash exchange (``pipelines/exchange.py``): one Arrow read pinned via
+  ``materialize()``, split tasks that drop the late rows and cut each
+  block into conv-bucket shards, and one reduce task per bucket — only
+  session summaries return to the driver. Smaller cycles run it
+  in-process, starting no Ray work (Ray per-task overhead dominates
+  them) (BENCH.md finding 20 and its 2026-10-17 note);
 - both placements write the same files: the late count, the row count
   and the watermark come from parquet zone maps
   (:func:`footer_late_stats`), the late rows go to one
-  ``late/late-{file}`` and the closed summaries of a cycle to one
-  ``closed/closed-{cycle:05d}.parquet`` (:meth:`_finish_cycle`), so
-  the threshold never changes an emitted byte.
+  ``late/late-{file}`` (full rows, written only when a row is late) and
+  the closed summaries of a cycle to one
+  ``closed/closed-{cycle:05d}.parquet`` (:meth:`_finish_cycle`, written
+  only when a session closed), so the threshold never changes an
+  emitted byte;
+- ``run_all`` prefetches upcoming reads and pipelines consecutive
+  exchange cycles, committing strictly in cycle order; killing the
+  driver between cycles and restarting resumes from the checkpoint
+  with byte-identical emitted output (asserted in tests).
 """
 
 from __future__ import annotations
@@ -49,15 +53,13 @@ import pyarrow as pa
 
 from ..functions.hashing import crc32_bucket
 from ..stages.windows import ts_us
-from ..state.checkpoint import Checkpoint
 # ``_exchange_fns`` (the exchange's split/reduce remote functions) is
 # imported under this name only because perfbench/trace.py wraps them
 # through it
 from .exchange import _fns as _exchange_fns  # noqa: F401
 from .exchange import exchange_refs
 from .keyed_stream import (
-    _column_us, footer_late_stats, fsync_dirs, pending_inputs,
-    write_parquet_atomic,
+    KeyedStreamJob, _column_us, footer_late_stats, write_parquet_atomic,
 )
 
 __all__ = ["StreamingSessionJob", "StreamingFlagshipJob"]
@@ -154,7 +156,7 @@ def _late_rows(wm: int, tbl):
     return tbl.filter(pa.array(_column_us(tbl["ts"]) < wm))
 
 
-class StreamingSessionJob:
+class StreamingSessionJob(KeyedStreamJob):
     """Sessionization over a micro-batch file stream with watermarks.
 
     Emits CLOSED session summaries per cycle (a session closes when the
@@ -162,6 +164,11 @@ class StreamingSessionJob:
     checkpoint. Late rows (ts < watermark at arrival) go to the
     late-rows output, not into sessions.
     """
+
+    OUTPUTS = ("closed",)
+    COUNTERS = ("rows", "closed", "late")
+    STATE_ORDER = ["conv_id", "session_start"]
+    TRACK_LATE_ROWS = True
 
     def __init__(
         self,
@@ -172,65 +179,47 @@ class StreamingSessionJob:
         ray_cycle_threshold: int | None = None,
         cycle_engine: str = "tasks",
     ):
-        self.input_dir = input_dir
-        self.cp = Checkpoint(state_dir)
-        self.gap_s = gap_s
-        self.lateness_us = allowed_lateness_s * 1_000_000
         if cycle_engine != "tasks":
             # the keyword stays for callers that name the engine; the
             # hash exchange is the only large-cycle path
             raise ValueError(f"unknown cycle_engine: {cycle_engine!r}")
+        super().__init__(input_dir, state_dir, allowed_lateness_s)
+        self.gap_s = gap_s
         if ray_cycle_threshold is not None:
             # instance override of the class constant: it moves cycles
             # between the two placements, which write the same files
             self.RAY_CYCLE_THRESHOLD = ray_cycle_threshold
         #: (fname, thread, holder) of an in-flight next-cycle raw read
         self._prefetch: dict = {}
-        self.closed_dir = os.path.join(state_dir, "closed")
-        self.late_dir = os.path.join(state_dir, "late")
-        os.makedirs(self.closed_dir, exist_ok=True)
-        os.makedirs(self.late_dir, exist_ok=True)
 
-    # -- helpers -----------------------------------------------------------
+    def _empty_state(self) -> pd.DataFrame:
+        return _empty_summaries()
 
-    def pending_files(self) -> list[str]:
-        return pending_inputs(self.input_dir,
-                              set(self.cp.load().get("processed", [])))
+    def _state_metrics(self, snap: pd.DataFrame) -> dict:
+        return {"open": int(len(snap))}
 
     # -- one cycle ---------------------------------------------------------
 
     #: above this many rows the WHOLE cycle runs on the hash exchange
-    #: (:meth:`_cycle_tasks`) — pinned read → late split → per-bucket
+    #: (:meth:`_launch_cycle`) — pinned read → late split → per-bucket
     #: :func:`_bucket_cycle` — with only session summaries returning to
     #: the driver (nothing row-scale crosses it). Below it the same body
-    #: runs in-process (:meth:`_cycle_pandas`): Ray per-task overhead
-    #: dominates tiny cycles. Both placements write the same files, so
-    #: this constant chooses where a cycle runs, never what it emits.
+    #: runs in-process: Ray per-task overhead dominates tiny cycles.
+    #: Both placements write the same files, so this constant chooses
+    #: where a cycle runs, never what it emits.
     RAY_CYCLE_THRESHOLD = 150_000
 
-    def run_cycle(self) -> dict | None:
-        """Process the next micro-batch file; returns the cycle summary or
-        None when the input is exhausted."""
-        pending = self.pending_files()
-        if not pending:
-            return None
-        fname = pending[0]
-        state = self.cp.load()
-        watermark = int(state.get("watermark_us", 0))
-        cycle = int(state.get("cycles", 0))
+    def _run_file(self, state: dict, fname: str, stats=None) -> dict:
+        """The cycle of input file ``fname`` against the loaded
+        ``state``: :meth:`run_cycle`'s entry, and :meth:`run_all`'s for
+        the cycles it does not pipeline, which hand over the footer
+        ``stats`` they already read (:meth:`_cycle_stats`)."""
+        wm = int(state.get("watermark_us", 0))
         path = os.path.join(self.input_dir, fname)
-        # read the snapshot COMMITTED by the checkpoint, never a staged one
-        open_prev = self.cp.load_open_sessions(state)
-
-        late_count, nrows, new_watermark = self._cycle_stats(path, watermark)
-        runner = (self._cycle_tasks if nrows > self.RAY_CYCLE_THRESHOLD
-                  else self._cycle_pandas)
-        still_open, closed_count = runner(path, fname, watermark,
-                                          new_watermark, late_count, cycle,
-                                          open_prev)
-        return self._commit_cycle(state, fname, cycle, still_open,
-                                  closed_count, late_count, new_watermark,
-                                  nrows - late_count)
+        late_count, nrows, new_wm = stats or self._cycle_stats(path, wm)
+        state["processed"] = list(state.get("processed", [])) + [fname]
+        return self._cycle(state, (path, late_count, nrows), wm, new_wm,
+                           fname)
 
     def _cycle_stats(self, path: str, wm: int) -> tuple[int, int, int]:
         """``(late_count, total_rows, new_watermark)`` of a cycle file
@@ -247,81 +236,70 @@ class StreamingSessionJob:
     def _late_path(self, fname: str) -> str:
         return os.path.join(self.late_dir, f"late-{fname}")
 
-    def _finish_cycle(self, cycle: int, closed: list, opens: list
-                      ) -> tuple[pd.DataFrame, int]:
+    def _execute(self, inputs: tuple, wm: int, new_wm: int, cycle: int,
+                 st: pd.DataFrame):
+        """The cycle's two placements of :func:`_bucket_cycle`.
+        ``inputs`` is ``(path, late_count, rows)`` from the file's zone
+        maps. Above ``RAY_CYCLE_THRESHOLD`` rows the cycle runs on the
+        hash exchange (:meth:`_launch_cycle`), waited on; no sort
+        sampling, no boundary exchange, no per-cycle streaming-executor
+        plan — the fixed cost a sub-second cycle pays under Ray Data's
+        groupby (BENCH.md finding 19/20). Otherwise it runs in-process,
+        starting no Ray work: read and late split (against the
+        PRE-advance watermark), then the body once (no grouped work) or
+        per conv bucket in ascending order. Both end in
+        :meth:`_finish_cycle`."""
+        path, late_count, nrows = inputs
+        fname = os.path.basename(path)
+        if nrows > self.RAY_CYCLE_THRESHOLD:
+            import ray
+
+            nb = self._cycle_bucket_count()
+            closed, opens = map(ray.get, self._launch_cycle(
+                path, fname, wm, new_wm, late_count, cycle,
+                self._split_summaries(st, nb), nb))
+        else:
+            batch = pd.read_parquet(path)
+            if late_count:
+                late_mask = ts_us(batch["ts"]) < wm
+                write_parquet_atomic(batch[late_mask],
+                                     self._late_path(fname))
+                batch = batch[~late_mask]
+            work = (self._make_grouped_cycle_work(cycle) if len(batch)
+                    else None)
+            if work is None:
+                units = [(0, batch, st)]
+            else:
+                nb = self._cycle_bucket_count()
+                bk = crc32_bucket(batch["conv_id"].to_numpy(), nb)
+                units = [(b, batch[bk == b].reset_index(drop=True), prev)
+                         for b, prev in enumerate(
+                             self._split_summaries(st, nb))]
+            closed, opens = zip(*[
+                _bucket_cycle(b, new_wm, self.gap_s, work, prev, turns)
+                for b, turns, prev in units])
+        return self._finish_cycle(cycle, closed, opens, late_count, nrows)
+
+    def _finish_cycle(self, cycle: int, closed, opens, late_count: int,
+                      nrows: int) -> tuple[pd.DataFrame, dict]:
         """THE cycle tail of both placements: sort the buckets' closed
         halves into one ``closed-{cycle:05d}.parquet`` (written only when
         a session closed; a replay overwrites it with the same bytes)
         and the still-open halves into the carry. Returns
-        ``(still_open, closed_count)``."""
+        ``(still_open, counters)``."""
         closed = _sorted_summaries(closed)
         if len(closed):
             write_parquet_atomic(closed, os.path.join(
                 self.closed_dir, f"closed-{cycle:05d}.parquet"))
-        return _sorted_summaries(opens), len(closed)
+        return _sorted_summaries(opens), {
+            "rows": nrows - late_count, "closed": len(closed),
+            "late": late_count}
 
-    def _commit_cycle(self, state: dict, fname: str, cycle: int,
-                      still_open: pd.DataFrame, closed_count: int,
-                      late_count: int, new_watermark: int,
-                      n_ontime: int) -> dict:
-        """Single atomic commit point of a cycle: stage the post-cycle
-        open-session snapshot under a cycle-versioned name (only visible
-        once checkpoint.json records it — a crash between staging and
-        ``cp.save`` replays the cycle against the pre-cycle snapshot,
-        keeping the byte-identical-replay guarantee), then advance the
-        checkpoint (output directories fsynced first). Mutates ``state``
-        in place so a pipelined caller can keep committing against its
-        own loaded copy."""
-        fsync_dirs(self.late_dir, self.closed_dir)
-        open_fname = self.cp.stage_open_sessions(still_open, cycle)
-        state["open_sessions_file"] = open_fname
-        state["watermark_us"] = new_watermark
-        state["processed"] = list(state.get("processed", [])) + [fname]
-        state["late_rows"] = int(state.get("late_rows", 0)) + int(late_count)
-        state["cycles"] = cycle + 1
-        result = {
-            "file": fname,
-            "watermark_us": new_watermark,
-            "rows": int(n_ontime),
-            "closed": int(closed_count),
-            "open": len(still_open),
-            "late": int(late_count),
-        }
-        # per-cycle metrics ride in the checkpoint (lineage + metrics)
-        state["cycle_metrics"] = list(state.get("cycle_metrics", [])) + [result]
-        self.cp.save(state)
-        self.cp.gc_open_sessions(keep=open_fname)
-        return result
-
-    # -- cycle execution paths --------------------------------------------
-
-    def _cycle_pandas(self, path, fname, watermark, new_watermark,
-                      late_count, cycle, open_prev
-                      ) -> tuple[pd.DataFrame, int]:
-        """In-process cycle for small micro-batches, starting no Ray work:
-        read and late split (against the PRE-advance watermark), then
-        the reducers' body :func:`_bucket_cycle` once (no grouped work)
-        or per conv bucket in ascending order. Returns
-        ``(still_open, closed_count)``."""
-        batch = pd.read_parquet(path)
-        if late_count:
-            late_mask = ts_us(batch["ts"]) < watermark
-            write_parquet_atomic(batch[late_mask], self._late_path(fname))
-            batch = batch[~late_mask]
-
-        work = self._make_grouped_cycle_work(cycle) if len(batch) else None
-        if work is None:
-            units = [(0, batch, open_prev)]
-        else:
-            nb = self._cycle_bucket_count()
-            bk = crc32_bucket(batch["conv_id"].to_numpy(), nb)
-            units = [(b, batch[bk == b].reset_index(drop=True), prev)
-                     for b, prev in enumerate(
-                         self._split_summaries(open_prev, nb))]
-        closed, opens = zip(*[
-            _bucket_cycle(b, new_watermark, self.gap_s, work, prev, turns)
-            for b, turns, prev in units])
-        return self._finish_cycle(cycle, closed, opens)
+    def _commit_cycle(self, state: dict, label: str, new_wm: int,
+                      nxt: pd.DataFrame, counts: dict) -> dict:
+        # defined here, not only inherited: perfbench's span wrappers
+        # patch this class's own ``_commit_cycle`` entry
+        return super()._commit_cycle(state, label, new_wm, nxt, counts)
 
     def _cycle_bucket_count(self) -> int:
         return _cluster_width()
@@ -361,11 +339,11 @@ class StreamingSessionJob:
         return raw
 
     @staticmethod
-    def _split_summaries(open_prev: pd.DataFrame | None, nb: int) -> list:
+    def _split_summaries(open_prev: pd.DataFrame, nb: int) -> list:
         """Per-bucket slices of an open-session summary frame (crc32
         conv bucketing — the job's one partitioning key)."""
         prev: list = [None] * nb
-        if open_prev is not None and len(open_prev):
+        if len(open_prev):
             pb = crc32_bucket(open_prev["conv_id"].to_numpy(), nb)
             for b in np.unique(pb):
                 prev[int(b)] = open_prev[pb == b].reset_index(drop=True)
@@ -391,25 +369,6 @@ class StreamingSessionJob:
             [(b, new_wm, self.gap_s, work, prev[b]) for b in range(nb)],
             num_returns=2)
         return [c for c, _ in refs], [o for _, o in refs]
-
-    def _cycle_tasks(self, path, fname, watermark, new_watermark,
-                     late_count, cycle, open_prev
-                     ) -> tuple[pd.DataFrame, int]:
-        """One large cycle on the raw two-stage hash exchange, waited
-        on: launch, gather the reducers' halves, :meth:`_finish_cycle`.
-        No sort sampling, no boundary exchange, no per-cycle
-        streaming-executor plan — the fixed cost a sub-second cycle
-        pays under Ray Data's groupby (BENCH.md finding 19/20).
-        Returns ``(still_open, closed_count)`` like
-        :meth:`_cycle_pandas`."""
-        import ray
-
-        nb = self._cycle_bucket_count()
-        closed_refs, open_refs = self._launch_cycle(
-            path, fname, watermark, new_watermark, late_count, cycle,
-            self._split_summaries(open_prev, nb), nb)
-        return self._finish_cycle(cycle, ray.get(closed_refs),
-                                  ray.get(open_refs))
 
     @staticmethod
     def _sessionize_with_start(turns: pd.DataFrame, gap_s: int) -> pd.DataFrame:
@@ -509,9 +468,9 @@ class StreamingSessionJob:
         t.join()
         return holder.get("ds")
 
-    #: max cycles in flight under the pipelined ``run_all`` loop (the
-    #: oldest is committed before another launches; depth 1 runs the
-    #: plain ``run_cycle`` loop). Depth 2 overlaps
+    #: max cycles in flight under ``run_all`` (the oldest is committed
+    #: before another launches, so depth 1 commits each cycle before
+    #: the next starts). Depth 2 overlaps
     #: cycle N+1's read/split/launch with cycle N's reducer drain —
     #: the fixed per-cycle exchange cost stops serializing with compute
     #: (the round-4 streaming-scaling residue); deeper pipelines only
@@ -525,38 +484,23 @@ class StreamingSessionJob:
     #: 134k/243k and 220k/267k t/s (depth 2 LOSES 15-45%: a saturated
     #: cycle has no idle gaps to fill, so overlap only doubles the
     #: object-store working set). Cycles above this row count drain
-    #: the pipeline and run the unpipelined committed path — same
-    #: footer-only dispatch idiom as flagship_write(engine='auto').
+    #: the pipeline and run unpipelined — same footer-only dispatch
+    #: idiom as flagship_write(engine='auto').
     PIPELINE_ROW_MAX = 2_000_000
 
     def run_all(self) -> list[dict]:
-        if self.PIPELINE_DEPTH > 1:
-            return self._run_all_pipelined()
-        out = []
-        while True:
-            pending = self.pending_files()
-            if not pending:
-                break
-            if len(pending) > 1:
-                self._start_prefetches(pending)
-            r = self.run_cycle()
-            if r is None:
-                break
-            out.append(r)
-        return out
+        """Run every pending cycle; consecutive exchange cycles overlap.
 
-    def _run_all_pipelined(self) -> list[dict]:
-        """Pipelined loop: consecutive large cycles overlap.
-
-        The per-cycle global barrier in :meth:`run_cycle` (``ray.get``
-        on every reducer before the next cycle starts) is what bounds
-        streaming scaling at high CPU counts — the driver-side prelude
-        + split launch of cycle N+1 serialize behind cycle N's slowest
-        reducer. Here they don't:
+        A per-cycle global barrier (``ray.get`` on every reducer before
+        the next cycle starts) is what bounds streaming scaling at high
+        CPU counts — the driver-side prelude + split launch of cycle
+        N+1 serialize behind cycle N's slowest reducer. Here they
+        don't:
 
         - the watermark chain needs only parquet FOOTER stats
-          (:meth:`_cycle_stats`), so cycle N+1's watermark, late routing
-          and split tasks launch without any cycle-N reduce result;
+          (:meth:`_cycle_stats`, read once per cycle), so cycle N+1's
+          watermark, late routing and split tasks launch without any
+          cycle-N reduce result;
         - reducer (N+1, b) takes reducer (N, b)'s still-open ObjectRef
           as its ``prev_open`` directly (the reducer converts summaries
           to pseudo-turn rows itself) — the open-session carry never
@@ -573,9 +517,10 @@ class StreamingSessionJob:
 
         Small cycles (≤ RAY_CYCLE_THRESHOLD) and giant cycles
         (> PIPELINE_ROW_MAX, where overlap measured net-negative — see
-        that attribute) drain the pipeline and run through the standard
-        committed path; outputs stay byte-identical to the depth-1 loop
-        (asserted in tests).
+        that attribute) drain the pipeline and run through
+        :meth:`_run_file`, as :meth:`run_cycle` does; outputs stay
+        byte-identical at every depth (asserted in tests). Returns the
+        per-cycle results.
         """
         import ray
 
@@ -588,53 +533,42 @@ class StreamingSessionJob:
         nb = prev = None
 
         results: list[dict] = []
-        # (fname, cycle, closed_refs, open_refs, late, wm, n_ontime)
+        # (fname, cycle, closed_refs, open_refs, late, rows, new_wm)
         inflight: list[tuple] = []
 
         def commit_oldest():
-            fn_, cyc_, crefs, orefs, late_, wm_, n_on = inflight.pop(0)
-            still_open, closed_count = self._finish_cycle(
-                cyc_, ray.get(crefs), ray.get(orefs))
-            results.append(self._commit_cycle(
-                state, fn_, cyc_, still_open, closed_count, late_,
-                wm_, n_on))
+            fn_, cyc_, crefs, orefs, late_, rows_, wm_ = inflight.pop(0)
+            nxt, counts = self._finish_cycle(
+                cyc_, ray.get(crefs), ray.get(orefs), late_, rows_)
+            state["processed"] = list(state.get("processed", [])) + [fn_]
+            results.append(self._commit_cycle(state, fn_, wm_, nxt, counts))
 
-        while True:
-            pending = pending_inputs(self.input_dir, done)
-            if not pending:
-                break
+        while pending := self._pending(self.input_dir, done):
             fname = pending[0]
             done.add(fname)
             path = os.path.join(self.input_dir, fname)
-            late_count, nrows, new_wm = self._cycle_stats(path, wm)
+            stats = late_count, nrows, new_wm = self._cycle_stats(path, wm)
             if (nrows <= self.RAY_CYCLE_THRESHOLD
                     or nrows > self.PIPELINE_ROW_MAX):
-                # small cycle → pandas path needs materialized carry
-                # state; GIANT cycle → pipelining measured net-negative
-                # (see PIPELINE_ROW_MAX): drain, run through the
-                # committed unpipelined path, resync
+                # small cycle → in-process placement, which needs the
+                # materialized carry; GIANT cycle → pipelining measured
+                # net-negative (see PIPELINE_ROW_MAX): drain, run it
+                # unpipelined, resync
                 while inflight:
                     commit_oldest()
-                r = self.run_cycle()
-                if r is None:
-                    break
-                results.append(r)
-                state = self.cp.load()
-                wm = int(state.get("watermark_us", 0))
-                cycle = int(state.get("cycles", 0))
-                prev = None
+                results.append(self._run_file(state, fname, stats))
+                wm, cycle, prev = new_wm, cycle + 1, None
                 continue
 
             if len(pending) > 1:
                 self._start_prefetches(pending)
             if prev is None:
                 nb = self._cycle_bucket_count()
-                prev = self._split_summaries(
-                    self.cp.load_open_sessions(state), nb)
+                prev = self._split_summaries(self._load_state(state), nb)
             closed_refs, open_refs = self._launch_cycle(
                 path, fname, wm, new_wm, late_count, cycle, prev, nb)
             inflight.append((fname, cycle, closed_refs, open_refs,
-                             late_count, new_wm, nrows - late_count))
+                             late_count, nrows, new_wm))
             prev = open_refs  # chain per-bucket refs into the next cycle
             wm = new_wm
             cycle += 1
@@ -647,32 +581,21 @@ class StreamingSessionJob:
 
     def flush(self) -> pd.DataFrame:
         """End-of-stream: close all remaining open sessions (watermark →
-        +inf). Returns the final closed batch."""
+        +inf) into one ``closed-{cycle:05d}.parquet`` and commit an
+        empty carry. Returns the final closed batch."""
         state = self.cp.load()
-        open_prev = self.cp.load_open_sessions(state)
-        if open_prev is None or not len(open_prev):
+        closed = self._canon(self._load_state(state))
+        if not len(closed):
             return pd.DataFrame()
-        closed = open_prev.sort_values(["conv_id", "session_start"]).reset_index(drop=True)
         cycle = int(state.get("cycles", 0))
         write_parquet_atomic(closed, os.path.join(
             self.closed_dir, f"closed-{cycle:05d}.parquet"))
-        fsync_dirs(self.closed_dir)
-        open_fname = self.cp.stage_open_sessions(closed.iloc[0:0], cycle)
-        state["open_sessions_file"] = open_fname
         state["cycles"] = cycle + 1
-        self.cp.save(state)
-        self.cp.gc_open_sessions(keep=open_fname)
+        self._commit(state, closed.iloc[0:0], cycle)
         return closed
 
     def closed_sessions(self) -> pd.DataFrame:
-        files = sorted(
-            os.path.join(self.closed_dir, f)
-            for f in os.listdir(self.closed_dir)
-            if f.endswith(".parquet")
-        )
-        if not files:
-            return pd.DataFrame()
-        return pd.concat([pd.read_parquet(f) for f in files], ignore_index=True)
+        return self._read_back("closed", None, pd.DataFrame())
 
 
 class StreamingFlagshipJob(StreamingSessionJob):

@@ -856,6 +856,9 @@ class TestPipelinedCycles:
                                      gap_s=1800, num_buckets=2,
                                      cycle_engine=engine)
             r = j.run_all()
+            # every prefetched read was taken by its cycle: no read is
+            # left in flight once run_all returns
+            assert j._prefetch == {}
             j.flush()
             return j, r
         finally:
@@ -940,12 +943,35 @@ class TestPipelinedCycles:
             jm.closed_sessions().sort_values(key).reset_index(drop=True),
             jp.closed_sessions().sort_values(key).reset_index(drop=True))
 
+    def test_each_cycle_reads_its_footer_once(self, ray_session, tmp_path,
+                                              monkeypatch):
+        """The pipelined loop hands the zone-map stats it read to the
+        cycles it drains to, so a stream of mixed small and large
+        cycles reads each file's footer exactly once."""
+        from imagor_ray.pipelines import streaming
+
+        batches = self._mk_batches(6)
+        batches[1] = batches[1][:1]   # small cycles → in-process
+        batches[4] = batches[4][:2]
+        stream = write_stream(tmp_path, batches)
+        calls = []
+        orig = streaming.footer_late_stats
+
+        def spy(path, wm):
+            calls.append(os.path.basename(path))
+            return orig(path, wm)
+
+        monkeypatch.setattr(streaming, "footer_late_stats", spy)
+        _, r = self._run(tmp_path, "mixed", stream, depth=2, threshold=2)
+        assert len(r) == 6
+        assert calls == sorted(os.listdir(stream))
+
     def test_giant_cycles_drain_to_unpipelined(self, ray_session, tmp_path):
         """Cycles above PIPELINE_ROW_MAX (pipelining measured
         net-negative for saturated cycles) drain the pipeline and run
-        through the committed unpipelined path — pinned by spying on
-        run_cycle — and the stream's bytes still match a fully
-        pipelined run."""
+        through the unpipelined entry ``_run_file`` — pinned by spying
+        on it — and the stream's bytes still match a fully pipelined
+        run."""
         from imagor_ray.pipelines.streaming import (
             StreamingFlagshipJob, StreamingSessionJob,
         )
@@ -954,21 +980,21 @@ class TestPipelinedCycles:
         ref, rr = self._run(tmp_path, "piperef", stream, depth=2)
 
         old_m = StreamingSessionJob.PIPELINE_ROW_MAX
-        orig_rc = StreamingSessionJob.run_cycle
+        orig_rf = StreamingSessionJob._run_file
         calls = {"n": 0}
 
-        def spy_rc(self, *a, **k):
+        def spy_rf(self, *a, **k):
             calls["n"] += 1
-            return orig_rc(self, *a, **k)
+            return orig_rf(self, *a, **k)
 
         try:
-            # every 3-row cycle is now "giant" → all drain to run_cycle
+            # every 3-row cycle is now "giant" → all drain to _run_file
             StreamingSessionJob.PIPELINE_ROW_MAX = 2
-            StreamingSessionJob.run_cycle = spy_rc
+            StreamingSessionJob._run_file = spy_rf
             jg, rg = self._run(tmp_path, "giant", stream, depth=2)
         finally:
             StreamingSessionJob.PIPELINE_ROW_MAX = old_m
-            StreamingSessionJob.run_cycle = orig_rc
+            StreamingSessionJob._run_file = orig_rf
 
         assert calls["n"] == 5  # each giant cycle took the drained path
         assert rg == rr
