@@ -20,13 +20,17 @@ file and one all-late file — crossed with lateness 0 and 2 days and
 with tumbling-week and 3-day/1-day sliding windows.
 
 It also runs ``StreamingSessionJob`` and ``StreamingFlagshipJob`` (2
-buckets) then ``flush()`` over three streams — two from
+buckets) then ``flush()`` over four streams — two from
 ``tests/test_streaming.py`` (``TestPipelinedCycles._mk_batches(6)``
-and the jittered stream of ``test_jittered_closed_equals_batch_three_engines``)
-and an edge stream of four files (one on-time file, one empty file, one
-all-late file, then one file that advances the watermark) — crossed
-with lateness 0 and 86 400 s, ``RAY_CYCLE_THRESHOLD`` 10**9
-(in-process) and 0 (hash exchange), and ``PIPELINE_DEPTH`` 1 and 2.
+and the jittered stream of ``test_jittered_closed_equals_batch_three_engines``),
+the jittered stream again in row groups of three rows with statistics
+(``jitterrg``: files of more row groups than the exchange has split
+tasks, so the split tasks read multi-group ranges located through
+footer stats, late rows among them), and an edge stream of four files
+(one on-time file, one empty file, one all-late file, then one file
+that advances the watermark) — crossed with lateness 0 and 86 400 s,
+``RAY_CYCLE_THRESHOLD`` 10**9 (in-process) and 0 (hash exchange), and
+``PIPELINE_DEPTH`` 1 and 2.
 
 Stats-less copies: the edge stream, the keyed jobs' input (``in``,
 ``left``, ``right``) and the changelog day files are rewritten without
@@ -35,7 +39,7 @@ late count comes from the zone-map reader's ts scan rather than from
 footer min/max. The edge copy runs through both session jobs as above
 (``…-edgenostats-…``), the keyed copy through every keyed job
 (``…-nostats``) and the day copy through every changelog shape
-(``chlog-daysnostats-…``): 144 cases in all.
+(``chlog-daysnostats-…``): 160 cases in all.
 
 For every case it writes the sha1 of every file under the state dir
 except ``checkpoint.json``, the checkpoint itself and the ``run_all``
@@ -189,6 +193,8 @@ def _run_cases(tmp: str) -> dict:
         "edge": write_stream(pathlib.Path(tmp, "edge"), _edge_batches()),
     }
     streams["edgenostats"] = _statless_copy(streams["edge"])
+    streams["jitterrg"] = write_stream(pathlib.Path(tmp, "jitterrg"),
+                                       _jittered_batches(), row_group_size=3)
     session_jobs = {"sessionjob": StreamingSessionJob,
                     "flagship": lambda i, s, **kw: StreamingFlagshipJob(
                         i, s, num_buckets=2, **kw)}

@@ -8,10 +8,11 @@ executor planning) that dominates short executions — measured 1.57×
 end-to-end on 1M-row streaming cycles. The exchange moves the same
 bytes through the same object store, but as plain tasks:
 
-- ONE split task per Arrow block runs a map-side key
-  ``key(tbl) → (rows, buckets)`` and splits ``rows`` into ``nb`` bucket
-  shards with one argsort+slice (``num_returns=nb`` — only
-  O(blocks × buckets) object refs ever cross the driver, never rows);
+- ONE split task per input (an Arrow block ref, or whatever the key
+  reads) runs a map-side key ``key(input) → (rows, buckets)`` and
+  splits ``rows`` into ``nb`` bucket shards — plus one SIDE shard, for
+  bucket ``nb``, that no reducer takes — with one argsort+slice (only
+  O(inputs × buckets) object refs ever cross the driver, never rows);
 - ONE reduce task per bucket concatenates its column of shards and
   calls ``fn(*bucket_args, rows)``, ``rows`` None for an empty bucket.
   A bucket's args are top-level task arguments, so Ray resolves an
@@ -20,7 +21,8 @@ bytes through the same object store, but as plain tasks:
 
 Callers: the flagship's ``engine='tasks'`` (:func:`hash_exchange`; key:
 its ``_bucket`` column; byte-identical to the groupby engine in tests)
-and the session stream's large cycles (key: the on-time rows by
+and the session stream's large cycles (key: a row-group range of the
+cycle file, read in the task, late rows to the side shard, the rest by
 ``crc32(conv_id) % nb``). The keyed-stream runtime uses no exchange:
 its cycles run in a driver loop, which beat this exchange on its
 workload at 1 and 4 Ray CPUs.
@@ -33,7 +35,7 @@ import functools
 import numpy as np
 import pandas as pd
 
-__all__ = ["hash_exchange", "exchange_refs"]
+__all__ = ["hash_exchange", "split_refs", "exchange_refs"]
 
 _FNS = None
 
@@ -45,8 +47,8 @@ def _fns():
     import ray
 
     @ray.remote
-    def split_block(tbl, key, nb: int):
-        rows, b = key(tbl)
+    def split_block(src, key, nb: int):
+        rows, b = key(src)
         return bucket_split(rows, b, nb)
 
     @ray.remote
@@ -77,22 +79,29 @@ def bucket_split(t, b: np.ndarray, nb: int):
     return shards if nb > 1 else shards[0]
 
 
-def exchange_refs(blocks, nb: int, key, fn, bucket_args,
-                  num_returns: int = 1) -> list:
-    """Launch the exchange without waiting: one split task per Arrow
-    block ref of ``blocks`` (map-side ``key``), then one reduce task per
-    bucket calling ``fn(*bucket_args[b], rows)``. Returns the ``nb``
-    reduce refs — each a list of ``num_returns`` refs when ``fn``
-    returns that many values, so a caller can fetch one and chain
-    another."""
-    split_block, reduce_bucket = _fns()
-    split = split_block.options(num_returns=nb)
-    shards = [split.remote(r, key, nb) for r in blocks]
-    if nb == 1:  # Ray hands back a bare ref, not a list, for one return
-        shards = [[s] for s in shards]
+def split_refs(inputs, key, nb: int, side: bool = False) -> list:
+    """Launch one split task per input without waiting; returns each
+    input's ``nb`` shard refs, then its side shard's if ``side``."""
+    split_block, _ = _fns()
+    n = nb + side
+    split = split_block.options(num_returns=n)
+    shards = [split.remote(src, key, n) for src in inputs]
+    # Ray hands back a bare ref, not a list, for one return
+    return [[s] for s in shards] if n == 1 else shards
+
+
+def exchange_refs(shards, fn, bucket_args, num_returns: int = 1):
+    """Launch one reduce task per bucket of :func:`split_refs`'
+    ``shards`` without waiting, calling ``fn(*bucket_args[b], rows)``.
+    Returns the reduce refs — each a list of ``num_returns`` refs when
+    ``fn`` returns that many values, so a caller can fetch one and
+    chain another — and the side shard refs (none without a side)."""
+    _, reduce_bucket = _fns()
+    nb = len(bucket_args)
     reduce = reduce_bucket.options(num_returns=num_returns)
-    return [reduce.remote(fn, len(a), *a, *[s[b] for s in shards])
+    refs = [reduce.remote(fn, len(a), *a, *[s[b] for s in shards])
             for b, a in enumerate(bucket_args)]
+    return refs, [s[nb] for s in shards if len(s) > nb]
 
 
 def _column_key(col: str, tbl):
@@ -117,9 +126,9 @@ def hash_exchange(ds, nb: int, grouped_fn, bucket_col: str = "_bucket"
     ``ds`` (block refs are taken as Arrow tables)."""
     import ray
 
-    outs = ray.get(exchange_refs(
-        ds.to_arrow_refs(), nb, functools.partial(_column_key, bucket_col),
-        _grouped, [(grouped_fn,)] * nb))
+    shards = split_refs(ds.to_arrow_refs(),
+                        functools.partial(_column_key, bucket_col), nb)
+    outs = ray.get(exchange_refs(shards, _grouped, [(grouped_fn,)] * nb)[0])
     outs = [o for o in outs if o is not None]
     return (pd.concat(outs, ignore_index=True) if outs
             else pd.DataFrame())

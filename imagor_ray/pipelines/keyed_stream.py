@@ -58,8 +58,8 @@ import pyarrow.parquet as pq
 from ..state.checkpoint import Checkpoint
 from ..state.storage import LocalStorage
 
-__all__ = ["KeyedStreamJob", "file_max_ts", "footer_late_stats",
-           "side_counts", "write_parquet_atomic"]
+__all__ = ["FooterStats", "KeyedStreamJob", "file_max_ts",
+           "footer_late_stats", "side_counts", "write_parquet_atomic"]
 
 
 def write_parquet_atomic(data: pd.DataFrame | pa.Table, path: str) -> None:
@@ -101,7 +101,17 @@ def _column_us(col) -> np.ndarray:
     return ts_i
 
 
-def footer_late_stats(path: str, wm: int) -> tuple[int, int, int | None]:
+class FooterStats(tuple):
+    """``(late_count, total_rows, max_us)``, plus ``row_groups``: the
+    row count of every row group, in file order."""
+
+    def __new__(cls, late: int, total: int, max_us, row_groups: list):
+        self = super().__new__(cls, (late, total, max_us))
+        self.row_groups = row_groups
+        return self
+
+
+def footer_late_stats(path: str, wm: int) -> FooterStats:
     """Exact ``(late_count, total_rows, max_us)`` of a parquet file (or
     directory) against watermark ``wm``, from its row-group zone maps.
     A group with ``min_ts >= wm`` has zero late rows and one with
@@ -109,11 +119,13 @@ def footer_late_stats(path: str, wm: int) -> tuple[int, int, int | None]:
     straddling the watermark, or one without ts statistics, is read on
     the driver (ts column only), and its late count and max come from
     that column — never guessed. ``max_us`` is None for an empty file.
-    A footer that cannot be read raises."""
+    The row groups' row counts come with it (:class:`FooterStats`). A
+    footer that cannot be read raises."""
     import pyarrow.dataset as pads
 
-    total = late = 0
+    late = 0
     max_us = None
+    row_groups = []
     for frag in pads.dataset(path).get_fragments():
         md = frag.metadata
         ts_idx = [md.schema.column(i).path
@@ -121,7 +133,7 @@ def footer_late_stats(path: str, wm: int) -> tuple[int, int, int | None]:
         suspects = []
         for rg in range(md.num_row_groups):
             g = md.row_group(rg)
-            total += g.num_rows
+            row_groups.append(g.num_rows)
             stats = g.column(ts_idx).statistics
             if stats is None or not stats.has_min_max:
                 if g.num_rows:
@@ -140,7 +152,7 @@ def footer_late_stats(path: str, wm: int) -> tuple[int, int, int | None]:
                 late += int((us < wm).sum())
                 hi = int(us.max())
                 max_us = hi if max_us is None else max(max_us, hi)
-    return late, total, max_us
+    return FooterStats(late, sum(row_groups), max_us, row_groups)
 
 
 def file_max_ts(path: str) -> int:

@@ -22,24 +22,24 @@ what is specific to sessions:
   partition write, sessionize, close split), in one of two placements
   (:meth:`StreamingSessionJob._execute`). Cycles above
   ``RAY_CYCLE_THRESHOLD`` rows run it on the engine's one raw two-stage
-  hash exchange (``pipelines/exchange.py``): one Arrow read pinned via
-  ``materialize()``, split tasks that drop the late rows and cut each
-  block into conv-bucket shards, and one reduce task per bucket — only
-  session summaries return to the driver. Smaller cycles run it
-  in-process, starting no Ray work (Ray per-task overhead dominates
-  them) (BENCH.md finding 20 and its 2026-10-17 note);
+  hash exchange (``pipelines/exchange.py``), whose split tasks read the
+  file's row-group ranges themselves (no Ray Data execution) and send
+  the late rows to the side shard; only session summaries and late
+  rows return to the driver. Smaller cycles run it in-process, starting
+  no Ray work (BENCH.md finding 20 and its 2026-10-17 note);
 - both placements write the same files: the late count, the row count
-  and the watermark come from parquet zone maps
+  and the watermark come from the parquet footer
   (:func:`footer_late_stats`), the late rows go to one
   ``late/late-{file}`` (full rows, written only when a row is late) and
   the closed summaries of a cycle to one
   ``closed/closed-{cycle:05d}.parquet`` (:meth:`_finish_cycle`, written
   only when a session closed), so the threshold never changes an
   emitted byte;
-- ``run_all`` prefetches upcoming reads and pipelines consecutive
-  exchange cycles, committing strictly in cycle order; killing the
-  driver between cycles and restarting resumes from the checkpoint
-  with byte-identical emitted output (asserted in tests).
+- ``run_all`` reads ahead (the split tasks of upcoming files) and
+  pipelines consecutive exchange cycles, committing strictly in cycle
+  order; killing the driver between cycles and restarting resumes from
+  the checkpoint with byte-identical emitted output (asserted in
+  tests).
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from ..functions.hashing import crc32_bucket
 from ..stages.windows import ts_us
@@ -57,7 +58,7 @@ from ..stages.windows import ts_us
 # imported under this name only because perfbench/trace.py wraps them
 # through it
 from .exchange import _fns as _exchange_fns  # noqa: F401
-from .exchange import exchange_refs
+from .exchange import exchange_refs, split_refs
 from .keyed_stream import (
     KeyedStreamJob, _column_us, footer_late_stats, write_parquet_atomic,
 )
@@ -67,20 +68,23 @@ __all__ = ["StreamingSessionJob", "StreamingFlagshipJob"]
 
 def _cluster_width() -> int:
     """``max(8, 2 × cluster CPUs)``: the session job's conv-bucket count
-    and the block count of a large cycle's pinned read."""
+    and the most split tasks a large cycle file is read in."""
     import ray
 
     return max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
 
 
-def _pinned_read(path: str):
-    """A large cycle's raw parquet blocks, read by Ray Data and pinned
-    in the object store (``materialize()``), so the late gather and the
-    exchange read the same blocks."""
-    import ray.data as _rd
-
-    return _rd.read_parquet(
-        path, override_num_blocks=_cluster_width()).materialize()
+def _row_group_ranges(counts: list, k: int) -> list[list[int]]:
+    """At most ``k`` contiguous ranges of row-group indices covering a
+    file whose row groups hold ``counts`` rows, cut after the group
+    where the running row count reaches each ``i/k`` of the total."""
+    if not counts:
+        return []
+    cum = np.cumsum(counts)
+    cuts = np.searchsorted(cum, cum[-1] * np.arange(1, k) / k) + 1
+    bounds = sorted({0, len(counts),
+                     *np.minimum(cuts, len(counts)).tolist()})
+    return [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
 
 
 def _empty_summaries() -> pd.DataFrame:
@@ -99,6 +103,37 @@ def _sorted_summaries(frames) -> pd.DataFrame:
     if not len(out):
         return _empty_summaries()
     return out.sort_values(["conv_id", "session_start"]).reset_index(drop=True)
+
+
+def _sessionize_groupby(turns: pd.DataFrame, gap_s: int) -> pd.DataFrame:
+    """:meth:`StreamingSessionJob._sessionize_with_start` in pandas
+    sort and groupby form, for input its ``lexsort`` form does not
+    order as pandas does (a null conv_id, a NaT)."""
+    df = (turns.sort_values(["conv_id", "_start", "ts"], kind="mergesort")
+          .reset_index(drop=True))
+    s_us = ts_us(df["_start"])
+    e_us = ts_us(df["ts"])
+    conv = df["conv_id"].to_numpy()
+    # per-conv running max of interval ends (integer-exact; the
+    # value a global shift leaks across a conv boundary is masked
+    # by the conv-change flag)
+    hull = np.asarray(pd.Series(e_us)
+                      .groupby(pd.Series(conv), sort=False).cummax(),
+                      dtype="int64")
+    prev_hull = np.empty_like(hull)
+    prev_hull[0] = np.int64(-(1 << 62))
+    prev_hull[1:] = hull[:-1]
+    new = np.empty(len(df), dtype=bool)
+    new[0] = True
+    new[1:] = ((conv[1:] != conv[:-1])
+               | (s_us[1:] > prev_hull[1:] + gap_s * 1_000_000))
+    gsid = np.cumsum(new)
+    return df.assign(_g=gsid).groupby("_g", sort=True).agg(
+        conv_id=("conv_id", "first"),
+        session_start=("_start", "min"),
+        session_end=("ts", "max"),
+        n_turns=("n_turns", "sum"),
+    ).reset_index(drop=True)
 
 
 def _bucket_cycle(bucket: int, final_wm: int, gap_s: int, work, prev_open,
@@ -141,19 +176,20 @@ def _bucket_cycle(bucket: int, final_wm: int, gap_s: int, work, prev_open,
     return closed, sessions[~closed_mask]
 
 
-def _ontime_conv_key(wm: int, nb: int, tbl):
-    """The session exchange's map-side key: drop the late rows
-    (``ts < wm``) and bucket the rest by ``crc32(conv_id) % nb`` — the
-    partitioning that keeps every conversation in one bucket."""
-    t = tbl.filter(pa.array(_column_us(tbl["ts"]) >= wm))
-    return t, crc32_bucket(t["conv_id"].to_numpy(zero_copy_only=False), nb)
-
-
-def _late_rows(wm: int, tbl):
-    """The rows of ``tbl`` with ``ts < wm`` — the complement of
-    :func:`_ontime_conv_key`'s filter, on the same flooring converter
-    as the zone-map reader that counted them."""
-    return tbl.filter(pa.array(_column_us(tbl["ts"]) < wm))
+def _range_conv_key(wm: int, nb: int, src):
+    """The session exchange's map-side key, run in a split task: read
+    the row-group range ``src = (path, row_groups)`` of a cycle file,
+    send its late rows (``ts < wm``, on the same flooring converter as
+    the zone-map reader that counted them) to the side shard ``nb`` and
+    bucket the rest by ``crc32(conv_id) % nb`` — the partitioning that
+    keeps every conversation in one bucket."""
+    path, row_groups = src
+    tbl = pq.ParquetFile(path).read_row_groups(row_groups)
+    ontime = _column_us(tbl["ts"]) >= wm
+    b = np.full(tbl.num_rows, nb, np.int64)
+    b[ontime] = crc32_bucket(
+        tbl["conv_id"].to_numpy(zero_copy_only=False)[ontime], nb)
+    return tbl, b
 
 
 class StreamingSessionJob(KeyedStreamJob):
@@ -189,7 +225,8 @@ class StreamingSessionJob(KeyedStreamJob):
             # instance override of the class constant: it moves cycles
             # between the two placements, which write the same files
             self.RAY_CYCLE_THRESHOLD = ray_cycle_threshold
-        #: (fname, thread, holder) of an in-flight next-cycle raw read
+        #: fname → (watermark, split shard refs) of the split tasks
+        #: ``run_all`` launched ahead of their cycle
         self._prefetch: dict = {}
 
     def _empty_state(self) -> pd.DataFrame:
@@ -201,12 +238,12 @@ class StreamingSessionJob(KeyedStreamJob):
     # -- one cycle ---------------------------------------------------------
 
     #: above this many rows the WHOLE cycle runs on the hash exchange
-    #: (:meth:`_launch_cycle`) — pinned read → late split → per-bucket
-    #: :func:`_bucket_cycle` — with only session summaries returning to
-    #: the driver (nothing row-scale crosses it). Below it the same body
-    #: runs in-process: Ray per-task overhead dominates tiny cycles.
-    #: Both placements write the same files, so this constant chooses
-    #: where a cycle runs, never what it emits.
+    #: (:meth:`_launch_cycle`) — split tasks that read the file → late
+    #: side shard → per-bucket :func:`_bucket_cycle` — with only session
+    #: summaries and late rows returning to the driver. Below it the
+    #: same body runs in-process: Ray per-task overhead dominates tiny
+    #: cycles. Both placements write the same files, so this constant
+    #: chooses where a cycle runs, never what it emits.
     RAY_CYCLE_THRESHOLD = 150_000
 
     def _run_file(self, state: dict, fname: str, stats=None) -> dict:
@@ -216,22 +253,23 @@ class StreamingSessionJob(KeyedStreamJob):
         ``stats`` they already read (:meth:`_cycle_stats`)."""
         wm = int(state.get("watermark_us", 0))
         path = os.path.join(self.input_dir, fname)
-        late_count, nrows, new_wm = stats or self._cycle_stats(path, wm)
+        stats = stats or self._cycle_stats(path, wm)
         state["processed"] = list(state.get("processed", [])) + [fname]
-        return self._cycle(state, (path, late_count, nrows), wm, new_wm,
-                           fname)
+        return self._cycle(state, (path, stats), wm, stats[2], fname)
 
-    def _cycle_stats(self, path: str, wm: int) -> tuple[int, int, int]:
-        """``(late_count, total_rows, new_watermark)`` of a cycle file
-        from its parquet zone maps (:func:`footer_late_stats`, exact),
-        for both placements: the row count picks the placement without
-        reading data, and the watermark advances to ``max(ts) −
+    def _cycle_stats(self, path: str, wm: int) -> tuple:
+        """``(late_count, total_rows, new_watermark, row_groups)`` of a
+        cycle file from its parquet footer (:func:`footer_late_stats`,
+        exact), for both placements: the row count picks the placement
+        without reading data, the row-group sizes cut the exchange's
+        read ranges, and the watermark advances to ``max(ts) −
         lateness`` (the max over all rows is the max over the on-time
         rows, since a late ts is below ``wm``), never backwards."""
-        late_count, total_rows, max_us = footer_late_stats(path, wm)
+        fs = footer_late_stats(path, wm)
+        late_count, total_rows, max_us = fs
         new_watermark = (max(wm, max_us - self.lateness_us)
                          if late_count < total_rows else wm)
-        return late_count, total_rows, new_watermark
+        return late_count, total_rows, new_watermark, fs.row_groups
 
     def _late_path(self, fname: str) -> str:
         return os.path.join(self.late_dir, f"late-{fname}")
@@ -239,45 +277,40 @@ class StreamingSessionJob(KeyedStreamJob):
     def _execute(self, inputs: tuple, wm: int, new_wm: int, cycle: int,
                  st: pd.DataFrame):
         """The cycle's two placements of :func:`_bucket_cycle`.
-        ``inputs`` is ``(path, late_count, rows)`` from the file's zone
-        maps. Above ``RAY_CYCLE_THRESHOLD`` rows the cycle runs on the
-        hash exchange (:meth:`_launch_cycle`), waited on; no sort
-        sampling, no boundary exchange, no per-cycle streaming-executor
-        plan — the fixed cost a sub-second cycle pays under Ray Data's
-        groupby (BENCH.md finding 19/20). Otherwise it runs in-process,
-        starting no Ray work: read and late split (against the
-        PRE-advance watermark), then the body once (no grouped work) or
-        per conv bucket in ascending order. Both end in
-        :meth:`_finish_cycle`."""
-        path, late_count, nrows = inputs
+        ``inputs`` is ``(path, stats)``, ``stats`` the file's
+        :meth:`_cycle_stats`. Above ``RAY_CYCLE_THRESHOLD`` rows the
+        cycle runs on the hash exchange (:meth:`_launch_cycle`), drained
+        at once (:meth:`_drain_cycle`); no Ray Data execution, no sort
+        sampling, no boundary exchange — the fixed cost a sub-second
+        cycle pays under Ray Data (BENCH.md finding 19/20). Otherwise it
+        runs in-process, starting no Ray work: read and late split
+        (against the PRE-advance watermark), then the body once (no
+        grouped work) or per conv bucket in ascending order. Both end
+        in :meth:`_finish_cycle`."""
+        path, (late_count, nrows, _, row_groups) = inputs
         fname = os.path.basename(path)
         if nrows > self.RAY_CYCLE_THRESHOLD:
-            import ray
-
             nb = self._cycle_bucket_count()
-            closed, opens = map(ray.get, self._launch_cycle(
-                path, fname, wm, new_wm, late_count, cycle,
-                self._split_summaries(st, nb), nb))
+            return self._drain_cycle(fname, cycle, self._launch_cycle(
+                fname, wm, new_wm, row_groups, cycle,
+                self._split_summaries(st, nb), nb), late_count, nrows)
+        batch = pd.read_parquet(path)
+        if late_count:
+            late_mask = ts_us(batch["ts"]) < wm
+            write_parquet_atomic(batch[late_mask], self._late_path(fname))
+            batch = batch[~late_mask]
+        work = self._make_grouped_cycle_work(cycle) if len(batch) else None
+        if work is None:
+            units = [(0, batch, st)]
         else:
-            batch = pd.read_parquet(path)
-            if late_count:
-                late_mask = ts_us(batch["ts"]) < wm
-                write_parquet_atomic(batch[late_mask],
-                                     self._late_path(fname))
-                batch = batch[~late_mask]
-            work = (self._make_grouped_cycle_work(cycle) if len(batch)
-                    else None)
-            if work is None:
-                units = [(0, batch, st)]
-            else:
-                nb = self._cycle_bucket_count()
-                bk = crc32_bucket(batch["conv_id"].to_numpy(), nb)
-                units = [(b, batch[bk == b].reset_index(drop=True), prev)
-                         for b, prev in enumerate(
-                             self._split_summaries(st, nb))]
-            closed, opens = zip(*[
-                _bucket_cycle(b, new_wm, self.gap_s, work, prev, turns)
-                for b, turns, prev in units])
+            nb = self._cycle_bucket_count()
+            bk = crc32_bucket(batch["conv_id"].to_numpy(), nb)
+            units = [(b, batch[bk == b].reset_index(drop=True), prev)
+                     for b, prev in enumerate(
+                         self._split_summaries(st, nb))]
+        closed, opens = zip(*[
+            _bucket_cycle(b, new_wm, self.gap_s, work, prev, turns)
+            for b, turns, prev in units])
         return self._finish_cycle(cycle, closed, opens, late_count, nrows)
 
     def _finish_cycle(self, cycle: int, closed, opens, late_count: int,
@@ -312,31 +345,19 @@ class StreamingSessionJob(KeyedStreamJob):
         share ONE bucketing."""
         return None
 
-    def _cycle_prelude(self, path, fname, wm, late_count):
-        """Pre-exchange work of a large cycle: pin the raw Arrow blocks
-        (prefetched during the previous cycle, normally) and write the
-        late rows out. The late count comes from the zone maps
-        (:meth:`_cycle_stats`), so the no-late common case starts no Ray
-        execution (BENCH.md finding 19: the fixed per-cycle execution
-        count is what bounds streaming scaling efficiency); the rare
-        late rows are gathered on the driver and written as the one
-        ``late-{fname}`` the in-process placement writes. Returns the
-        pinned dataset."""
-        import ray
-
-        raw = self._take_prefetched(fname)
-        if raw is None:
-            raw = _pinned_read(path)
-        if late_count:
-            late = ray.get(raw.map_batches(
-                functools.partial(_late_rows, wm),
-                batch_format="pyarrow").to_arrow_refs())
-            # (blocks with no late row may come back schema-less)
-            late = pa.concat_tables([t for t in late if t.num_rows])
-            # written from pandas, as the in-process cycle writes it, so
-            # the file's schema metadata and bytes are the same
-            write_parquet_atomic(late.to_pandas(), self._late_path(fname))
-        return raw
+    def _cycle_prelude(self, fname, wm, row_groups):
+        """A large cycle's split tasks, as shard refs: the ones
+        ``run_all`` launched ahead against this watermark, or launched
+        now, one per row-group range (:func:`_range_conv_key`)."""
+        shards = self._take_prefetched(fname, wm)
+        if shards is None:
+            nb = self._cycle_bucket_count()
+            path = os.path.join(self.input_dir, fname)
+            shards = split_refs(
+                [(path, r) for r in _row_group_ranges(row_groups,
+                                                      _cluster_width())],
+                functools.partial(_range_conv_key, wm, nb), nb, side=True)
+        return shards
 
     @staticmethod
     def _split_summaries(open_prev: pd.DataFrame, nb: int) -> list:
@@ -349,26 +370,40 @@ class StreamingSessionJob(KeyedStreamJob):
                 prev[int(b)] = open_prev[pb == b].reset_index(drop=True)
         return prev
 
-    def _launch_cycle(self, path, fname, wm, new_wm, late_count, cycle,
-                      prev, nb):
+    def _launch_cycle(self, fname, wm, new_wm, row_groups, cycle, prev,
+                      nb):
         """Start one large cycle on the hash exchange without waiting
-        for it: the prelude (pinned read, late write), one split task
-        per pinned block (refs, not rows, return to the driver) and one
-        :func:`_bucket_cycle` reduce task per bucket with two returns.
-        ``prev[b]`` is bucket ``b``'s carried open-session SUMMARIES —
-        a frame, or the previous cycle's still-open ref; the reducer
-        converts them to pseudo-turn rows itself, which is what lets the
-        pipelined loop chain reducer (N, b) into (N+1, b) with no driver
-        hop, carrying only the open half. Returns ``(closed_refs,
-        open_refs)``."""
-        raw = self._cycle_prelude(path, fname, wm, late_count)
+        for it: the split tasks (:meth:`_cycle_prelude`; refs, not
+        rows, return to the driver) and one :func:`_bucket_cycle`
+        reduce task per bucket with two returns. ``prev[b]`` is bucket
+        ``b``'s carried open-session SUMMARIES — a frame, or the
+        previous cycle's still-open ref; the reducer converts them to
+        pseudo-turn rows itself, which is what lets the pipelined loop
+        chain reducer (N, b) into (N+1, b) with no driver hop, carrying
+        only the open half. Returns ``(closed_refs, open_refs,
+        late_refs)``, the last the split tasks' side shards."""
+        shards = self._cycle_prelude(fname, wm, row_groups)
         work = self._make_grouped_cycle_work(cycle)
-        refs = exchange_refs(
-            raw.to_arrow_refs(), nb,
-            functools.partial(_ontime_conv_key, wm, nb), _bucket_cycle,
+        refs, late = exchange_refs(
+            shards, _bucket_cycle,
             [(b, new_wm, self.gap_s, work, prev[b]) for b in range(nb)],
             num_returns=2)
-        return [c for c, _ in refs], [o for _, o in refs]
+        return [c for c, _ in refs], [o for _, o in refs], late
+
+    def _drain_cycle(self, fname, cycle, refs, late_count, nrows):
+        """Wait for a :meth:`_launch_cycle`: write its late rows, if the
+        footer counted any, as the in-process placement's
+        ``late-{fname}``, then :meth:`_finish_cycle`."""
+        import ray
+
+        closed, opens, late = refs
+        if late_count:
+            # written from pandas, as the in-process cycle writes it, so
+            # the file's schema metadata and bytes are the same
+            late = pa.concat_tables([t for t in ray.get(late) if t.num_rows])
+            write_parquet_atomic(late.to_pandas(), self._late_path(fname))
+        return self._finish_cycle(cycle, ray.get(closed), ray.get(opens),
+                                  late_count, nrows)
 
     @staticmethod
     def _sessionize_with_start(turns: pd.DataFrame, gap_s: int) -> pd.DataFrame:
@@ -385,88 +420,58 @@ class StreamingSessionJob(KeyedStreamJob):
         their min/max. With event-time-ordered input this reduces
         bit-for-bit to the ordered kernel: the (single) summary sorts
         first and every turn postdates its end, so the flags match
-        the plain consecutive-diff computation."""
-        df = (turns.sort_values(["conv_id", "_start", "ts"],
-                                kind="mergesort")
-              .reset_index(drop=True))
-        if len(df) == 0:
+        the plain consecutive-diff computation.
+
+        One ``lexsort`` over factorized conv codes orders the rows and
+        ``reduceat`` folds each session; a null conv_id or a NaT, which
+        that ordering would place differently from pandas, takes the
+        groupby form (:func:`_sessionize_groupby`)."""
+        if len(turns) == 0:
             return _empty_summaries()
-        s_us = ts_us(df["_start"])
-        e_us = ts_us(df["ts"])
-        conv = df["conv_id"].to_numpy()
-        # per-conv running max of interval ends (integer-exact; the
-        # value a global shift leaks across a conv boundary is masked
-        # by the conv-change flag)
-        hull = np.asarray(pd.Series(e_us)
-                          .groupby(pd.Series(conv), sort=False).cummax(),
-                          dtype="int64")
-        prev_hull = np.empty_like(hull)
-        prev_hull[0] = np.int64(-(1 << 62))
-        prev_hull[1:] = hull[:-1]
-        new = np.empty(len(df), dtype=bool)
+        codes = pd.factorize(turns["conv_id"], sort=True)[0]
+        start, end = turns["_start"].to_numpy(), turns["ts"].to_numpy()
+        if ((codes < 0).any() or start.dtype.kind != "M"
+                or end.dtype.kind != "M"
+                or np.isnat(start).any() or np.isnat(end).any()):
+            return _sessionize_groupby(turns, gap_s)
+        order = np.lexsort((end.view("int64"), start.view("int64"), codes))
+        codes, start, end = codes[order], start[order], end[order]
+        s_us, e_us = ts_us(start), ts_us(end)
+        # per-conv running max of interval ends: one running max over
+        # (conv code, end rank) packed into an int64 — exact, and no max
+        # leaks from one conv into the next
+        ends, rank = np.unique(e_us, return_inverse=True)
+        base = codes * len(ends)
+        hull = ends[np.maximum.accumulate(base + rank) - base]
+        new = np.empty(len(order), dtype=bool)
         new[0] = True
-        new[1:] = ((conv[1:] != conv[:-1])
-                   | (s_us[1:] > prev_hull[1:] + gap_s * 1_000_000))
-        gsid = np.cumsum(new)
-        return df.assign(_g=gsid).groupby("_g", sort=True).agg(
-            conv_id=("conv_id", "first"),
-            session_start=("_start", "min"),
-            session_end=("ts", "max"),
-            n_turns=("n_turns", "sum"),
-        ).reset_index(drop=True)
+        new[1:] = ((codes[1:] != codes[:-1])
+                   | (s_us[1:] > hull[:-1] + gap_s * 1_000_000))
+        first = np.flatnonzero(new)
+        return pd.DataFrame({
+            "conv_id": turns["conv_id"].array[order[first]],
+            "session_start": np.minimum.reduceat(start, first),
+            "session_end": np.maximum.reduceat(end, first),
+            "n_turns": np.add.reduceat(
+                turns["n_turns"].to_numpy()[order], first),
+        })
 
-    # -- read prefetch (pipelined cycles) ----------------------------------
+    # -- read-ahead (pipelined cycles) ---------------------------------
 
-    #: how many upcoming cycle files to pin ahead of the running cycle.
-    #: One file is enough at LOW parallelism (cycle walls are long, the
-    #: single prefetch always finishes in the shadow); at HIGH
-    #: parallelism cycles are short and a single slot leaves the read
-    #: on the critical path about every other cycle — depth 2 keeps the
-    #: reader ahead at the cost of one extra pinned cycle in the object
-    #: store (spills gracefully).
+    #: how many upcoming large files ``run_all`` launches the split
+    #: tasks (the reads) of ahead of the running cycle. One is enough at
+    #: LOW parallelism (cycle walls are long, the read finishes in the
+    #: shadow); at HIGH parallelism cycles are short and one slot leaves
+    #: the read on the critical path about every other cycle — depth 2
+    #: keeps the reader ahead at the cost of one more cycle's shards in
+    #: the object store (spills gracefully).
     PREFETCH_DEPTH = 2
 
-    def _start_prefetch(self, fname: str) -> None:
-        """Pin an upcoming cycle's raw parquet blocks in a background
-        thread while the current cycle's exchange runs — bounded
-        pipelining (PREFETCH_DEPTH files in flight), read-only, so
-        replay semantics are untouched."""
-        import threading
-
-        import pyarrow.dataset as pads
-
-        if fname in self._prefetch:
-            return
-        path = os.path.join(self.input_dir, fname)
-        try:
-            if pads.dataset(path).count_rows() <= self.RAY_CYCLE_THRESHOLD:
-                return
-        except Exception:
-            return
-        holder: dict = {}
-
-        def work():
-            try:
-                holder["ds"] = _pinned_read(path)
-            except Exception as e:  # fall back to the inline read
-                holder["err"] = e
-
-        t = threading.Thread(target=work, daemon=True)
-        t.start()
-        self._prefetch[fname] = (t, holder)
-
-    def _start_prefetches(self, pending: list[str]) -> None:
-        """Prefetch the next PREFETCH_DEPTH files beyond the current."""
-        for f in pending[1:1 + self.PREFETCH_DEPTH]:
-            self._start_prefetch(f)
-
-    def _take_prefetched(self, fname: str):
+    def _take_prefetched(self, fname: str, wm: int):
+        """Pop the shard refs ``run_all`` launched ahead for ``fname``:
+        None if none, or if launched against another watermark."""
         ent = self._prefetch.pop(fname, None)
-        if ent is None:
-            return None
-        t, holder = ent
-        t.join()
-        return holder.get("ds")
+        return ent[1] if ent is not None and ent[0] == wm else None
 
     #: max cycles in flight under ``run_all`` (the oldest is committed
     #: before another launches, so depth 1 commits each cycle before
@@ -498,9 +503,10 @@ class StreamingSessionJob(KeyedStreamJob):
         don't:
 
         - the watermark chain needs only parquet FOOTER stats
-          (:meth:`_cycle_stats`, read once per cycle), so cycle N+1's
+          (:meth:`_cycle_stats`, read once per file), so cycle N+1's
           watermark, late routing and split tasks launch without any
-          cycle-N reduce result;
+          cycle-N reduce result — the split tasks of the next
+          ``PREFETCH_DEPTH`` large files launch while cycle N runs;
         - reducer (N+1, b) takes reducer (N, b)'s still-open ObjectRef
           as its ``prev_open`` directly (the reducer converts summaries
           to pseudo-turn rows itself) — the open-session carry never
@@ -508,12 +514,12 @@ class StreamingSessionJob(KeyedStreamJob):
           advances independently instead of waiting on the global
           straggler;
         - the CHECKPOINT still commits strictly in cycle order: the
-          oldest in-flight cycle is ``ray.get``-drained, its closed
-          file written (:meth:`_finish_cycle`) and committed before
-          cycle N+PIPELINE_DEPTH launches. A crash loses only
-          uncommitted cycles, whose replay is byte-identical (atomic
-          renames + committed-bucket sink skip absorb the
-          partially-written work) — same guarantee, same commit point.
+          oldest in-flight cycle is drained (:meth:`_drain_cycle`: its
+          late and closed files written) and committed before cycle
+          N+PIPELINE_DEPTH launches. A crash loses only uncommitted
+          cycles, whose replay is byte-identical (atomic renames +
+          committed-bucket sink skip absorb the partially-written
+          work) — same guarantee, same commit point.
 
         Small cycles (≤ RAY_CYCLE_THRESHOLD) and giant cycles
         (> PIPELINE_ROW_MAX, where overlap measured net-negative — see
@@ -522,8 +528,6 @@ class StreamingSessionJob(KeyedStreamJob):
         byte-identical at every depth (asserted in tests). Returns the
         per-cycle results.
         """
-        import ray
-
         state = self.cp.load()
         wm = int(state.get("watermark_us", 0))
         cycle = int(state.get("cycles", 0))
@@ -533,21 +537,29 @@ class StreamingSessionJob(KeyedStreamJob):
         nb = prev = None
 
         results: list[dict] = []
-        # (fname, cycle, closed_refs, open_refs, late, rows, new_wm)
+        # (fname, cycle, launched refs, late, rows, new_wm)
         inflight: list[tuple] = []
+        # fname → (watermark, stats): each footer is read once
+        ahead: dict = {}
+
+        def stats_at(fname: str, w: int) -> tuple:
+            if ahead.get(fname, (None,))[0] != w:
+                ahead[fname] = (w, self._cycle_stats(
+                    os.path.join(self.input_dir, fname), w))
+            return ahead[fname][1]
 
         def commit_oldest():
-            fn_, cyc_, crefs, orefs, late_, rows_, wm_ = inflight.pop(0)
-            nxt, counts = self._finish_cycle(
-                cyc_, ray.get(crefs), ray.get(orefs), late_, rows_)
+            fn_, cyc_, refs, late_, rows_, wm_ = inflight.pop(0)
+            nxt, counts = self._drain_cycle(fn_, cyc_, refs, late_, rows_)
             state["processed"] = list(state.get("processed", [])) + [fn_]
             results.append(self._commit_cycle(state, fn_, wm_, nxt, counts))
 
         while pending := self._pending(self.input_dir, done):
             fname = pending[0]
             done.add(fname)
-            path = os.path.join(self.input_dir, fname)
-            stats = late_count, nrows, new_wm = self._cycle_stats(path, wm)
+            stats = stats_at(fname, wm)
+            del ahead[fname]
+            late_count, nrows, new_wm, row_groups = stats
             if (nrows <= self.RAY_CYCLE_THRESHOLD
                     or nrows > self.PIPELINE_ROW_MAX):
                 # small cycle → in-process placement, which needs the
@@ -560,16 +572,23 @@ class StreamingSessionJob(KeyedStreamJob):
                 wm, cycle, prev = new_wm, cycle + 1, None
                 continue
 
-            if len(pending) > 1:
-                self._start_prefetches(pending)
             if prev is None:
                 nb = self._cycle_bucket_count()
                 prev = self._split_summaries(self._load_state(state), nb)
-            closed_refs, open_refs = self._launch_cycle(
-                path, fname, wm, new_wm, late_count, cycle, prev, nb)
-            inflight.append((fname, cycle, closed_refs, open_refs,
-                             late_count, nrows, new_wm))
-            prev = open_refs  # chain per-bucket refs into the next cycle
+            refs = self._launch_cycle(fname, wm, new_wm, row_groups, cycle,
+                                      prev, nb)
+            inflight.append((fname, cycle, refs, late_count, nrows, new_wm))
+            # read ahead: chain the next files' watermarks through their
+            # footers and launch the large ones' split tasks now
+            w = new_wm
+            for f in pending[1:1 + self.PREFETCH_DEPTH]:
+                _, rows_f, w_next, groups_f = stats_at(f, w)
+                if (rows_f > self.RAY_CYCLE_THRESHOLD
+                        and f not in self._prefetch):
+                    self._prefetch[f] = (w, self._cycle_prelude(f, w,
+                                                                groups_f))
+                w = w_next
+            prev = refs[1]  # chain per-bucket refs into the next cycle
             wm = new_wm
             cycle += 1
             while len(inflight) >= self.PIPELINE_DEPTH:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from typing import Callable
 
+import numpy as np
 import pandas as pd
 
 __all__ = [
@@ -75,6 +76,13 @@ class Detector:
         return s.map(one)
 
 
+def _may_hold_digit(t: str) -> bool:
+    # ``str.isascii`` raises TypeError on a non-str row
+    return (not str.isascii(t) or "0" in t or "1" in t or "2" in t
+            or "3" in t or "4" in t or "5" in t or "6" in t or "7" in t
+            or "8" in t or "9" in t)
+
+
 class DigitRunDetector(Detector):
     """Round-1 deterministic detector: digit runs as regions, confidence
     1.0 (SQL-parity: ``\\d+``). The vectorized ``replace_spans`` is the
@@ -92,7 +100,23 @@ class DigitRunDetector(Detector):
         return [(m.start(), m.end(), "digit-run", 1.0) for m in self._re.finditer(text)]
 
     def replace_spans(self, s: pd.Series, repl: Callable[[str], str]) -> pd.Series:
-        return s.str.replace(self._re, lambda m: repl(m.group(0)), regex=True)
+        def sub(x: pd.Series) -> pd.Series:
+            return x.str.replace(self._re, lambda m: repl(m.group(0)), regex=True)
+
+        if s.dtype != object:
+            return sub(s)
+        # the per-row regex runs only on the rows it can change: ASCII
+        # rows holding an ASCII digit (ten memchr scans) and non-ASCII
+        # rows (``\d`` also matches Unicode Nd digits). A series with a
+        # non-str row takes it whole, as pandas' ``.str`` decides what
+        # such a row becomes from the whole series
+        try:
+            hit = np.fromiter(map(_may_hold_digit, s), bool, len(s))
+        except TypeError:
+            return sub(s)
+        out = s.copy()
+        out[hit] = sub(s[hit]).to_numpy()
+        return out
 
 
 DETECTORS: dict[str, Callable[[], Detector]] = {}

@@ -36,6 +36,7 @@ import os
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
 
@@ -189,10 +190,15 @@ class ExactlyOnceSink:
         # so appending the remaining key column makes the sort
         # shuffle-order-independent (two rows sharing (conv, turn) but
         # differing in signature previously kept arrival order); for
-        # flagship data (conv, turn) is already unique — bytes unchanged
-        g = g.sort_values(
-            ["conv_id", "turn_idx", *sort_extra, "signature"], kind="mergesort"
-        ).drop(columns=["_bucket"]).reset_index(drop=True)
+        # flagship data (conv, turn) is already unique — bytes unchanged.
+        # The Arrow table is built once and sorted in Arrow: a stable
+        # sort, nulls last per key, strings in UTF-8 byte (== code
+        # point) order — the order of a pandas mergesort of these keys
+        table = pa.Table.from_pandas(g.drop(columns=["_bucket"]),
+                                     preserve_index=False)
+        table = table.take(pc.sort_indices(table, sort_keys=[
+            (c, "ascending")
+            for c in ("conv_id", "turn_idx", *sort_extra, "signature")]))
         # per-key freshness probe (loadResult modified-time check,
         # imagor.go:605-652): the committed sha1 IS the content
         # fingerprint — parquet bytes are deterministic for identical
@@ -212,7 +218,6 @@ class ExactlyOnceSink:
         # never delete previously committed data it didn't touch.
         replaced = False
         try:
-            table = pa.Table.from_pandas(g, preserve_index=False)
             if st.is_local:
                 pq.write_table(table, tmp, compression="snappy")
             else:
@@ -232,11 +237,13 @@ class ExactlyOnceSink:
                 )
             st.replace(tmp, final)  # atomic commit of the data file
             replaced = True
+            rows = table.num_rows
+            conv, turn = table["conv_id"], table["turn_idx"]
             entry = {
                 "partition_id": bucket,
-                "rows": len(g),
-                "key_min": [str(g["conv_id"].iloc[0]), int(g["turn_idx"].iloc[0])] if len(g) else None,
-                "key_max": [str(g["conv_id"].iloc[-1]), int(g["turn_idx"].iloc[-1])] if len(g) else None,
+                "rows": rows,
+                "key_min": [str(conv[0].as_py()), int(turn[0].as_py())] if rows else None,
+                "key_max": [str(conv[-1].as_py()), int(turn[-1].as_py())] if rows else None,
                 "sha1": digest,  # doubles as the freshness fingerprint
                 "file": final.rsplit("/", 1)[-1],
                 # per-partition metrics (lineage + metrics, north rule);
@@ -313,7 +320,7 @@ class ExactlyOnceSink:
                 except OSError:
                     pass
             raise
-        return pd.DataFrame({"bucket": [bucket], "rows": [len(g)], "skipped": [False]})
+        return pd.DataFrame({"bucket": [bucket], "rows": [table.num_rows], "skipped": [False]})
 
     # -- read back ---------------------------------------------------------
 
