@@ -8,24 +8,22 @@ executor planning) that dominates short executions — measured 1.57×
 end-to-end on 1M-row streaming cycles. The exchange moves the same
 bytes through the same object store, but as plain tasks:
 
-- ONE split task per input (an Arrow block ref, or whatever the key
-  reads) runs a map-side key ``key(input) → (rows, buckets)`` and
-  splits ``rows`` into ``nb`` bucket shards — plus one SIDE shard, for
-  bucket ``nb``, that no reducer takes — with one argsort+slice (only
-  O(inputs × buckets) object refs ever cross the driver, never rows);
+- ONE split task per input (an Arrow block ref, or what the key reads)
+  runs a map-side key ``key(input) → (rows, buckets)`` and splits
+  ``rows`` into ``nb`` bucket shards, plus an optional SIDE shard
+  (bucket ``nb``) no reducer takes, with one argsort+slice — only
+  object refs cross the driver, never rows;
 - ONE reduce task per bucket concatenates its column of shards and
   calls ``fn(*bucket_args, rows)``, ``rows`` None for an empty bucket.
-  A bucket's args are top-level task arguments, so Ray resolves an
-  ObjectRef among them (the session stream chains the previous cycle's
-  reducer output into the next cycle's this way) before the call.
+  Ray resolves an ObjectRef among a bucket's args before the call (the
+  session stream chains one cycle's reducer into the next this way).
 
 Callers: the flagship's ``engine='tasks'`` (:func:`hash_exchange`; key:
-its ``_bucket`` column; byte-identical to the groupby engine in tests)
-and the session stream's large cycles (key: a row-group range of the
-cycle file, read in the task, late rows to the side shard, the rest by
-``crc32(conv_id) % nb``). The keyed-stream runtime uses no exchange:
-its cycles run in a driver loop, which beat this exchange on its
-workload at 1 and 4 Ray CPUs.
+its ``_bucket`` column) and the session stream's large cycles (key: a
+row-group range of the cycle input, read in the task, late rows to the
+side shard, the rest by ``crc32(conv_id) % nb``). The keyed-stream
+runtime's driver loop beat this exchange on its workload at 1 and 4
+Ray CPUs.
 """
 
 from __future__ import annotations

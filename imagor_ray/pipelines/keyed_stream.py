@@ -102,13 +102,9 @@ def _column_us(col) -> np.ndarray:
 
 
 class FooterStats(tuple):
-    """``(late_count, total_rows, max_us)``, plus ``row_groups``: the
-    row count of every row group, in file order."""
-
-    def __new__(cls, late: int, total: int, max_us, row_groups: list):
-        self = super().__new__(cls, (late, total, max_us))
-        self.row_groups = row_groups
-        return self
+    """``(late_count, total_rows, max_us)``; its ``row_groups`` holds one
+    ``(fragment path, row-group index, rows)`` per row group, in read
+    order."""
 
 
 def footer_late_stats(path: str, wm: int) -> FooterStats:
@@ -119,8 +115,8 @@ def footer_late_stats(path: str, wm: int) -> FooterStats:
     straddling the watermark, or one without ts statistics, is read on
     the driver (ts column only), and its late count and max come from
     that column — never guessed. ``max_us`` is None for an empty file.
-    The row groups' row counts come with it (:class:`FooterStats`). A
-    footer that cannot be read raises."""
+    Every row group's location and row count come with it
+    (:class:`FooterStats`). A footer that cannot be read raises."""
     import pyarrow.dataset as pads
 
     late = 0
@@ -133,7 +129,7 @@ def footer_late_stats(path: str, wm: int) -> FooterStats:
         suspects = []
         for rg in range(md.num_row_groups):
             g = md.row_group(rg)
-            row_groups.append(g.num_rows)
+            row_groups.append((frag.path, rg, g.num_rows))
             stats = g.column(ts_idx).statistics
             if stats is None or not stats.has_min_max:
                 if g.num_rows:
@@ -152,7 +148,9 @@ def footer_late_stats(path: str, wm: int) -> FooterStats:
                 late += int((us < wm).sum())
                 hi = int(us.max())
                 max_us = hi if max_us is None else max(max_us, hi)
-    return FooterStats(late, sum(row_groups), max_us, row_groups)
+    out = FooterStats((late, sum(n for *_, n in row_groups), max_us))
+    out.row_groups = row_groups
+    return out
 
 
 def file_max_ts(path: str) -> int:

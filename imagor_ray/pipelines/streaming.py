@@ -21,30 +21,26 @@ what is specific to sessions:
 - a cycle runs ONE per-bucket body, :func:`_bucket_cycle` (chain→sink
   partition write, sessionize, close split), in one of two placements
   (:meth:`StreamingSessionJob._execute`). Cycles above
-  ``RAY_CYCLE_THRESHOLD`` rows run it on the engine's one raw two-stage
-  hash exchange (``pipelines/exchange.py``), whose split tasks read the
-  file's row-group ranges themselves (no Ray Data execution) and send
-  the late rows to the side shard; only session summaries and late
-  rows return to the driver. Smaller cycles run it in-process, starting
-  no Ray work (BENCH.md finding 20 and its 2026-10-17 note);
-- both placements write the same files: the late count, the row count
-  and the watermark come from the parquet footer
-  (:func:`footer_late_stats`), the late rows go to one
-  ``late/late-{file}`` (full rows, written only when a row is late) and
-  the closed summaries of a cycle to one
-  ``closed/closed-{cycle:05d}.parquet`` (:meth:`_finish_cycle`, written
-  only when a session closed), so the threshold never changes an
-  emitted byte;
-- ``run_all`` reads ahead (the split tasks of upcoming files) and
+  ``RAY_CYCLE_THRESHOLD`` rows run it on the engine's one hash exchange
+  (``pipelines/exchange.py``), whose split tasks read the input's
+  row-group ranges themselves (no Ray Data execution) and send the late
+  rows to the side shard. Smaller cycles run it in-process, starting no
+  Ray work (BENCH.md finding 20 and its 2026-10-17 note);
+- both placements write the same files: late count, row count and
+  watermark come from the parquet footer (:func:`footer_late_stats`),
+  the late rows go to one ``late/late-{file}`` and the closed summaries
+  of a cycle to one ``closed/closed-{cycle:05d}.parquet``
+  (:meth:`_finish_cycle`), each written only when not empty;
+- ``run_all`` launches the split tasks of upcoming files early and
   pipelines consecutive exchange cycles, committing strictly in cycle
-  order; killing the driver between cycles and restarting resumes from
-  the checkpoint with byte-identical emitted output (asserted in
-  tests).
+  order; a restarted driver resumes from the checkpoint with
+  byte-identical output (asserted in tests).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 
 import numpy as np
@@ -74,17 +70,18 @@ def _cluster_width() -> int:
     return max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
 
 
-def _row_group_ranges(counts: list, k: int) -> list[list[int]]:
-    """At most ``k`` contiguous ranges of row-group indices covering a
-    file whose row groups hold ``counts`` rows, cut after the group
-    where the running row count reaches each ``i/k`` of the total."""
-    if not counts:
+def _row_group_ranges(row_groups: list, k: int) -> list[list[tuple]]:
+    """At most ``k`` contiguous runs of a footer's ``row_groups``
+    (:func:`footer_late_stats`) as ``(path, index)`` lists, cut after
+    the group where the running row count reaches each ``i/k`` of the
+    total."""
+    if not row_groups:
         return []
-    cum = np.cumsum(counts)
+    cum = np.cumsum([n for *_, n in row_groups])
     cuts = np.searchsorted(cum, cum[-1] * np.arange(1, k) / k) + 1
-    bounds = sorted({0, len(counts),
-                     *np.minimum(cuts, len(counts)).tolist()})
-    return [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+    bounds = sorted({0, len(cum), *np.minimum(cuts, len(cum)).tolist()})
+    return [[g[:2] for g in row_groups[a:b]]
+            for a, b in zip(bounds, bounds[1:])]
 
 
 def _empty_summaries() -> pd.DataFrame:
@@ -103,37 +100,6 @@ def _sorted_summaries(frames) -> pd.DataFrame:
     if not len(out):
         return _empty_summaries()
     return out.sort_values(["conv_id", "session_start"]).reset_index(drop=True)
-
-
-def _sessionize_groupby(turns: pd.DataFrame, gap_s: int) -> pd.DataFrame:
-    """:meth:`StreamingSessionJob._sessionize_with_start` in pandas
-    sort and groupby form, for input its ``lexsort`` form does not
-    order as pandas does (a null conv_id, a NaT)."""
-    df = (turns.sort_values(["conv_id", "_start", "ts"], kind="mergesort")
-          .reset_index(drop=True))
-    s_us = ts_us(df["_start"])
-    e_us = ts_us(df["ts"])
-    conv = df["conv_id"].to_numpy()
-    # per-conv running max of interval ends (integer-exact; the
-    # value a global shift leaks across a conv boundary is masked
-    # by the conv-change flag)
-    hull = np.asarray(pd.Series(e_us)
-                      .groupby(pd.Series(conv), sort=False).cummax(),
-                      dtype="int64")
-    prev_hull = np.empty_like(hull)
-    prev_hull[0] = np.int64(-(1 << 62))
-    prev_hull[1:] = hull[:-1]
-    new = np.empty(len(df), dtype=bool)
-    new[0] = True
-    new[1:] = ((conv[1:] != conv[:-1])
-               | (s_us[1:] > prev_hull[1:] + gap_s * 1_000_000))
-    gsid = np.cumsum(new)
-    return df.assign(_g=gsid).groupby("_g", sort=True).agg(
-        conv_id=("conv_id", "first"),
-        session_start=("_start", "min"),
-        session_end=("ts", "max"),
-        n_turns=("n_turns", "sum"),
-    ).reset_index(drop=True)
 
 
 def _bucket_cycle(bucket: int, final_wm: int, gap_s: int, work, prev_open,
@@ -178,13 +144,15 @@ def _bucket_cycle(bucket: int, final_wm: int, gap_s: int, work, prev_open,
 
 def _range_conv_key(wm: int, nb: int, src):
     """The session exchange's map-side key, run in a split task: read
-    the row-group range ``src = (path, row_groups)`` of a cycle file,
-    send its late rows (``ts < wm``, on the same flooring converter as
-    the zone-map reader that counted them) to the side shard ``nb`` and
+    the row groups ``src`` of a cycle file or directory — contiguous
+    ``(fragment path, row-group index)`` pairs in read order — send
+    their late rows (``ts < wm``, on the same flooring converter as the
+    zone-map reader that counted them) to the side shard ``nb`` and
     bucket the rest by ``crc32(conv_id) % nb`` — the partitioning that
     keeps every conversation in one bucket."""
-    path, row_groups = src
-    tbl = pq.ParquetFile(path).read_row_groups(row_groups)
+    tbl = pa.concat_tables([
+        pq.ParquetFile(path).read_row_groups([g for _, g in groups])
+        for path, groups in itertools.groupby(src, key=lambda u: u[0])])
     ontime = _column_us(tbl["ts"]) >= wm
     b = np.full(tbl.num_rows, nb, np.int64)
     b[ontime] = crc32_bucket(
@@ -237,13 +205,10 @@ class StreamingSessionJob(KeyedStreamJob):
 
     # -- one cycle ---------------------------------------------------------
 
-    #: above this many rows the WHOLE cycle runs on the hash exchange
-    #: (:meth:`_launch_cycle`) — split tasks that read the file → late
-    #: side shard → per-bucket :func:`_bucket_cycle` — with only session
-    #: summaries and late rows returning to the driver. Below it the
-    #: same body runs in-process: Ray per-task overhead dominates tiny
-    #: cycles. Both placements write the same files, so this constant
-    #: chooses where a cycle runs, never what it emits.
+    #: above this many rows a cycle runs on the hash exchange
+    #: (:meth:`_launch_cycle`), below it in-process: Ray per-task
+    #: overhead dominates tiny cycles. Both placements write the same
+    #: files, so this chooses where a cycle runs, never what it emits.
     RAY_CYCLE_THRESHOLD = 150_000
 
     def _run_file(self, state: dict, fname: str, stats=None) -> dict:
@@ -259,12 +224,9 @@ class StreamingSessionJob(KeyedStreamJob):
 
     def _cycle_stats(self, path: str, wm: int) -> tuple:
         """``(late_count, total_rows, new_watermark, row_groups)`` of a
-        cycle file from its parquet footer (:func:`footer_late_stats`,
-        exact), for both placements: the row count picks the placement
-        without reading data, the row-group sizes cut the exchange's
-        read ranges, and the watermark advances to ``max(ts) −
-        lateness`` (the max over all rows is the max over the on-time
-        rows, since a late ts is below ``wm``), never backwards."""
+        cycle input from its parquet footer (:func:`footer_late_stats`).
+        The watermark advances to ``max(ts) − lateness`` (a late ts is
+        below ``wm``, so that is the on-time max), never backwards."""
         fs = footer_late_stats(path, wm)
         late_count, total_rows, max_us = fs
         new_watermark = (max(wm, max_us - self.lateness_us)
@@ -276,17 +238,12 @@ class StreamingSessionJob(KeyedStreamJob):
 
     def _execute(self, inputs: tuple, wm: int, new_wm: int, cycle: int,
                  st: pd.DataFrame):
-        """The cycle's two placements of :func:`_bucket_cycle`.
-        ``inputs`` is ``(path, stats)``, ``stats`` the file's
-        :meth:`_cycle_stats`. Above ``RAY_CYCLE_THRESHOLD`` rows the
-        cycle runs on the hash exchange (:meth:`_launch_cycle`), drained
-        at once (:meth:`_drain_cycle`); no Ray Data execution, no sort
-        sampling, no boundary exchange — the fixed cost a sub-second
-        cycle pays under Ray Data (BENCH.md finding 19/20). Otherwise it
-        runs in-process, starting no Ray work: read and late split
-        (against the PRE-advance watermark), then the body once (no
-        grouped work) or per conv bucket in ascending order. Both end
-        in :meth:`_finish_cycle`."""
+        """The cycle's two placements of :func:`_bucket_cycle`
+        (``inputs`` is ``(path, stats)``, ``stats`` its
+        :meth:`_cycle_stats`): above ``RAY_CYCLE_THRESHOLD`` rows the
+        hash exchange, drained at once; otherwise in-process — read,
+        late split against the pre-advance watermark, then the body
+        once (no grouped work) or per conv bucket in ascending order."""
         path, (late_count, nrows, _, row_groups) = inputs
         fname = os.path.basename(path)
         if nrows > self.RAY_CYCLE_THRESHOLD:
@@ -352,10 +309,8 @@ class StreamingSessionJob(KeyedStreamJob):
         shards = self._take_prefetched(fname, wm)
         if shards is None:
             nb = self._cycle_bucket_count()
-            path = os.path.join(self.input_dir, fname)
             shards = split_refs(
-                [(path, r) for r in _row_group_ranges(row_groups,
-                                                      _cluster_width())],
+                _row_group_ranges(row_groups, _cluster_width()),
                 functools.partial(_range_conv_key, wm, nb), nb, side=True)
         return shards
 
@@ -372,16 +327,13 @@ class StreamingSessionJob(KeyedStreamJob):
 
     def _launch_cycle(self, fname, wm, new_wm, row_groups, cycle, prev,
                       nb):
-        """Start one large cycle on the hash exchange without waiting
-        for it: the split tasks (:meth:`_cycle_prelude`; refs, not
-        rows, return to the driver) and one :func:`_bucket_cycle`
-        reduce task per bucket with two returns. ``prev[b]`` is bucket
-        ``b``'s carried open-session SUMMARIES — a frame, or the
-        previous cycle's still-open ref; the reducer converts them to
-        pseudo-turn rows itself, which is what lets the pipelined loop
-        chain reducer (N, b) into (N+1, b) with no driver hop, carrying
-        only the open half. Returns ``(closed_refs, open_refs,
-        late_refs)``, the last the split tasks' side shards."""
+        """Start one large cycle on the hash exchange without waiting:
+        the split tasks (:meth:`_cycle_prelude`) and one
+        :func:`_bucket_cycle` reduce task per bucket with two returns.
+        ``prev[b]`` is bucket ``b``'s open-session summaries — a frame,
+        or the previous cycle's still-open ref, so the pipelined loop
+        chains reducer (N, b) into (N+1, b) with no driver hop. Returns
+        ``(closed_refs, open_refs, late_refs)``."""
         shards = self._cycle_prelude(fname, wm, row_groups)
         work = self._make_grouped_cycle_work(cycle)
         refs, late = exchange_refs(
@@ -409,31 +361,21 @@ class StreamingSessionJob(KeyedStreamJob):
     def _sessionize_with_start(turns: pd.DataFrame, gap_s: int) -> pd.DataFrame:
         """Interval-hull sessionize carrying true session_start from
         re-injected open-session summaries: every row is an interval
-        ``[_start, ts]`` (a turn is a point, ``_start == ts``; a
-        summary spans its whole session). Rows sort by interval START
-        and gap-check against the per-conv running hull END, which
-        makes the kernel arrival-ORDER-INSENSITIVE: under allowed
-        lateness an in-horizon turn that predates an open summary's
-        end merges into it (and may bridge two open summaries of the
-        same conv, which then merge before ever closing). Hull merging
-        is exact — gap connectivity between point sets depends only on
-        their min/max. With event-time-ordered input this reduces
-        bit-for-bit to the ordered kernel: the (single) summary sorts
-        first and every turn postdates its end, so the flags match
-        the plain consecutive-diff computation.
-
-        One ``lexsort`` over factorized conv codes orders the rows and
-        ``reduceat`` folds each session; a null conv_id or a NaT, which
-        that ordering would place differently from pandas, takes the
-        groupby form (:func:`_sessionize_groupby`)."""
+        ``[_start, ts]`` (a turn is a point; a summary spans its
+        session). Rows sort by interval start and gap-check against the
+        per-conv running hull end, so the kernel is insensitive to
+        arrival order: under allowed lateness an in-horizon turn that
+        predates an open summary's end merges into it (and may bridge
+        two open summaries of the same conv). Hull merging is exact —
+        gap connectivity between point sets depends only on their
+        min/max. One ``lexsort`` over factorized conv codes orders the
+        rows and ``reduceat`` folds each session."""
         if len(turns) == 0:
             return _empty_summaries()
-        codes = pd.factorize(turns["conv_id"], sort=True)[0]
+        codes, convs = pd.factorize(turns["conv_id"], sort=True)
+        # a null conv_id sorts last, as under pandas (factorize codes it -1)
+        codes[codes < 0] = len(convs)
         start, end = turns["_start"].to_numpy(), turns["ts"].to_numpy()
-        if ((codes < 0).any() or start.dtype.kind != "M"
-                or end.dtype.kind != "M"
-                or np.isnat(start).any() or np.isnat(end).any()):
-            return _sessionize_groupby(turns, gap_s)
         order = np.lexsort((end.view("int64"), start.view("int64"), codes))
         codes, start, end = codes[order], start[order], end[order]
         s_us, e_us = ts_us(start), ts_us(end)
@@ -459,12 +401,10 @@ class StreamingSessionJob(KeyedStreamJob):
     # -- read-ahead (pipelined cycles) ---------------------------------
 
     #: how many upcoming large files ``run_all`` launches the split
-    #: tasks (the reads) of ahead of the running cycle. One is enough at
-    #: LOW parallelism (cycle walls are long, the read finishes in the
-    #: shadow); at HIGH parallelism cycles are short and one slot leaves
-    #: the read on the critical path about every other cycle — depth 2
-    #: keeps the reader ahead at the cost of one more cycle's shards in
-    #: the object store (spills gracefully).
+    #: tasks (the reads) of ahead of the running cycle: at high
+    #: parallelism cycles are short and one slot leaves the read on the
+    #: critical path about every other cycle; each slot costs one
+    #: cycle's shards in the object store (spills gracefully).
     PREFETCH_DEPTH = 2
 
     def _take_prefetched(self, fname: str, wm: int):
@@ -497,36 +437,24 @@ class StreamingSessionJob(KeyedStreamJob):
         """Run every pending cycle; consecutive exchange cycles overlap.
 
         A per-cycle global barrier (``ray.get`` on every reducer before
-        the next cycle starts) is what bounds streaming scaling at high
-        CPU counts — the driver-side prelude + split launch of cycle
-        N+1 serialize behind cycle N's slowest reducer. Here they
-        don't:
+        the next cycle starts) bounds streaming scaling at high CPU
+        counts. Here:
 
-        - the watermark chain needs only parquet FOOTER stats
-          (:meth:`_cycle_stats`, read once per file), so cycle N+1's
-          watermark, late routing and split tasks launch without any
-          cycle-N reduce result — the split tasks of the next
-          ``PREFETCH_DEPTH`` large files launch while cycle N runs;
-        - reducer (N+1, b) takes reducer (N, b)'s still-open ObjectRef
-          as its ``prev_open`` directly (the reducer converts summaries
-          to pseudo-turn rows itself) — the open-session carry never
-          touches the driver between cycles, and each bucket's chain
-          advances independently instead of waiting on the global
-          straggler;
-        - the CHECKPOINT still commits strictly in cycle order: the
-          oldest in-flight cycle is drained (:meth:`_drain_cycle`: its
-          late and closed files written) and committed before cycle
-          N+PIPELINE_DEPTH launches. A crash loses only uncommitted
-          cycles, whose replay is byte-identical (atomic renames +
-          committed-bucket sink skip absorb the partially-written
-          work) — same guarantee, same commit point.
+        - the watermark chain needs only parquet footer stats
+          (:meth:`_cycle_stats`, read once per file), so the split tasks
+          of the next ``PREFETCH_DEPTH`` large files launch while cycle
+          N runs;
+        - reducer (N+1, b) takes reducer (N, b)'s still-open ref as its
+          ``prev_open``: the carry never touches the driver between
+          cycles and each bucket's chain advances on its own;
+        - the checkpoint commits strictly in cycle order: the oldest
+          in-flight cycle is drained (:meth:`_drain_cycle`) and
+          committed before cycle N+PIPELINE_DEPTH launches; a crash
+          loses only uncommitted cycles, whose replay is byte-identical.
 
-        Small cycles (≤ RAY_CYCLE_THRESHOLD) and giant cycles
-        (> PIPELINE_ROW_MAX, where overlap measured net-negative — see
-        that attribute) drain the pipeline and run through
-        :meth:`_run_file`, as :meth:`run_cycle` does; outputs stay
-        byte-identical at every depth (asserted in tests). Returns the
-        per-cycle results.
+        Small cycles (≤ RAY_CYCLE_THRESHOLD) and giant ones
+        (> PIPELINE_ROW_MAX) drain the pipeline and run through
+        :meth:`_run_file`. Returns the per-cycle results.
         """
         state = self.cp.load()
         wm = int(state.get("watermark_us", 0))
@@ -557,9 +485,8 @@ class StreamingSessionJob(KeyedStreamJob):
         while pending := self._pending(self.input_dir, done):
             fname = pending[0]
             done.add(fname)
-            stats = stats_at(fname, wm)
+            late_count, nrows, new_wm, row_groups = stats = stats_at(fname, wm)
             del ahead[fname]
-            late_count, nrows, new_wm, row_groups = stats
             if (nrows <= self.RAY_CYCLE_THRESHOLD
                     or nrows > self.PIPELINE_ROW_MAX):
                 # small cycle → in-process placement, which needs the
@@ -579,10 +506,15 @@ class StreamingSessionJob(KeyedStreamJob):
                                       prev, nb)
             inflight.append((fname, cycle, refs, late_count, nrows, new_wm))
             # read ahead: chain the next files' watermarks through their
-            # footers and launch the large ones' split tasks now
+            # footers and launch the large ones' split tasks now. A
+            # footer that cannot be read yet stops the read-ahead; it
+            # raises when its own cycle runs, after the earlier commits
             w = new_wm
             for f in pending[1:1 + self.PREFETCH_DEPTH]:
-                _, rows_f, w_next, groups_f = stats_at(f, w)
+                try:
+                    _, rows_f, w_next, groups_f = stats_at(f, w)
+                except (OSError, ValueError):
+                    break
                 if (rows_f > self.RAY_CYCLE_THRESHOLD
                         and f not in self._prefetch):
                     self._prefetch[f] = (w, self._cycle_prelude(f, w,

@@ -1,6 +1,6 @@
 """The session stream's large cycles read their input inside the hash
 exchange's split tasks: one task per contiguous row-group range of the
-cycle file, late rows to the exchange's side shard, written by the
+cycle file or directory, late rows to the exchange's side shard, written by the
 driver as ``late-{file}`` when it drains the cycle. ``run_all``
 launches the split tasks of upcoming large files ahead of their cycle.
 """
@@ -93,17 +93,89 @@ def test_row_group_read_matches_in_process(ray_session, tmp_path, cls):
         assert ex.processed_sha1() == local.processed_sha1()
 
 
+def _ray_dir(path: str, df: pd.DataFrame) -> None:
+    """``df`` as a Ray Data parquet directory: three fragments of
+    several row groups each."""
+    import ray.data
+
+    third = len(df) // 3
+    ray.data.from_pandas([df[:third], df[third:2 * third], df[2 * third:]]
+                         ).write_parquet(path, row_group_size=4)
+
+
+@pytest.mark.parametrize("cls", [StreamingFlagshipJob, StreamingSessionJob],
+                         ids=["flagship", "session"])
+def test_ray_directory_cycles_match_in_process(ray_session, tmp_path, cls):
+    """Cycle inputs that are Ray-written parquet directories (several
+    fragments of several row groups, late rows in a middle fragment)
+    run on the exchange and write the bytes of the in-process
+    placement."""
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    stream = str(tmp_path / "in")
+    os.makedirs(stream)
+    _frame([(f"c{i % 4}", f"2024-01-01 00:{2 * i:02d}:00")
+            for i in range(30)]
+           ).to_parquet(os.path.join(stream, "batch-00000.parquet"),
+                        index=False)
+    rows = [(f"c{i % 5}", f"2024-01-01 01:{2 * i:02d}:00") for i in range(30)]
+    rows[13:16] = [("zz", "2023-12-31 00:00:00"),
+                   ("yy", "2023-12-31 00:01:00"),
+                   ("xx", "2023-12-31 00:02:00")]
+    _ray_dir(os.path.join(stream, "batch-00001.parquet"), _frame(rows))
+    _ray_dir(os.path.join(stream, "batch-00002.parquet"), _frame(
+        [(f"d{i % 3}", f"2024-01-01 03:{i:02d}:00") for i in range(24)]))
+    frags = list(pads.dataset(os.path.join(
+        stream, "batch-00001.parquet")).get_fragments())
+    assert len(frags) == 3
+    assert all(pq.ParquetFile(f.path).num_row_groups > 1 for f in frags)
+    local, r_local = _run(stream, str(tmp_path / "local"), 10**9, cls)
+    ex, r_ex = _run(stream, str(tmp_path / "exchange"), 0, cls)
+    assert r_ex == r_local
+    assert [r["late"] for r in r_ex] == [0, 3, 0]
+    assert _output_digests(ex.cp.path) == _output_digests(local.cp.path)
+    if cls is StreamingFlagshipJob:
+        assert ex.processed_sha1() == local.processed_sha1()
+
+
+def test_unreadable_next_file_still_commits_the_running_cycle(
+        ray_session, tmp_path):
+    """The read-ahead does not raise on an upcoming file whose footer
+    cannot be read: at ``PIPELINE_DEPTH`` 1 the running cycle commits,
+    and the bad file raises when its own cycle runs."""
+    stream = write_stream(tmp_path, _mk_batches(3))
+    with open(os.path.join(stream, "batch-00001.parquet"), "wb") as f:
+        f.write(b"not parquet")
+    job = StreamingFlagshipJob(stream, str(tmp_path / "st"), gap_s=1800,
+                               num_buckets=2, ray_cycle_threshold=0)
+    job.PIPELINE_DEPTH = 1
+    with pytest.raises((OSError, ValueError)):
+        job.run_all()
+    assert job.cp.load()["processed"] == ["batch-00000.parquet"]
+
+
+def _groups(counts, files=1):
+    """Footer ``row_groups`` of ``files`` fragments holding ``counts``."""
+    return [(f"f{f}", i, n) for f in range(files)
+            for i, n in enumerate(counts)]
+
+
 def test_row_group_ranges_cover_in_order():
     for counts in ([5], [1] * 40, [0, 3, 0, 0, 9, 1, 0], [100, 1, 1, 1, 1],
                    list(range(1, 30))):
-        for k in (1, 2, 8):
-            ranges = _row_group_ranges(counts, k)
-            assert 1 <= len(ranges) <= k
-            assert [g for r in ranges for g in r] == list(range(len(counts)))
-            assert all(r for r in ranges)
+        for files in (1, 3):
+            groups = _groups(counts, files)
+            for k in (1, 2, 8):
+                ranges = _row_group_ranges(groups, k)
+                assert 1 <= len(ranges) <= k
+                assert [u for r in ranges for u in r] == [
+                    g[:2] for g in groups]
+                assert all(r for r in ranges)
     assert _row_group_ranges([], 8) == []
     # balanced by rows, not by group count
-    assert [len(r) for r in _row_group_ranges([1] * 40, 8)] == [5] * 8
+    assert [len(r) for r in _row_group_ranges(_groups([1] * 40), 8)
+            ] == [5] * 8
 
 
 def test_tiny_row_groups_launch_at_most_cluster_width_splits(
@@ -130,8 +202,8 @@ def test_tiny_row_groups_launch_at_most_cluster_width_splits(
     assert len(launched) == 1
     width = streaming._cluster_width()
     assert 1 < len(launched[0]) <= width
-    groups = [g for _, rgs in launched[0] for g in rgs]
-    assert groups == list(range(60))
+    units = [u for src in launched[0] for u in src]
+    assert [g for _, g in units] == list(range(60))
 
 
 def test_read_ahead_splits_are_all_taken(ray_session, tmp_path,
@@ -151,7 +223,7 @@ def test_read_ahead_splits_are_all_taken(ray_session, tmp_path,
         return out
 
     def split(inputs, key, nb, side=False):
-        launched.append(os.path.basename(inputs[0][0]))
+        launched.append(os.path.basename(inputs[0][0][0]))
         return orig_split(inputs, key, nb, side)
 
     monkeypatch.setattr(StreamingSessionJob, "_take_prefetched", take)
