@@ -20,13 +20,15 @@ file and one all-late file — crossed with lateness 0 and 2 days and
 with tumbling-week and 3-day/1-day sliding windows.
 
 It also runs ``StreamingSessionJob`` and ``StreamingFlagshipJob`` (2
-buckets) then ``flush()`` over four streams — two from
+buckets) then ``flush()`` over five streams — two from
 ``tests/test_streaming.py`` (``TestPipelinedCycles._mk_batches(6)``
 and the jittered stream of ``test_jittered_closed_equals_batch_three_engines``),
 the jittered stream again in row groups of three rows with statistics
 (``jitterrg``: files of more row groups than the exchange has split
 tasks, so the split tasks read multi-group ranges located through
-footer stats, late rows among them), and an edge stream of four files
+footer stats, late rows among them), the jittered stream once more with
+every file a Ray Data parquet directory of three fragments in row
+groups of three rows (``jitterraydir``), and an edge stream of four files
 (one on-time file, one empty file, one all-late file, then one file
 that advances the watermark) — crossed with lateness 0 and 86 400 s,
 ``RAY_CYCLE_THRESHOLD`` 10**9 (in-process) and 0 (hash exchange), and
@@ -39,7 +41,7 @@ late count comes from the zone-map reader's ts scan rather than from
 footer min/max. The edge copy runs through both session jobs as above
 (``…-edgenostats-…``), the keyed copy through every keyed job
 (``…-nostats``) and the day copy through every changelog shape
-(``chlog-daysnostats-…``): 160 cases in all.
+(``chlog-daysnostats-…``): 176 cases in all.
 
 For every case it writes the sha1 of every file under the state dir
 except ``checkpoint.json``, the checkpoint itself and the ``run_all``
@@ -195,6 +197,7 @@ def _run_cases(tmp: str) -> dict:
     streams["edgenostats"] = _statless_copy(streams["edge"])
     streams["jitterrg"] = write_stream(pathlib.Path(tmp, "jitterrg"),
                                        _jittered_batches(), row_group_size=3)
+    streams["jitterraydir"] = _ray_dir_copy(streams["jitter"])
     session_jobs = {"sessionjob": StreamingSessionJob,
                     "flagship": lambda i, s, **kw: StreamingFlagshipJob(
                         i, s, num_buckets=2, **kw)}
@@ -227,6 +230,24 @@ def _statless_copy(d: str) -> str:
         pq.write_table(pq.read_table(os.path.join(d, f)),
                        os.path.join(out, f), row_group_size=2,
                        write_statistics=False)
+    return out
+
+
+def _ray_dir_copy(d: str) -> str:
+    """A copy of input directory ``d`` whose every file is rewritten by
+    Ray Data as a parquet directory of the same name: three blocks, so
+    three fragments, in row groups of three rows."""
+    import pandas as pd
+    import ray.data
+
+    out = d.rstrip(os.sep) + "-raydir"
+    os.makedirs(out)
+    for f in sorted(os.listdir(d)):
+        df = pd.read_parquet(os.path.join(d, f))
+        n = -(-len(df) // 3)
+        ray.data.from_pandas([df[i:i + n] for i in range(0, len(df), n)]
+                             ).write_parquet(os.path.join(out, f),
+                                             row_group_size=3)
     return out
 
 
