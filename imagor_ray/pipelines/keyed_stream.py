@@ -114,9 +114,10 @@ def footer_late_stats(path: str, wm: int) -> FooterStats:
     ``max_ts < wm`` is entirely late, so neither is read. Only a group
     straddling the watermark, or one without ts statistics, is read on
     the driver (ts column only), and its late count and max come from
-    that column — never guessed. ``max_us`` is None for an empty file.
-    Every row group's location and row count come with it
-    (:class:`FooterStats`). A footer that cannot be read raises."""
+    that column — never guessed. A null ts has no event time and counts
+    late. ``max_us`` is None for a file without a ts. Every row group's
+    location and row count come with it (:class:`FooterStats`). A
+    footer that cannot be read raises."""
     import pyarrow.dataset as pads
 
     late = 0
@@ -131,7 +132,8 @@ def footer_late_stats(path: str, wm: int) -> FooterStats:
             g = md.row_group(rg)
             row_groups.append((frag.path, rg, g.num_rows))
             stats = g.column(ts_idx).statistics
-            if stats is None or not stats.has_min_max:
+            if (stats is None or not stats.has_min_max
+                    or not stats.has_null_count):
                 if g.num_rows:
                     suspects.append(rg)
                 continue
@@ -141,13 +143,17 @@ def footer_late_stats(path: str, wm: int) -> FooterStats:
                 late += g.num_rows
             elif lo < wm:
                 suspects.append(rg)
+            else:
+                late += stats.null_count
         if suspects:
             pf = pq.ParquetFile(frag.path)
             for rg in suspects:
-                us = _column_us(pf.read_row_group(rg, columns=["ts"])["ts"])
-                late += int((us < wm).sum())
-                hi = int(us.max())
-                max_us = hi if max_us is None else max(max_us, hi)
+                ts = pf.read_row_group(rg, columns=["ts"])["ts"]
+                us = _column_us(ts.drop_null())
+                late += int((us < wm).sum()) + ts.null_count
+                if len(us):
+                    hi = int(us.max())
+                    max_us = hi if max_us is None else max(max_us, hi)
     out = FooterStats((late, sum(n for *_, n in row_groups), max_us))
     out.row_groups = row_groups
     return out

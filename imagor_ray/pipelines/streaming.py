@@ -15,9 +15,9 @@ what is specific to sessions:
   micro-batches close exactly once, when the watermark passes
   ``last_ts + gap``; ``closed`` is the one output;
 - the **watermark** advances to ``max(event ts seen) − allowed_lateness``;
-  rows arriving with ``ts < watermark`` are routed to a late/dead-letter
-  output — the event-time analogue of imagor's ``expire()`` rejection
-  (``imagor.go:314-322, 991-1003``);
+  rows arriving with ``ts < watermark`` (or no ts) are routed to a
+  late/dead-letter output — the event-time analogue of imagor's
+  ``expire()`` rejection (``imagor.go:314-322, 991-1003``);
 - a cycle runs ONE per-bucket body, :func:`_bucket_cycle` (chain→sink
   partition write, sessionize, close split), in one of two placements
   (:meth:`StreamingSessionJob._execute`). Cycles above
@@ -114,9 +114,7 @@ def _bucket_cycle(bucket: int, final_wm: int, gap_s: int, work, prev_open,
     sess_frames = []
     if turns is not None and len(turns):
         if work is not None:
-            tw = turns.copy()
-            tw["_bucket"] = np.int32(bucket)
-            work(tw)
+            work(bucket, turns)
         sess_frames.append(pd.DataFrame({
             "conv_id": turns["conv_id"],
             "ts": turns["ts"],
@@ -137,9 +135,7 @@ def _bucket_cycle(bucket: int, final_wm: int, gap_s: int, work, prev_open,
         pd.concat(sess_frames, ignore_index=True), gap_s)
     end_us = np.asarray(ts_us(sessions["session_end"]))
     closed_mask = (end_us + gap_s * 1_000_000) < final_wm
-    closed = sessions[closed_mask].sort_values(
-        ["conv_id", "session_start"]).reset_index(drop=True)
-    return closed, sessions[~closed_mask]
+    return sessions[closed_mask], sessions[~closed_mask]
 
 
 def _range_conv_key(wm: int, nb: int, src):
@@ -297,8 +293,8 @@ class StreamingSessionJob(KeyedStreamJob):
 
     def _make_grouped_cycle_work(self, cycle: int):
         """The job's one sink hook: a callable :func:`_bucket_cycle` runs
-        on each bucket's on-time turn rows (full payload + ``_bucket``)
-        in both placements, or None. The flagship returns its
+        as ``work(bucket, turns)`` on each bucket's on-time turn rows in
+        both placements, or None. The flagship returns its
         chain→exactly-once-partition-write leg, so sink and sessionize
         share ONE bucketing."""
         return None
@@ -621,10 +617,9 @@ class StreamingFlagshipJob(StreamingSessionJob):
         sink = self._cycle_sink(cycle)
         os.makedirs(sink.manifest_dir, exist_ok=True)
 
-        def work(turns: pd.DataFrame) -> None:
-            bucket = turns["_bucket"].iloc[0]
-            g = proc(turns.drop(columns=["_bucket"]))
-            g["_bucket"] = bucket
+        def work(bucket: int, turns: pd.DataFrame) -> None:
+            g = proc(turns)
+            g["_bucket"] = np.int32(bucket)
             # committed buckets skip inside (replayed cycles are
             # idempotent; the rows still flowed here for sessionize)
             sink.write_partition_df(g)

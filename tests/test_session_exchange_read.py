@@ -139,6 +139,34 @@ def test_ray_directory_cycles_match_in_process(ray_session, tmp_path, cls):
         assert ex.processed_sha1() == local.processed_sha1()
 
 
+@pytest.mark.parametrize("stats", [True, False], ids=["stats", "nostats"])
+def test_null_ts_rows_route_late_on_both_placements(ray_session, tmp_path,
+                                                    stats):
+    """A row without a ts has no event time: both placements count it
+    late and write it to ``late-{file}``, and no session holds a NaT."""
+    stream = str(tmp_path / "in")
+    os.makedirs(stream)
+    for i in range(2):
+        df = _frame([(f"c{j % 3}", f"2024-01-01 0{3 * i}:{j:02d}:00")
+                     for j in range(10)])
+        if i:
+            df.loc[4, "ts"] = pd.NaT
+        df.to_parquet(os.path.join(stream, f"batch-{i:05d}.parquet"),
+                      index=False, write_statistics=stats)
+    local, r_local = _run(stream, str(tmp_path / "local"), 10**9)
+    ex, r_ex = _run(stream, str(tmp_path / "exchange"), 0)
+    assert r_ex == r_local
+    assert [(r["rows"], r["late"]) for r in r_ex] == [(10, 0), (9, 1)]
+    assert _output_digests(ex.cp.path) == _output_digests(local.cp.path)
+    assert ex.processed_sha1() == local.processed_sha1()
+    late = pd.read_parquet(os.path.join(ex.late_dir,
+                                        "late-batch-00001.parquet"))
+    assert late["ts"].isna().tolist() == [True]
+    closed = ex.closed_sessions()
+    assert closed["n_turns"].sum() == 19
+    assert not closed[["session_start", "session_end"]].isna().any().any()
+
+
 def test_unreadable_next_file_still_commits_the_running_cycle(
         ray_session, tmp_path):
     """The read-ahead does not raise on an upcoming file whose footer
